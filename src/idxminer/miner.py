@@ -73,10 +73,6 @@ class MinSupport:
         else:
             raise ValueError(f"unsupported minimum support value {self.value!r}")
 
-    @property
-    def is_fraction(self) -> bool:
-        return not isinstance(self.value, int)
-
     def resolve(self, n_transactions: int) -> int:
         """Absolute threshold over ``n_transactions``; fractions round up."""
         if isinstance(self.value, int):

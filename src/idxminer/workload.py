@@ -15,10 +15,13 @@ decision-support query logs:
 * ``INSERT`` (body accepted opaquely, it never yields items);
 * ``CREATE INDEX name ON table (col, ..)`` so emitted DDL re-parses.
 
-Subqueries are parsed as nested blocks wherever an expression or a FROM
-source may appear, and each nested block is harvested with its own scope.
-Statements outside the subset are kept (kind ``OTHER``, per-statement
-diagnostic) so workload counts stay stable.
+Unquoted identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``; any other
+character outside quotes, and nesting of parentheses, subqueries, NOT or
+unary signs deeper than ``MAX_NESTING`` (50), put a statement outside the
+subset. Subqueries are parsed as nested blocks wherever an expression or a
+FROM source may appear, and each nested block is harvested with its own
+scope. Statements outside the subset are kept (kind ``OTHER``,
+per-statement diagnostic) so workload counts stay stable.
 
 A schema file declares tables in blank-line-separated stanzas; ``#``
 starts a comment line::
@@ -40,14 +43,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def canonical_identifier(text: str, quoted: bool = False) -> str:
     """Canonical form of an identifier: lower case, quoted oddities verbatim."""
-    if quoted and not _IDENT_RE.match(text):
+    if quoted and not _IDENT_RE.fullmatch(text):
         return text
     return text.lower()
 
@@ -72,9 +75,6 @@ class SchemaMap:
 
     def has_table(self, table: str) -> bool:
         return table in self.tables
-
-    def columns_of(self, table: str) -> tuple[str, ...]:
-        return self.tables.get(table, ())
 
     def has_column(self, table: str, column: str) -> bool:
         return column in self.tables.get(table, ())
@@ -117,19 +117,12 @@ def parse_schema(schema_text: str) -> SchemaMap:
 # ---------------------------------------------------------------------------
 
 
-def _scan_string(text: str, start: int) -> int:
-    """Return the index just past a quoted literal, honoring doubled quotes."""
-    quote = text[start]
-    i = start + 1
-    n = len(text)
-    while i < n:
-        if text[i] == quote:
-            if i + 1 < n and text[i + 1] == quote:
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    return n
+# Comments, quoted runs (closing quote optional, so an unterminated one runs
+# to the end) and statement separators.
+_SPLIT_RE = re.compile(
+    r"""--[^\n]*|/\*.*?(?:\*/|\Z)|'[^']*(?:''[^']*)*'?|"[^"]*(?:""[^"]*)*"?|;""",
+    re.S,
+)
 
 
 def split_statements(text: str) -> list[str]:
@@ -141,98 +134,81 @@ def split_statements(text: str) -> list[str]:
     """
     statements: list[str] = []
     buf: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "-" and text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end < 0 else end
-            buf.append(" ")
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            i = n if end < 0 else end + 2
-            buf.append(" ")
-            continue
-        if ch in ("'", '"'):
-            end = _scan_string(text, i)
-            buf.append(text[i:end])
-            i = end
-            continue
-        if ch == ";":
+    last = 0
+    for m in _SPLIT_RE.finditer(text):
+        lead = text[m.start()]
+        if lead in "'\"":
+            continue  # quoted runs stay in place; they only hide separators
+        buf.append(text[last:m.start()])
+        last = m.end()
+        if lead == ";":
             statements.append("".join(buf))
             buf = []
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
+        else:
+            buf.append(" ")
+    buf.append(text[last:])
     statements.append("".join(buf))
-    return [s.strip() for s in statements if s.strip()]
+    return [s for s in map(str.strip, statements) if s]
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=", "||")
-_ONE_CHAR_OPS = "=<>+-*/%"
+# One alternative per token kind, tried after skipping whitespace. A quoted
+# token closes at the first quote that is not doubled, so an unterminated one
+# fails as a whole and ``bad`` reports its opening quote. ``end`` matches only
+# at the end of the text and ``bad`` takes any other character, so every
+# match ends in a token and the leading ``\s*`` never backtracks.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<qident>"[^"]*(?:""[^"]*)*"(?!"))
+      | (?P<op><=|>=|<>|!=|\|\||[=<>+\-*/%])
+      | (?P<punct>[(),.])
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )""",
+    re.S | re.X,
+)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # ident | qident | number | string | op | punct | end
-    value: str
-    pos: int
+    """One token; ``word`` is the lower-cased text of an ident, else empty."""
+
+    __slots__ = ("kind", "value", "pos", "word")
+
+    def __init__(self, kind: str, value: str, pos: int):
+        self.kind = kind  # ident | qident | number | string | op | punct | end
+        self.value = value
+        self.pos = pos
+        self.word = value.lower() if kind == "ident" else ""
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.value!r}, {self.pos})"
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            end = _scan_string(text, i)
-            if end == n and not text.endswith("'"):
-                raise SqlParseError("unterminated string literal", i)
-            tokens.append(Token("string", text[i + 1 : end - 1], i))
-            i = end
-            continue
-        if ch == '"':
-            end = _scan_string(text, i)
-            if end == n and not text.endswith('"'):
-                raise SqlParseError("unterminated quoted identifier", i)
-            inner = text[i + 1 : end - 1].replace('""', '"')
-            tokens.append(Token("qident", inner, i))
-            i = end
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = re.match(r"\d*\.?\d+([eE][+-]?\d+)?", text[i:])
-            tokens.append(Token("number", m.group(0), i))
-            i += m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
-            tokens.append(Token("ident", m.group(0), i))
-            i += m.end()
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("op", two, i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch in "(),.":
-            tokens.append(Token("punct", ch, i))
-            i += 1
-            continue
-        raise SqlParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        pos = m.start(kind)
+        if kind == "string":
+            value = value[1:-1]
+        elif kind == "qident":
+            value = value[1:-1].replace('""', '"')
+        elif kind == "bad":
+            if value == "'":
+                raise SqlParseError("unterminated string literal", pos)
+            if value == '"':
+                raise SqlParseError("unterminated quoted identifier", pos)
+            raise SqlParseError(f"unexpected character {value!r}", pos)
+        tokens.append(Token(kind, value, pos))
+        if kind == "end":
+            break
     return tokens
 
 
@@ -372,16 +348,24 @@ _RESERVED = {
 
 _TYPED_LITERAL_PREFIXES = {"date", "time", "timestamp"}
 
+# Deepest nesting of parentheses, subqueries, NOT and unary signs accepted.
+# Each level costs about a dozen Python frames, so the deepest statement
+# stays well inside the interpreter's default recursion limit of 1000.
+MAX_NESTING = 50
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     # -- token helpers -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+        if offset:
+            return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+        return self.tokens[self.i]
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -390,12 +374,11 @@ class _Parser:
         return tok
 
     def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value.lower() in words
+        return self.tokens[self.i].word in words
 
     def accept_kw(self, *words: str) -> bool:
-        if self.at_kw(*words):
-            self.advance()
+        if self.tokens[self.i].word in words:
+            self.i += 1
             return True
         return False
 
@@ -404,10 +387,15 @@ class _Parser:
             tok = self.peek()
             raise SqlParseError(f"expected {word.upper()}, found {tok.value!r}", tok.pos)
 
+    def at_alias(self) -> bool:
+        """True at a name that can be an implicit alias (no reserved word)."""
+        tok = self.tokens[self.i]
+        return tok.kind in ("ident", "qident") and tok.word not in _RESERVED
+
     def accept_punct(self, value: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "punct" and tok.value == value:
-            self.advance()
+            self.i += 1
             return True
         return False
 
@@ -420,7 +408,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident":
             self.advance()
-            return canonical_identifier(tok.value)
+            return tok.word
         if tok.kind == "qident":
             self.advance()
             return canonical_identifier(tok.value, quoted=True)
@@ -430,6 +418,19 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise SqlParseError(f"unexpected trailing input {tok.value!r}", tok.pos)
+
+    def nested(self, parse):
+        """Run one recursive descent step, bounding the nesting depth.
+
+        A parser is dropped after its first error, so an exception needs no
+        unwinding of ``depth``.
+        """
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SqlParseError("nesting too deep", self.peek().pos)
+        result = parse()
+        self.depth -= 1
+        return result
 
     # -- statements ---------------------------------------------------------
 
@@ -479,9 +480,7 @@ class _Parser:
         having = None
         if self.accept_kw("group"):
             self.expect_kw("by")
-            group_by.append(self.parse_expr())
-            while self.accept_punct(","):
-                group_by.append(self.parse_expr())
+            group_by = self.parse_expr_list()
             if self.accept_kw("having"):
                 having = self.parse_expr()
         order_by: list = []
@@ -510,7 +509,7 @@ class _Parser:
         alias = None
         if self.accept_kw("as"):
             alias = self.expect_name()
-        elif self.peek().kind in ("ident", "qident") and not self.at_kw(*_RESERVED):
+        elif self.at_alias():
             alias = self.expect_name()
         return (expr, alias)
 
@@ -522,7 +521,7 @@ class _Parser:
 
     def parse_table_source(self) -> Union[TableRef, DerivedTable]:
         if self.accept_punct("("):
-            query = self.parse_select_block()
+            query = self.nested(self.parse_select_block)
             self.expect_punct(")")
             self.accept_kw("as")
             alias = self.expect_name()
@@ -531,7 +530,7 @@ class _Parser:
         alias = None
         if self.accept_kw("as"):
             alias = self.expect_name()
-        elif self.peek().kind in ("ident", "qident") and not self.at_kw(*_RESERVED):
+        elif self.at_alias():
             alias = self.expect_name()
         return TableRef(table=table, alias=alias)
 
@@ -608,7 +607,20 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self):
+        tok = self.tokens[self.i]
+        if tok.kind in ("number", "string"):
+            # A bare literal ending a list item: what the full descent returns.
+            nxt = self.tokens[self.i + 1]
+            if nxt.kind == "punct" and nxt.value in (",", ")"):
+                self.i += 1
+                return Literal(tok.value)
         return self.parse_or()
+
+    def parse_expr_list(self) -> list:
+        items = [self.parse_expr()]
+        while self.accept_punct(","):
+            items.append(self.parse_expr())
+        return items
 
     def parse_or(self):
         left = self.parse_and()
@@ -624,18 +636,19 @@ class _Parser:
 
     def parse_not(self):
         if self.accept_kw("not"):
-            return Unary("not", self.parse_not())
+            return Unary("not", self.nested(self.parse_not))
         return self.parse_predicate()
 
     def parse_predicate(self):
         left = self.parse_additive()
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "op" and tok.value in ("=", "<>", "!=", "<", "<=", ">", ">="):
             self.advance()
             return Binary(tok.value, left, self.parse_additive())
+        if tok.kind != "ident":
+            return left  # every predicate form below starts with a keyword
         negated = False
-        if self.at_kw("not") and self.peek(1).kind == "ident" and \
-                self.peek(1).value.lower() in ("between", "in", "like"):
+        if self.at_kw("not") and self.peek(1).word in ("between", "in", "like"):
             self.advance()
             negated = True
         if self.accept_kw("between"):
@@ -646,12 +659,10 @@ class _Parser:
         if self.accept_kw("in"):
             self.expect_punct("(")
             if self.at_kw("select"):
-                query = self.parse_select_block()
+                query = self.nested(self.parse_select_block)
                 self.expect_punct(")")
                 return InSelect(left, query, negated)
-            items = [self.parse_expr()]
-            while self.accept_punct(","):
-                items.append(self.parse_expr())
+            items = self.nested(self.parse_expr_list)
             self.expect_punct(")")
             return InList(left, tuple(items), negated)
         if self.accept_kw("like"):
@@ -667,7 +678,7 @@ class _Parser:
     def parse_additive(self):
         left = self.parse_term()
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.i]
             if tok.kind == "op" and tok.value in ("+", "-", "||"):
                 self.advance()
                 left = Binary(tok.value, left, self.parse_term())
@@ -677,7 +688,7 @@ class _Parser:
     def parse_term(self):
         left = self.parse_factor()
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.i]
             if tok.kind == "op" and tok.value in ("*", "/", "%"):
                 self.advance()
                 left = Binary(tok.value, left, self.parse_factor())
@@ -685,14 +696,14 @@ class _Parser:
                 return left
 
     def parse_factor(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "op" and tok.value in ("+", "-"):
             self.advance()
-            return Unary(tok.value, self.parse_factor())
+            return Unary(tok.value, self.nested(self.parse_factor))
         return self.parse_primary()
 
     def parse_primary(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "number":
             self.advance()
             return Literal(tok.value)
@@ -702,21 +713,21 @@ class _Parser:
         if tok.kind == "punct" and tok.value == "(":
             self.advance()
             if self.at_kw("select"):
-                query = self.parse_select_block()
+                query = self.nested(self.parse_select_block)
                 self.expect_punct(")")
                 return SubSelect(query)
-            expr = self.parse_expr()
+            expr = self.nested(self.parse_expr)
             self.expect_punct(")")
             return expr
         if tok.kind in ("ident", "qident"):
-            word = tok.value.lower() if tok.kind == "ident" else ""
+            word = tok.word
             if word == "null":
                 self.advance()
                 return Literal("null")
             if word == "exists":
                 self.advance()
                 self.expect_punct("(")
-                query = self.parse_select_block()
+                query = self.nested(self.parse_select_block)
                 self.expect_punct(")")
                 return Exists(query)
             if word in _TYPED_LITERAL_PREFIXES and self.peek(1).kind == "string":
@@ -727,10 +738,8 @@ class _Parser:
                 self.advance()
                 lit = self.advance()
                 unit = ""
-                if self.peek().kind == "ident" and self.peek().value.lower() in (
-                    "year", "month", "day", "hour", "minute", "second",
-                ):
-                    unit = " " + self.advance().value.lower()
+                if self.at_kw("year", "month", "day", "hour", "minute", "second"):
+                    unit = " " + self.advance().word
                 return Literal(f"interval '{lit.value}'{unit}")
             name = self.expect_name()
             if self.accept_punct("("):
@@ -752,9 +761,7 @@ class _Parser:
             self.advance()
             args.append(Literal("*"))
         elif not (tok.kind == "punct" and tok.value == ")"):
-            args.append(self.parse_expr())
-            while self.accept_punct(","):
-                args.append(self.parse_expr())
+            args = self.nested(self.parse_expr_list)
         self.expect_punct(")")
         return FuncCall(name=name, args=tuple(args))
 
@@ -775,6 +782,10 @@ class QueryKind(str, Enum):
     DELETE = "DELETE"
     INSERT = "INSERT"
     OTHER = "OTHER"
+
+
+_LEAD_KINDS = {kind.value.lower(): kind for kind in QueryKind
+               if kind is not QueryKind.OTHER}
 
 
 @dataclass(frozen=True)
@@ -799,14 +810,9 @@ def parse_workload(
     del schema  # statement-level parsing needs no name resolution
     queries: list[WorkloadQuery] = []
     for ordinal, text in enumerate(split_statements(workload_text)):
-        lead = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text)
+        lead = _IDENT_RE.match(text)
         first = lead.group(0).lower() if lead else ""
-        kind = {
-            "select": QueryKind.SELECT,
-            "update": QueryKind.UPDATE,
-            "delete": QueryKind.DELETE,
-            "insert": QueryKind.INSERT,
-        }.get(first, QueryKind.OTHER)
+        kind = _LEAD_KINDS.get(first, QueryKind.OTHER)
         error: Optional[str] = None
         if first in ("select", "update", "delete", "insert", "create"):
             try:
@@ -878,52 +884,42 @@ DEFAULT_POLICY = ExtractionPolicy(
 _DERIVED = None  # scope marker: alias bound to a derived table, not a base table
 
 
-def _own_refs(node) -> Iterator[ColumnRef]:
-    """Column references of an expression, not descending into subqueries."""
-    if isinstance(node, ColumnRef):
-        yield node
-    elif isinstance(node, FuncCall):
-        for arg in node.args:
-            yield from _own_refs(arg)
-    elif isinstance(node, Unary):
-        yield from _own_refs(node.operand)
-    elif isinstance(node, Binary):
-        yield from _own_refs(node.left)
-        yield from _own_refs(node.right)
-    elif isinstance(node, Between):
-        yield from _own_refs(node.operand)
-        yield from _own_refs(node.low)
-        yield from _own_refs(node.high)
-    elif isinstance(node, InList):
-        yield from _own_refs(node.operand)
-        for item in node.items:
-            yield from _own_refs(item)
-    elif isinstance(node, InSelect):
-        yield from _own_refs(node.operand)
+def _expr_parts(expr) -> tuple[list[ColumnRef], list[SelectBlock]]:
+    """Column references of an expression and the subquery blocks inside it.
 
-
-def _nested_queries(node) -> Iterator[SelectBlock]:
-    """Subquery blocks appearing anywhere inside an expression."""
-    if isinstance(node, (SubSelect, Exists)):
-        yield node.query
-    elif isinstance(node, InSelect):
-        yield node.query
-        yield from _nested_queries(node.operand)
-    elif isinstance(node, FuncCall):
-        for arg in node.args:
-            yield from _nested_queries(arg)
-    elif isinstance(node, Unary):
-        yield from _nested_queries(node.operand)
-    elif isinstance(node, Binary):
-        yield from _nested_queries(node.left)
-        yield from _nested_queries(node.right)
-    elif isinstance(node, Between):
-        for child in (node.operand, node.low, node.high):
-            yield from _nested_queries(child)
-    elif isinstance(node, InList):
-        yield from _nested_queries(node.operand)
-        for item in node.items:
-            yield from _nested_queries(item)
+    One pre-order, left-to-right walk with an explicit stack, so chains of
+    any length cannot exhaust the call stack. References inside subqueries
+    are not collected; each subquery block is walked with its own scope.
+    """
+    refs: list[ColumnRef] = []
+    subs: list[SelectBlock] = []
+    stack = [expr]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is ColumnRef:
+            refs.append(node)
+        elif cls is Binary:
+            push(node.right)
+            push(node.left)
+        elif cls is InList:
+            stack.extend(reversed(node.items))
+            push(node.operand)
+        elif cls is FuncCall:
+            stack.extend(reversed(node.args))
+        elif cls is Unary:
+            push(node.operand)
+        elif cls is Between:
+            push(node.high)
+            push(node.low)
+            push(node.operand)
+        elif cls is InSelect:
+            subs.append(node.query)
+            push(node.operand)
+        elif cls is SubSelect or cls is Exists:
+            subs.append(node.query)
+    return refs, subs
 
 
 class _Extractor:
@@ -999,10 +995,11 @@ class _Extractor:
         for expr in exprs:
             if expr is None:
                 continue
+            refs, subs = _expr_parts(expr)
             if self.policy.wants(position):
-                for ref in _own_refs(expr):
+                for ref in refs:
                     self.resolve(ref, scopes, select_aliases)
-            for sub in _nested_queries(expr):
+            for sub in subs:
                 self.walk_block(sub, scopes)
 
     def walk_block(self, block: SelectBlock, outer_scopes) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from conftest import SCHEMA_PATH, WORKLOAD_PATH
 
 from idxminer.cli import main
@@ -215,3 +217,48 @@ def test_verbose_prints_diagnostics_to_stderr(tmp_path, capsys):
         "-v",
     ]) == 0
     assert "ghost" in capsys.readouterr().err
+
+
+def run_on(tmp_path, sql, *extra):
+    """Run the CLI on one workload text against a two-column table t."""
+    workload = tmp_path / "w.sql"
+    workload.write_text(sql, encoding="utf-8")
+    schema = tmp_path / "s.txt"
+    schema.write_text("TABLE t\n a\n b\n", encoding="utf-8")
+    return run(["--workload", str(workload), "--schema", str(schema),
+                "--minsup", "1", "--out", str(tmp_path / "out"), *extra])
+
+
+def test_non_ascii_outside_quotes_is_other_not_a_crash(tmp_path, capsys):
+    sql = ("SELECT é FROM t;\n"
+           "SELECT a FROM t WHERE t.b = ²;\n"
+           "SELECT a FROM t WHERE t.a = 'é';\n")
+    assert run_on(tmp_path, sql, "--mine-only", "-v") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\tt.a\n"
+    assert "statement 0: unexpected character 'é'" in captured.err
+    assert "statement 1: unexpected character '²'" in captured.err
+
+
+DEEP_STATEMENTS = {
+    "parentheses": "SELECT a FROM t WHERE " + "(" * 400 + "t.b = 1" + ")" * 400,
+    "in-subqueries": "SELECT a FROM t WHERE "
+                     + "t.b IN (SELECT b FROM t WHERE " * 200 + "t.b = 1" + ")" * 200,
+    "not-chain": "SELECT a FROM t WHERE " + "NOT " * 3000 + "t.b = 1",
+    "sign-chain": "SELECT a FROM t WHERE t.b = " + "- " * 3000 + "1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_STATEMENTS))
+def test_deep_nesting_is_other_not_a_crash(tmp_path, capsys, name):
+    sql = DEEP_STATEMENTS[name] + ";\nSELECT a FROM t WHERE t.a = 1;\n"
+    assert run_on(tmp_path, sql, "--mine-only", "-v") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\tt.a\n"
+    assert "statement 0: nesting too deep" in captured.err
+
+
+def test_long_or_chain_extracts_its_column(tmp_path, capsys):
+    sql = "SELECT a FROM t WHERE " + " OR ".join(f"t.b = {i}" for i in range(3000))
+    assert run_on(tmp_path, sql + ";", "--mine-only") == 0
+    assert capsys.readouterr().out == "1\tt.b\n"

@@ -3,15 +3,22 @@ from __future__ import annotations
 import pytest
 
 from idxminer.workload import (
+    MAX_NESTING,
     AttributeItem,
+    Binary,
+    ColumnRef,
     DEFAULT_POLICY,
     ExtractionPolicy,
+    InList,
+    Literal,
     QueryKind,
     SchemaError,
+    Unary,
     canonical_identifier,
     extract_items,
     extract_workload,
     parse_schema,
+    parse_statement,
     parse_workload,
     split_statements,
 )
@@ -165,6 +172,56 @@ def test_subquery_clauses_harvested():
         "SELECT x FROM t WHERE t.a IN (SELECT k FROM s WHERE s.d = 3)"
     )
     assert got == {("t", "a"), ("s", "d")}
+
+
+def test_diagnostics_follow_expression_pre_order():
+    diags = []
+    items(
+        "SELECT x FROM t WHERE g1 = 1 AND t.a IN (SELECT k FROM s WHERE g2 = 1) "
+        "AND g3 = (SELECT d FROM s WHERE g4 = (SELECT d FROM s WHERE g5 = 0)) "
+        "AND EXISTS (SELECT 1 FROM s WHERE g6 = 1) AND lower(g7) BETWEEN g8 AND g9 "
+        "AND g10 IN (g11, (SELECT d FROM s WHERE g12 = 1)) ORDER BY g13",
+        diagnostics=diags,
+    )
+    # A clause's own columns first, then its subqueries, each in text order.
+    order = [1, 3, 7, 8, 9, 10, 11, 2, 4, 5, 6, 12, 13]
+    assert diags == [f"statement 0: unresolvable column 'g{n}'; skipped" for n in order]
+
+
+def test_in_list_items_parse_alike_with_or_without_operators():
+    stmt = parse_statement("SELECT a FROM t WHERE a IN (1, 'x', -2, 3 + 4, b, 'y')")
+    assert stmt.where == InList(
+        ColumnRef(None, "a"),
+        (Literal("1"), Literal("x"), Unary("-", Literal("2")),
+         Binary("+", Literal("3"), Literal("4")), ColumnRef(None, "b"), Literal("y")),
+        False,
+    )
+
+
+NESTERS = {
+    "select-item subquery": lambda inner: f"(SELECT {inner} FROM t)",
+    "function call": lambda inner: f"lower({inner})",
+    "parentheses": lambda inner: f"({inner})",
+    "IN subquery": lambda inner: f"t.a IN (SELECT k FROM s WHERE {inner})",
+    "NOT": lambda inner: f"NOT {inner}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTERS))
+def test_nesting_limit_is_exact(name):
+    def statement(depth):
+        expr = "t.b = 1"
+        for _ in range(depth):
+            expr = NESTERS[name](expr)
+        return f"SELECT a FROM t WHERE {expr}"
+
+    (deepest,) = parse_workload(statement(MAX_NESTING))
+    assert deepest.kind is QueryKind.SELECT
+    every_position = ExtractionPolicy(ExtractionPolicy.VALID_POSITIONS)
+    assert ("t", "b") in items(deepest.raw_text, policy=every_position)
+    (too_deep,) = parse_workload(statement(MAX_NESTING + 1))
+    assert too_deep.kind is QueryKind.OTHER
+    assert too_deep.parse_error == "nesting too deep"
 
 
 def test_derived_table_inner_block_harvested():
