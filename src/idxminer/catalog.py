@@ -45,7 +45,6 @@ class TableStats:
 @dataclass
 class CatalogSnapshot:
     stats: dict[str, TableStats] = field(default_factory=dict)
-    captured_at: str = ""
 
     def __contains__(self, table: str) -> bool:
         return table in self.stats
@@ -57,7 +56,7 @@ class CatalogSnapshot:
             raise MissingStatsError(f"no statistics for table '{table}'") from None
 
 
-def load_stats(stats_text: str, captured_at: str = "") -> CatalogSnapshot:
+def load_stats(stats_text: str) -> CatalogSnapshot:
     """Parse a statistics file; errors name the offending line."""
     stats: dict[str, TableStats] = {}
     for lineno, raw in enumerate(stats_text.splitlines(), start=1):
@@ -82,7 +81,7 @@ def load_stats(stats_text: str, captured_at: str = "") -> CatalogSnapshot:
                                       avg_row_bytes=avg_row_bytes)
         except StatsError as exc:
             raise StatsError(f"line {lineno}: {exc}") from None
-    return CatalogSnapshot(stats=stats, captured_at=captured_at)
+    return CatalogSnapshot(stats=stats)
 
 
 def dump_stats(snapshot: CatalogSnapshot) -> str:

@@ -140,7 +140,7 @@ def _build_config(args) -> dict:
 
 def _read_text(path: str, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FileNotFoundError(f"cannot read {what} file {path!r}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -171,7 +171,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     diagnostics: list[str] = []
-    queries = workload.parse_workload(workload_text, schema)
+    queries = workload.parse_workload(workload_text)
     for query in queries:
         if query.parse_error:
             diagnostics.append(f"statement {query.ordinal}: {query.parse_error}")

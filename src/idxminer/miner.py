@@ -1,12 +1,18 @@
 """Closed frequent itemset mining over transaction databases.
 
-Items are opaque integer ids. The main miner works level-wise over
-generators: candidate generators of size k+1 are joined from the surviving
-size-k generators, pruned when a subset is missing or when the candidate is
-already inside a subset's closure (same closure, nothing new), and each
-surviving generator is closed by intersecting the transactions that contain
-it. The result is exactly the set of closed itemsets whose support meets
-the threshold, each with its exact support.
+Items are opaque integer ids. ``mine_closed`` enumerates the closed sets
+depth-first by prefix-preserving closure extension (LCM: Uno, Kiyomi and
+Arimura, "LCM ver.2", FIMI'04). The root is the closure of the empty set.
+Each closed set P remembers its core item, the item whose addition produced
+it, and is extended only by items e above that core: the closure of P + {e}
+is a child of P exactly when it adds no new item below e. Every closed set
+other than the root has one such parent, so each is produced once,
+with no candidate tables and no duplicate check. The closure is computed
+from the items of the first row that contains the extended set, lowest item
+first, and abandoned at the first closure item below e. An explicit stack
+replaces recursion, so a chain of thousands of nested closed sets is fine.
+The result is exactly the set of closed itemsets whose support meets the
+threshold, each with its exact support.
 
 ``mine_bruteforce`` is an intentionally naive oracle: it enumerates every
 non-empty subset of the item universe, counts supports by direct scan, and
@@ -14,8 +20,7 @@ keeps the subsets no single-item extension of which preserves support. It
 shares no machinery with ``mine_closed`` so the two can check each other.
 
 Transaction ids and item positions are packed into integer bitmasks, which
-keeps support counting and closure intersection cheap for workload-sized
-inputs.
+keeps support counting and closure tests cheap for workload-sized inputs.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItems
     if threshold < 1:
         raise ValueError("minimum support resolved to zero")
     m = len(db.universe)
-    if m == 0:
+    if m == 0 or threshold > n:
         return []
 
     position = {item: p for p, item in enumerate(db.universe)}
@@ -128,63 +133,42 @@ def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItems
             mask |= 1 << p
             item_tids[p] |= 1 << t
         row_masks.append(mask)
-    all_items_mask = (1 << m) - 1
+    frequent = [p for p in range(m) if item_tids[p].bit_count() >= threshold]
 
-    def close_tids(tids: int) -> int:
-        mask = all_items_mask
-        while tids:
-            t = (tids & -tids).bit_length() - 1
-            mask &= row_masks[t]
-            tids &= tids - 1
-        return mask
+    def extend(tids: int, cmask: int, start: int) -> int | None:
+        """Closure of ``cmask`` over the rows ``tids``, or None once it would
+        add an item below ``start`` (not prefix-preserving)."""
+        rest = row_masks[(tids & -tids).bit_length() - 1] & ~cmask
+        while rest:
+            low = rest & -rest
+            p = low.bit_length() - 1
+            if item_tids[p] & tids == tids:
+                if p < start:
+                    return None
+                cmask |= low
+            rest ^= low
+        return cmask
 
-    closed: dict[int, int] = {}  # item mask of the closure -> support
-
-    generators: list[tuple[tuple[int, ...], int, int]] = []
-    for p in range(m):
-        tids = item_tids[p]
-        support = tids.bit_count()
-        if support >= threshold:
-            cmask = close_tids(tids)
-            closed.setdefault(cmask, support)
-            generators.append(((p,), tids, cmask))
-
-    while generators:
-        generators.sort(key=lambda g: g[0])
-        by_positions = {g[0]: g for g in generators}
-        next_level: list[tuple[tuple[int, ...], int, int]] = []
-        for a in range(len(generators)):
-            pos_a, tids_a, _ = generators[a]
-            for b in range(a + 1, len(generators)):
-                pos_b, tids_b, _ = generators[b]
-                if pos_a[:-1] != pos_b[:-1]:
-                    break
-                candidate = pos_a + (pos_b[-1],)
-                cand_mask = 0
-                for p in candidate:
-                    cand_mask |= 1 << p
-                viable = True
-                for drop in range(len(candidate)):
-                    subset = candidate[:drop] + candidate[drop + 1 :]
-                    gen = by_positions.get(subset)
-                    if gen is None or cand_mask & gen[2] == cand_mask:
-                        # Missing subset generator, or the candidate sits
-                        # inside a subset's closure and adds nothing.
-                        viable = False
-                        break
-                if not viable:
-                    continue
-                tids = tids_a & tids_b
-                support = tids.bit_count()
-                if support < threshold:
-                    continue
-                cmask = close_tids(tids)
-                closed.setdefault(cmask, support)
-                next_level.append((candidate, tids, cmask))
-        generators = next_level
+    all_rows = (1 << n) - 1
+    root = extend(all_rows, 0, 0)
+    closed = [(root, n)] if root else []  # (item mask, support)
+    stack = [(root, all_rows, -1)]  # (closed item mask, its rows, core item)
+    while stack:
+        cmask, tids, core = stack.pop()
+        for e in frequent:
+            if e <= core or cmask >> e & 1:
+                continue
+            sub = tids & item_tids[e]
+            support = sub.bit_count()
+            if support < threshold:
+                continue
+            child = extend(sub, cmask | 1 << e, e)
+            if child is not None:
+                closed.append((child, support))
+                stack.append((child, sub, e))
 
     results = []
-    for cmask, support in closed.items():
+    for cmask, support in closed:
         items = tuple(db.universe[p] for p in range(m) if cmask >> p & 1)
         results.append(ClosedItemset(items=items, support=support))
     return canonical_order(results)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .advisor import IndexCandidate, IndexConfiguration
 
-DEFAULT_NAME_PREFIX = "idx"
+NAME_PREFIX = "idx"
 MAX_INDEX_NAME_LENGTH = 60
 _NAME_HASH_DIGITS = 6
 
@@ -50,9 +50,9 @@ def _sql_name(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
-def index_name(candidate: IndexCandidate, prefix: str = DEFAULT_NAME_PREFIX) -> str:
+def index_name(candidate: IndexCandidate) -> str:
     """Deterministic index name, truncated with a stable hash suffix if long."""
-    parts = [prefix, candidate.table, *candidate.columns]
+    parts = [NAME_PREFIX, candidate.table, *candidate.columns]
     name = "_".join(re.sub(r"\W", "_", part) for part in parts)
     if len(name) <= MAX_INDEX_NAME_LENGTH:
         return name
@@ -61,14 +61,13 @@ def index_name(candidate: IndexCandidate, prefix: str = DEFAULT_NAME_PREFIX) -> 
     return f"{name[:keep]}_{digest}"
 
 
-def emit_ddl(configuration: IndexConfiguration,
-             naming_prefix: str = DEFAULT_NAME_PREFIX) -> str:
+def emit_ddl(configuration: IndexConfiguration) -> str:
     """One CREATE INDEX statement per candidate, in configuration order."""
     lines = []
     for candidate in configuration.candidates:
         columns = ", ".join(_sql_name(c) for c in candidate.columns)
         lines.append(
-            f"CREATE INDEX {index_name(candidate, naming_prefix)} "
+            f"CREATE INDEX {index_name(candidate)} "
             f"ON {_sql_name(candidate.table)} ({columns});"
         )
     return "".join(line + "\n" for line in lines)

@@ -489,6 +489,11 @@ class _Parser:
             order_by.append(self.parse_order_item())
             while self.accept_punct(","):
                 order_by.append(self.parse_order_item())
+        if self.accept_kw("limit"):
+            tok = self.advance()
+            if tok.kind != "number":
+                raise SqlParseError(f"expected a number after LIMIT, found {tok.value!r}",
+                                    tok.pos)
         return SelectBlock(
             select_items=exprs,
             select_aliases=aliases,
@@ -796,18 +801,14 @@ class WorkloadQuery:
     parse_error: Optional[str] = None
 
 
-def parse_workload(
-    workload_text: str, schema: Optional[SchemaMap] = None
-) -> list[WorkloadQuery]:
+def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     """Split workload text into classified statements.
 
     Statements come back in file order with contiguous ordinals. A statement
     outside the supported subset is kept with kind OTHER and a diagnostic in
     ``parse_error`` rather than dropped, so downstream frequency denominators
-    stay stable. Name resolution happens later, at extraction; the schema is
-    accepted here only so callers can drive parse and extract uniformly.
+    stay stable. Name resolution happens later, at extraction.
     """
-    del schema  # statement-level parsing needs no name resolution
     queries: list[WorkloadQuery] = []
     for ordinal, text in enumerate(split_statements(workload_text)):
         lead = _IDENT_RE.match(text)

@@ -142,7 +142,7 @@ def test_pipeline_golden(fixture_args, tmp_path):
     # frequent closed itemset only ever contains frequent items, so the
     # brute-force oracle on the frequent-item projection is exact.
     schema = parse_schema(SCHEMA_PATH.read_text(encoding="utf-8"))
-    queries = parse_workload(WORKLOAD_PATH.read_text(encoding="utf-8"), schema)
+    queries = parse_workload(WORKLOAD_PATH.read_text(encoding="utf-8"))
     contexts = extract_workload(queries, schema)
     db, _ = build_database(contexts)
     threshold = MinSupport(0.25).resolve(len(db.transactions))
@@ -253,8 +253,8 @@ def test_extraction_properties():
     corpus_b = render_corpus(ALIASES_B)
     assert len(corpus_a) == 30
     for sql_a, sql_b in zip(corpus_a, corpus_b):
-        (query_a,) = parse_workload(sql_a, schema)
-        (query_b,) = parse_workload(sql_b, schema)
+        (query_a,) = parse_workload(sql_a)
+        (query_b,) = parse_workload(sql_b)
         assert query_a.parse_error is None, (sql_a, query_a.parse_error)
         diagnostics: list[str] = []
         items_a = extract_items(query_a, schema, diagnostics=diagnostics).items

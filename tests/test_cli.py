@@ -142,7 +142,7 @@ def test_mine_only_dump_matches_bruteforce_oracle(fixture_args, capsys, tpcr_sch
     supports = [s for s, _ in dumped]
     assert supports == sorted(supports, reverse=True)
 
-    queries = parse_workload(tpcr_workload_text, tpcr_schema)
+    queries = parse_workload(tpcr_workload_text)
     db, items_by_id = build_database(extract_workload(queries, tpcr_schema))
     threshold = MinSupport(0.25).resolve(len(db.transactions))
     frequent = {
@@ -262,3 +262,24 @@ def test_long_or_chain_extracts_its_column(tmp_path, capsys):
     sql = "SELECT a FROM t WHERE " + " OR ".join(f"t.b = {i}" for i in range(3000))
     assert run_on(tmp_path, sql + ";", "--mine-only") == 0
     assert capsys.readouterr().out == "1\tt.b\n"
+
+
+def test_byte_order_marks_are_skipped(tmp_path, capsys):
+    bom = "\ufeff"
+    workload = tmp_path / "w.sql"
+    workload.write_text(bom + "SELECT a FROM t WHERE t.a = 1;\n"
+                        "SELECT a FROM t WHERE t.a = 2 AND t.b = 3;\n", encoding="utf-8")
+    schema = tmp_path / "s.txt"
+    schema.write_text(bom + "TABLE t\n a\n b\n", encoding="utf-8")
+    stats = tmp_path / "stats.txt"
+    stats.write_text(bom + "t\t200000\n", encoding="utf-8")
+    args = ["--workload", str(workload), "--schema", str(schema), "--minsup", "1"]
+    assert run([*args, "--mine-only", "-v"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2\tt.a\n1\tt.a,t.b\n"
+    assert captured.err == ""
+    assert run([*args, "--stats", str(stats), "--strategy", "large-tables",
+                "--out", str(tmp_path / "out")]) == 0
+    assert "ON t (a, b)" in (tmp_path / "out" / "recommendation.sql").read_text(
+        encoding="utf-8")
+

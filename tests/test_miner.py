@@ -152,6 +152,33 @@ def test_oracle_equivalence_smoke():
             assert mine_closed(db, MinSupport(threshold)) == expected
 
 
+def test_differential_on_wider_universes():
+    # The acceptance oracle stops at 12 items; brute force is still cheap at 16.
+    rng = random.Random(1316)
+    for n_items in (13, 14, 15, 16):
+        for _ in range(2):
+            db = TransactionDatabase.from_transactions([])
+            while len(db.universe) != n_items:
+                density = rng.uniform(0.15, 0.6)
+                db = TransactionDatabase.from_transactions(
+                    {i for i in range(n_items) if rng.random() < density}
+                    for _ in range(rng.randint(10, 30))
+                )
+            everything = mine_bruteforce(db, MinSupport(1))
+            for threshold in range(1, len(db.transactions) + 1):
+                expected = [c for c in everything if c.support >= threshold]
+                assert mine_closed(db, MinSupport(threshold)) == expected
+
+
+def test_staircase_chain_of_closed_sets():
+    # Row i is {0..i}: every prefix is closed, nested 1,100 deep.
+    n = 1100
+    db = TransactionDatabase.from_transactions(set(range(i + 1)) for i in range(n))
+    assert mine_closed(db, MinSupport(1)) == [
+        ClosedItemset(items=tuple(range(k + 1)), support=n - k) for k in range(n)
+    ]
+
+
 # -- structural properties ------------------------------------------------------
 
 

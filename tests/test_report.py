@@ -51,7 +51,7 @@ def make_recommendation(candidates, **kwargs):
 
 def test_ddl_template():
     config = make_configuration([make_candidate()])
-    assert emit_ddl(config, "idx") == "CREATE INDEX idx_t_a_b ON t (a, b);\n"
+    assert emit_ddl(config) == "CREATE INDEX idx_t_a_b ON t (a, b);\n"
 
 
 def test_ddl_empty_configuration():

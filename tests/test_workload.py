@@ -39,7 +39,7 @@ TABLE s
 
 
 def items(query_text, schema=SCHEMA, policy=DEFAULT_POLICY, diagnostics=None):
-    (query,) = parse_workload(query_text, schema)
+    (query,) = parse_workload(query_text)
     ctx = extract_items(query, schema, policy, diagnostics)
     return {(i.table, i.column) for i in ctx.items}
 
@@ -97,9 +97,9 @@ def test_unsupported_statement_kind_flagged():
 
 
 def test_statement_level_round_trip(tpcr_workload_text, tpcr_schema):
-    queries = parse_workload(tpcr_workload_text, tpcr_schema)
+    queries = parse_workload(tpcr_workload_text)
     rejoined = ";\n".join(q.raw_text for q in queries) + ";"
-    reparsed = parse_workload(rejoined, tpcr_schema)
+    reparsed = parse_workload(rejoined)
     assert len(reparsed) == len(queries)
     assert [q.kind for q in reparsed] == [q.kind for q in queries]
 
@@ -234,6 +234,18 @@ def test_derived_table_inner_block_harvested():
     assert any("derived" in d for d in diags)
 
 
+def test_limit_after_order_by_is_accepted():
+    assert items("SELECT b FROM t WHERE t.b = 2 LIMIT 10") == {("t", "b")}
+    assert items("SELECT b FROM t WHERE t.a = 1 ORDER BY t.b LIMIT 5") == {
+        ("t", "a"), ("t", "b")}
+
+
+def test_limit_needs_a_number():
+    (query,) = parse_workload("SELECT b FROM t WHERE t.b = 2 LIMIT x")
+    assert query.kind is QueryKind.OTHER
+    assert query.parse_error == "expected a number after LIMIT, found 'x'"
+
+
 def test_update_and_delete_where_items():
     assert items("UPDATE t SET a = 0 WHERE b = 3") == {("t", "b")}
     assert items("DELETE FROM s WHERE d < 4") == {("s", "d")}
@@ -283,7 +295,7 @@ def test_extract_workload_keeps_every_statement():
 
 
 def test_item_membership_against_schema(tpcr_workload_text, tpcr_schema):
-    queries = parse_workload(tpcr_workload_text, tpcr_schema)
+    queries = parse_workload(tpcr_workload_text)
     for ctx in extract_workload(queries, tpcr_schema):
         for item in ctx.items:
             assert tpcr_schema.has_column(item.table, item.column)
