@@ -7,6 +7,16 @@ coincide across itemsets merge, keeping the highest support seen. Columns
 inside a composite candidate are ordered by descending single-column
 support so the most frequent attribute leads the key.
 
+Derivation is one pass over the closed sets in canonical order, which is
+descending support. The first set that holds a column, or yields a
+fragment, therefore already carries its highest support: for a column
+that is its singleton support, since the column's own closure is one of
+the sets holding it. The maximal-only filter visits fragments widest
+first and checks each only against the fragments already kept on its
+table. That is exact because strict inclusion is transitive: a dropped
+fragment lies inside some maximal fragment, which is wider and so was
+kept before it.
+
 The score is an explicit heuristic, reported as an estimate and never as a
 measured benefit:
 
@@ -41,7 +51,6 @@ class IndexCandidate:
     table: str
     columns: tuple[str, ...]
     support: int
-    source_itemsets: tuple[ClosedItemset, ...]
 
     def sort_key(self) -> tuple:
         return (self.table, self.columns)
@@ -80,20 +89,6 @@ def build_database(
     return db, {i: attr for attr, i in id_of.items()}
 
 
-def singleton_supports(closed: Iterable[ClosedItemset]) -> dict[int, int]:
-    """Single-item support of every item appearing in the closed sets.
-
-    An item's singleton support equals the highest support among closed sets
-    containing it (its own closure is one of them).
-    """
-    supports: dict[int, int] = {}
-    for itemset in closed:
-        for item in itemset.items:
-            if supports.get(item, 0) < itemset.support:
-                supports[item] = itemset.support
-    return supports
-
-
 def derive_candidates(
     closed: Iterable[ClosedItemset],
     schema: SchemaMap,
@@ -107,60 +102,44 @@ def derive_candidates(
     another candidate on the same table is dropped; the composite's
     leading-prefix ordering can serve the subset.
     """
-    closed = canonical_order(closed)
-    singles = singleton_supports(closed)
-
     def diag(message: str) -> None:
         if diagnostics is not None:
             diagnostics.append(message)
 
-    fragments: dict[tuple[str, frozenset[str]], tuple[int, list[ClosedItemset]]] = {}
-    for itemset in closed:
-        by_table: dict[str, list[int]] = {}
+    singles: dict[tuple[str, str], int] = {}
+    fragments: dict[tuple[str, frozenset[str]], int] = {}
+    for itemset in canonical_order(closed):
+        by_table: dict[str, list[str]] = {}
         for item_id in itemset.items:
             attr = items_by_id[item_id]
             if not schema.has_table(attr.table):
                 diag(f"itemset references unknown table '{attr.table}'; item skipped")
                 continue
-            by_table.setdefault(attr.table, []).append(item_id)
+            singles.setdefault((attr.table, attr.column), itemset.support)
+            by_table.setdefault(attr.table, []).append(attr.column)
         if not by_table:
             diag("itemset skipped: no item resolves to a known table")
             continue
-        for table, item_ids in by_table.items():
-            key = (table, frozenset(items_by_id[i].column for i in item_ids))
-            best, sources = fragments.get(key, (0, []))
-            fragments[key] = (max(best, itemset.support), sources + [itemset])
+        for table, columns in by_table.items():
+            fragments.setdefault((table, frozenset(columns)), itemset.support)
 
     if maximal_only:
-        keys = list(fragments)
-        kept = {}
-        for key in keys:
-            table, columns = key
-            subsumed = any(
-                other_table == table and columns < other_columns
-                for other_table, other_columns in keys
-                if (other_table, other_columns) != key
-            )
-            if not subsumed:
-                kept[key] = fragments[key]
-        fragments = kept
+        kept: dict[str, list[frozenset[str]]] = {}
+        for table, columns in sorted(fragments, key=lambda key: -len(key[1])):
+            wider = kept.setdefault(table, [])
+            if any(columns < other for other in wider):
+                del fragments[(table, columns)]
+            else:
+                wider.append(columns)
 
-    column_item = {
-        (attr.table, attr.column): item_id for item_id, attr in items_by_id.items()
-    }
-    candidates = []
-    for (table, columns), (support, sources) in fragments.items():
-        ordered = tuple(
-            sorted(columns, key=lambda c: (-singles[column_item[(table, c)]], c))
+    candidates = [
+        IndexCandidate(
+            table=table,
+            columns=tuple(sorted(columns, key=lambda c: (-singles[table, c], c))),
+            support=support,
         )
-        candidates.append(
-            IndexCandidate(
-                table=table,
-                columns=ordered,
-                support=support,
-                source_itemsets=tuple(canonical_order(set(sources))),
-            )
-        )
+        for (table, columns), support in fragments.items()
+    ]
     candidates.sort(key=lambda c: (-c.support,) + c.sort_key())
     return candidates
 

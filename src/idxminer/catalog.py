@@ -37,10 +37,6 @@ class TableStats:
         if self.avg_row_bytes < 1:
             raise StatsError(f"non-positive row bytes for table '{self.table}'")
 
-    @property
-    def estimated_table_bytes(self) -> int:
-        return self.row_count * self.avg_row_bytes
-
 
 @dataclass
 class CatalogSnapshot:

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success (an empty recommendation is a success), 1 on
 configuration errors (bad flags, missing statistics under the large-table
-strategy, invalid thresholds), 2 on file-level input failures (unreadable
-paths, undecodable bytes, malformed schema or stats files). Per-statement
-SQL diagnostics never change the exit code.
+strategy, invalid thresholds), 2 on file-level failures (unreadable
+paths, undecodable bytes, malformed schema or stats files, an output
+directory that cannot be created or written). Per-statement SQL
+diagnostics never change the exit code.
 """
 
 from __future__ import annotations
@@ -216,11 +217,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
 
     out_dir = config["out_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write(out_dir / "recommendation.sql", report.emit_ddl(configuration))
     text_report = report.emit_report(recommendation, "text")
-    _write(out_dir / "report.txt", text_report)
-    _write(out_dir / "report.dat", report.emit_report(recommendation, "structured"))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write(out_dir / "recommendation.sql", report.emit_ddl(configuration))
+        _write(out_dir / "report.txt", text_report)
+        _write(out_dir / "report.dat", report.emit_report(recommendation, "structured"))
+    except OSError as exc:
+        print(f"error: cannot write output to {str(out_dir)!r}: {exc}", file=sys.stderr)
+        return 2
 
     sys.stdout.write(text_report)
     _print_diagnostics(diagnostics, config["verbose"])

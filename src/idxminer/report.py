@@ -53,7 +53,7 @@ def _sql_name(identifier: str) -> str:
 def index_name(candidate: IndexCandidate) -> str:
     """Deterministic index name, truncated with a stable hash suffix if long."""
     parts = [NAME_PREFIX, candidate.table, *candidate.columns]
-    name = "_".join(re.sub(r"\W", "_", part) for part in parts)
+    name = "_".join(re.sub(r"[^A-Za-z0-9_]", "_", part) for part in parts)
     if len(name) <= MAX_INDEX_NAME_LENGTH:
         return name
     digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:_NAME_HASH_DIGITS]

@@ -169,8 +169,7 @@ def random_pool(rng: random.Random):
             continue
         seen.add((table, columns))
         candidates.append(IndexCandidate(table=table, columns=columns,
-                                         support=rng.randint(1, 9),
-                                         source_itemsets=()))
+                                         support=rng.randint(1, 9)))
     snapshot = CatalogSnapshot(
         stats={t: TableStats(table=t, row_count=rng.randrange(0, 10**7))
                for t in tables}

@@ -12,7 +12,6 @@ from idxminer.advisor import (
     estimated_index_bytes,
     score,
     select,
-    singleton_supports,
 )
 from idxminer.catalog import CatalogSnapshot, MissingStatsError, TableStats
 from idxminer.miner import ClosedItemset, MinSupport, mine_closed
@@ -38,8 +37,7 @@ def snapshot(**rows: int) -> CatalogSnapshot:
 
 
 def candidate(table, columns, support=1):
-    return IndexCandidate(table=table, columns=tuple(columns), support=support,
-                          source_itemsets=())
+    return IndexCandidate(table=table, columns=tuple(columns), support=support)
 
 
 # -- build_database -----------------------------------------------------------
@@ -71,7 +69,6 @@ def test_cross_table_itemset_splits_per_table():
         ("s", ("k",), 4),
         ("t", ("a", "b"), 4),
     ]
-    assert got[1].source_itemsets == (closed[0],)
 
 
 def test_singleton_passthrough():
@@ -102,7 +99,6 @@ def test_identical_fragments_merge_keeping_max_support():
     got = derive_candidates(closed, SCHEMA, ITEMS)
     by_table = {c.table: c for c in got}
     assert by_table["t"].support == 9
-    assert len(by_table["t"].source_itemsets) == 2
 
 
 def test_column_order_follows_singleton_support_then_name():
@@ -126,14 +122,6 @@ def test_unknown_table_items_skipped_with_diagnostic():
     assert any("ghost" in d or "no item" in d for d in diags)
 
 
-def test_singleton_supports_are_max_over_containing_sets():
-    closed = [
-        ClosedItemset(items=(2,), support=9),
-        ClosedItemset(items=(2, 3), support=4),
-    ]
-    assert singleton_supports(closed) == {2: 9, 3: 4}
-
-
 def test_support_coherence_against_singletons():
     rng = random.Random(31)
     for _ in range(30):
@@ -151,11 +139,44 @@ def test_support_coherence_against_singletons():
         if not db.universe:
             continue
         closed = mine_closed(db, MinSupport(1))
-        singles = singleton_supports(closed)
-        column_item = {(a.table, a.column): i for i, a in items_by_id.items()}
+        rows_with = {
+            (a.table, a.column): sum(i in row for row in db.transactions)
+            for i, a in items_by_id.items()
+        }
         for cand in derive_candidates(closed, SCHEMA, items_by_id, maximal_only=False):
-            cap = min(singles[column_item[(cand.table, col)]] for col in cand.columns)
+            cap = min(rows_with[cand.table, col] for col in cand.columns)
             assert cand.support <= cap
+
+
+def test_maximal_only_matches_strict_superset_definition():
+    rng = random.Random(53)
+    for _ in range(40):
+        tables = {f"t{k}": tuple(f"c{j}" for j in range(rng.randint(1, 6)))
+                  for k in range(rng.randint(2, 3))}
+        rows = [
+            frozenset(
+                AttributeItem(table, column)
+                for table, columns in tables.items()
+                for column in columns
+                if rng.random() < 0.5
+            )
+            for _ in range(rng.randint(1, 12))
+        ]
+        db, items_by_id = build_database([
+            TransactionContext(i, row) for i, row in enumerate(rows)
+        ])
+        if not db.universe:
+            continue
+        closed = mine_closed(db, MinSupport(1))
+        schema = SchemaMap(tables)
+        everything = derive_candidates(closed, schema, items_by_id, maximal_only=False)
+        expected = [
+            cand for cand in everything
+            if not any(other.table == cand.table
+                       and set(cand.columns) < set(other.columns)
+                       for other in everything)
+        ]
+        assert derive_candidates(closed, schema, items_by_id) == expected
 
 
 def test_raising_minsup_never_adds_candidates():

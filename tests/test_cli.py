@@ -283,3 +283,13 @@ def test_byte_order_marks_are_skipped(tmp_path, capsys):
     assert "ON t (a, b)" in (tmp_path / "out" / "recommendation.sql").read_text(
         encoding="utf-8")
 
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_unwritable_out_exits_2(fixture_args, tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    assert run(fixture_args(out=blocker / under)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output")
+    assert captured.out == ""
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"

@@ -18,8 +18,7 @@ from idxminer.workload import QueryKind, parse_workload
 
 
 def make_candidate(table="t", columns=("a", "b"), support=4):
-    return IndexCandidate(table=table, columns=tuple(columns), support=support,
-                          source_itemsets=())
+    return IndexCandidate(table=table, columns=tuple(columns), support=support)
 
 
 def make_configuration(candidates, scores=None, est_bytes=None,
@@ -90,10 +89,11 @@ def test_quoted_identifiers_in_ddl():
 
 def test_ddl_reparses_under_subset_grammar():
     config = make_configuration(
-        [make_candidate(), make_candidate(table="s", columns=("k", "d", "e"))]
+        [make_candidate(), make_candidate(table="s", columns=("k", "d", "e")),
+         make_candidate(columns=("café",))]
     )
     queries = parse_workload(emit_ddl(config))
-    assert len(queries) == 2
+    assert len(queries) == 3
     for query in queries:
         assert query.kind is QueryKind.OTHER
         assert query.parse_error is None
