@@ -19,6 +19,7 @@ timestamps.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from dataclasses import dataclass
 
@@ -50,25 +51,39 @@ def _sql_name(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
+def _with_digest(name: str, key: str) -> str:
+    """``name`` cut to fit a ``_`` and a 6-hex sha256 digest of ``key``."""
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:_NAME_HASH_DIGITS]
+    keep = MAX_INDEX_NAME_LENGTH - _NAME_HASH_DIGITS - 1
+    return f"{name[:keep]}_{digest}"
+
+
 def index_name(candidate: IndexCandidate) -> str:
     """Deterministic index name, truncated with a stable hash suffix if long."""
     parts = [NAME_PREFIX, candidate.table, *candidate.columns]
     name = "_".join(re.sub(r"[^A-Za-z0-9_]", "_", part) for part in parts)
     if len(name) <= MAX_INDEX_NAME_LENGTH:
         return name
-    digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:_NAME_HASH_DIGITS]
-    keep = MAX_INDEX_NAME_LENGTH - _NAME_HASH_DIGITS - 1
-    return f"{name[:keep]}_{digest}"
+    return _with_digest(name, name)
 
 
 def emit_ddl(configuration: IndexConfiguration) -> str:
-    """One CREATE INDEX statement per candidate, in configuration order."""
+    """One CREATE INDEX statement per candidate, in configuration order.
+
+    ``index_name`` can map two candidates to one name (columns ``a, b`` and
+    ``a_b``, or ``café`` and ``cafè``). A name already taken gets a digest of
+    the candidate's exact table and columns instead, so names stay unique.
+    """
     lines = []
+    taken: set[str] = set()
     for candidate in configuration.candidates:
+        name = index_name(candidate)
+        if name in taken:
+            name = _with_digest(name, json.dumps([candidate.table, *candidate.columns]))
+        taken.add(name)
         columns = ", ".join(_sql_name(c) for c in candidate.columns)
         lines.append(
-            f"CREATE INDEX {index_name(candidate)} "
-            f"ON {_sql_name(candidate.table)} ({columns});"
+            f"CREATE INDEX {name} ON {_sql_name(candidate.table)} ({columns});"
         )
     return "".join(line + "\n" for line in lines)
 

@@ -23,6 +23,10 @@ FROM source may appear, and each nested block is harvested with its own
 scope. Statements outside the subset are kept (kind ``OTHER``,
 per-statement diagnostic) so workload counts stay stable.
 
+The parser builds no expression tree. For each clause-level expression it
+keeps only what extraction reads: the column references and the subquery
+blocks, each in order (``Expr``).
+
 A schema file declares tables in blank-line-separated stanzas; ``#``
 starts a comment line::
 
@@ -213,13 +217,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Parsed statements
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Literal:
-    text: str
 
 
 @dataclass(frozen=True)
@@ -229,54 +228,16 @@ class ColumnRef:
 
 
 @dataclass(frozen=True)
-class FuncCall:
-    name: str
-    args: tuple
+class Expr:
+    """What extraction reads of one clause-level expression.
 
+    ``refs`` are its column references in text order. ``blocks`` are its
+    subquery blocks in text order, except that an ``IN (SELECT ..)`` block
+    comes before any block inside the operand it tests.
+    """
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Between:
-    operand: object
-    low: object
-    high: object
-    negated: bool
-
-
-@dataclass(frozen=True)
-class InList:
-    operand: object
-    items: tuple
-    negated: bool
-
-
-@dataclass(frozen=True)
-class InSelect:
-    operand: object
-    query: "SelectBlock"
-    negated: bool
-
-
-@dataclass(frozen=True)
-class Exists:
-    query: "SelectBlock"
-
-
-@dataclass(frozen=True)
-class SubSelect:
-    query: "SelectBlock"
+    refs: tuple[ColumnRef, ...]
+    blocks: tuple["SelectBlock", ...]
 
 
 @dataclass(frozen=True)
@@ -292,52 +253,33 @@ class DerivedTable:
 
 
 @dataclass(frozen=True)
-class Join:
-    kind: str  # inner | left
-    source: Union[TableRef, DerivedTable]
-    condition: object
-
-
-@dataclass(frozen=True)
 class SelectBlock:
-    select_items: tuple
-    select_aliases: tuple
-    sources: tuple
-    joins: tuple
-    where: Optional[object]
-    group_by: tuple
-    having: Optional[object]
-    order_by: tuple
+    """One SELECT block; each clause holds one ``Expr`` per expression.
+
+    ``sources`` lists the FROM entries, then the JOIN entries: the order in
+    which aliases bind, the first binding of a duplicate alias winning.
+    """
+
+    sources: tuple[Union[TableRef, DerivedTable], ...]
+    select_aliases: tuple[str, ...]
+    select: tuple[Expr, ...]
+    join: tuple[Expr, ...]
+    where: tuple[Expr, ...]
+    group_by: tuple[Expr, ...]
+    having: tuple[Expr, ...]
+    order_by: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
-class UpdateStatement:
-    table: TableRef
-    assignments: tuple
-    where: Optional[object]
+class WriteStatement:
+    """An UPDATE or DELETE: its target table and its WHERE clause."""
 
-
-@dataclass(frozen=True)
-class DeleteStatement:
-    table: TableRef
-    where: Optional[object]
-
-
-@dataclass(frozen=True)
-class InsertStatement:
     table: str
+    where: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class CreateIndexStatement:
-    name: str
-    table: str
-    columns: tuple
-
-
-Statement = Union[
-    SelectBlock, UpdateStatement, DeleteStatement, InsertStatement, CreateIndexStatement
-]
+# INSERT and CREATE INDEX parse to None: they yield no items.
+Statement = Optional[Union[SelectBlock, WriteStatement]]
 
 # Words that terminate an implicit alias after a table reference.
 _RESERVED = {
@@ -355,10 +297,19 @@ MAX_NESTING = 50
 
 
 class _Parser:
+    """Recursive descent over one statement's tokens.
+
+    The expression rules check the grammar and build nothing: each appends
+    the column references it meets to ``refs`` and the subquery blocks to
+    ``blocks``, the sinks of the clause-level expression being parsed.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.refs: list[ColumnRef] = []
+        self.blocks: list[SelectBlock] = []
 
     # -- token helpers -----------------------------------------------------
 
@@ -435,55 +386,59 @@ class _Parser:
     # -- statements ---------------------------------------------------------
 
     def parse_statement(self) -> Statement:
+        if self.at_kw("insert"):
+            self.parse_insert()  # runs to the end of the statement
+            return None
         if self.at_kw("select"):
             stmt = self.parse_select_block()
-            self.expect_end()
-            return stmt
-        if self.at_kw("update"):
+        elif self.at_kw("update"):
             stmt = self.parse_update()
-            self.expect_end()
-            return stmt
-        if self.at_kw("delete"):
+        elif self.at_kw("delete"):
             stmt = self.parse_delete()
-            self.expect_end()
-            return stmt
-        if self.at_kw("insert"):
-            return self.parse_insert()
-        if self.at_kw("create"):
+        elif self.at_kw("create"):
             stmt = self.parse_create_index()
-            self.expect_end()
-            return stmt
-        tok = self.peek()
-        raise SqlParseError(f"unsupported statement start {tok.value!r}", tok.pos)
+        else:
+            tok = self.peek()
+            raise SqlParseError(f"unsupported statement start {tok.value!r}", tok.pos)
+        self.expect_end()
+        return stmt
 
     def parse_select_block(self) -> SelectBlock:
         self.expect_kw("select")
         self.accept_kw("distinct")
-        items = [self.parse_select_item()]
+        select: list[Expr] = []
+        aliases: list[str] = []
+        self.parse_select_item(select, aliases)
         while self.accept_punct(","):
-            items.append(self.parse_select_item())
-        aliases = tuple(alias for _, alias in items if alias is not None)
-        exprs = tuple(expr for expr, _ in items)
+            self.parse_select_item(select, aliases)
         self.expect_kw("from")
         sources = [self.parse_table_source()]
-        joins: list[Join] = []
+        join_sources: list[Union[TableRef, DerivedTable]] = []
+        join: list[Expr] = []
         while True:
             if self.accept_punct(","):
                 sources.append(self.parse_table_source())
                 continue
             if self.at_kw("inner", "left", "join"):
-                joins.append(self.parse_join())
+                if self.accept_kw("left"):
+                    self.accept_kw("outer")
+                else:
+                    self.accept_kw("inner")
+                self.expect_kw("join")
+                join_sources.append(self.parse_table_source())
+                self.expect_kw("on")
+                join.append(self.expression())
                 continue
             break
-        where = self.parse_expr() if self.accept_kw("where") else None
-        group_by: list = []
-        having = None
+        where = self.where_clause()
+        group_by: tuple[Expr, ...] = ()
+        having: tuple[Expr, ...] = ()
         if self.accept_kw("group"):
             self.expect_kw("by")
-            group_by = self.parse_expr_list()
+            group_by = self.expression_list()
             if self.accept_kw("having"):
-                having = self.parse_expr()
-        order_by: list = []
+                having = (self.expression(),)
+        order_by: list[Expr] = []
         if self.accept_kw("order"):
             self.expect_kw("by")
             order_by.append(self.parse_order_item())
@@ -495,31 +450,27 @@ class _Parser:
                 raise SqlParseError(f"expected a number after LIMIT, found {tok.value!r}",
                                     tok.pos)
         return SelectBlock(
-            select_items=exprs,
-            select_aliases=aliases,
-            sources=tuple(sources),
-            joins=tuple(joins),
+            sources=tuple(sources + join_sources),
+            select_aliases=tuple(aliases),
+            select=tuple(select),
+            join=tuple(join),
             where=where,
-            group_by=tuple(group_by),
+            group_by=group_by,
             having=having,
             order_by=tuple(order_by),
         )
 
-    def parse_select_item(self) -> tuple:
+    def parse_select_item(self, select: list[Expr], aliases: list[str]) -> None:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "*":
             self.advance()
-            return (Literal("*"), None)
-        expr = self.parse_expr()
-        alias = None
-        if self.accept_kw("as"):
-            alias = self.expect_name()
-        elif self.at_alias():
-            alias = self.expect_name()
-        return (expr, alias)
+            return
+        select.append(self.expression())
+        if self.accept_kw("as") or self.at_alias():
+            aliases.append(self.expect_name())
 
-    def parse_order_item(self):
-        expr = self.parse_expr()
+    def parse_order_item(self) -> Expr:
+        expr = self.expression()
         if self.at_kw("asc", "desc"):
             self.advance()
         return expr
@@ -533,54 +484,42 @@ class _Parser:
             return DerivedTable(query=query, alias=alias)
         table = self.expect_name()
         alias = None
-        if self.accept_kw("as"):
-            alias = self.expect_name()
-        elif self.at_alias():
+        if self.accept_kw("as") or self.at_alias():
             alias = self.expect_name()
         return TableRef(table=table, alias=alias)
 
-    def parse_join(self) -> Join:
-        kind = "inner"
-        if self.accept_kw("left"):
-            kind = "left"
-            self.accept_kw("outer")
-        else:
-            self.accept_kw("inner")
-        self.expect_kw("join")
-        source = self.parse_table_source()
-        self.expect_kw("on")
-        condition = self.parse_expr()
-        return Join(kind=kind, source=source, condition=condition)
+    def where_clause(self) -> tuple[Expr, ...]:
+        return (self.expression(),) if self.accept_kw("where") else ()
 
-    def parse_update(self) -> UpdateStatement:
+    def parse_update(self) -> WriteStatement:
         self.expect_kw("update")
-        table = TableRef(table=self.expect_name(), alias=None)
+        table = self.expect_name()
         self.expect_kw("set")
-        assignments = [self.parse_assignment()]
+        self.parse_assignment()
         while self.accept_punct(","):
-            assignments.append(self.parse_assignment())
-        where = self.parse_expr() if self.accept_kw("where") else None
-        return UpdateStatement(table=table, assignments=tuple(assignments), where=where)
+            self.parse_assignment()
+        return WriteStatement(table=table, where=self.where_clause())
 
-    def parse_assignment(self) -> tuple:
-        column = self.expect_name()
+    def parse_assignment(self) -> None:
+        # The assigned values are checked but yield no items: their
+        # references land in the statement-level sinks, which nothing reads.
+        self.expect_name()
         tok = self.peek()
         if not (tok.kind == "op" and tok.value == "="):
             raise SqlParseError(f"expected '=' in SET clause, found {tok.value!r}", tok.pos)
         self.advance()
-        return (column, self.parse_expr())
+        self.parse_expr()
 
-    def parse_delete(self) -> DeleteStatement:
+    def parse_delete(self) -> WriteStatement:
         self.expect_kw("delete")
         self.expect_kw("from")
-        table = TableRef(table=self.expect_name(), alias=None)
-        where = self.parse_expr() if self.accept_kw("where") else None
-        return DeleteStatement(table=table, where=where)
+        table = self.expect_name()
+        return WriteStatement(table=table, where=self.where_clause())
 
-    def parse_insert(self) -> InsertStatement:
+    def parse_insert(self) -> None:
         self.expect_kw("insert")
         self.expect_kw("into")
-        table = self.expect_name()
+        self.expect_name()
         # The remainder (column list, VALUES, SELECT) carries no indexable
         # positions; accept it opaquely but insist on balanced parentheses.
         depth = 0
@@ -594,181 +533,194 @@ class _Parser:
                     raise SqlParseError("unbalanced ')' in INSERT body", tok.pos)
         if depth != 0:
             raise SqlParseError("unbalanced '(' in INSERT body", self.peek().pos)
-        return InsertStatement(table=table)
 
-    def parse_create_index(self) -> CreateIndexStatement:
+    def parse_create_index(self) -> None:
         self.expect_kw("create")
         self.expect_kw("index")
-        name = self.expect_name()
+        self.expect_name()
         self.expect_kw("on")
-        table = self.expect_name()
+        self.expect_name()
         self.expect_punct("(")
-        columns = [self.expect_name()]
+        self.expect_name()
         while self.accept_punct(","):
-            columns.append(self.expect_name())
+            self.expect_name()
         self.expect_punct(")")
-        return CreateIndexStatement(name=name, table=table, columns=tuple(columns))
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_expr(self):
+    def expression(self) -> Expr:
+        """Parse one clause-level expression into a record of its own.
+
+        The enclosing sinks are set aside meanwhile and, as a parser is
+        dropped after its first error, restored only on success.
+        """
+        outer = self.refs, self.blocks
+        self.refs, self.blocks = [], []
+        self.parse_expr()
+        expr = Expr(tuple(self.refs), tuple(self.blocks))
+        self.refs, self.blocks = outer
+        return expr
+
+    def expression_list(self) -> tuple[Expr, ...]:
+        exprs = [self.expression()]
+        while self.accept_punct(","):
+            exprs.append(self.expression())
+        return tuple(exprs)
+
+    def parse_expr(self) -> None:
         tok = self.tokens[self.i]
         if tok.kind in ("number", "string"):
-            # A bare literal ending a list item: what the full descent returns.
+            # A bare literal ending a list item holds nothing to record.
             nxt = self.tokens[self.i + 1]
             if nxt.kind == "punct" and nxt.value in (",", ")"):
                 self.i += 1
-                return Literal(tok.value)
-        return self.parse_or()
+                return
+        self.parse_or()
 
-    def parse_expr_list(self) -> list:
-        items = [self.parse_expr()]
+    def parse_expr_list(self) -> None:
+        self.parse_expr()
         while self.accept_punct(","):
-            items.append(self.parse_expr())
-        return items
+            self.parse_expr()
 
-    def parse_or(self):
-        left = self.parse_and()
+    def parse_or(self) -> None:
+        self.parse_and()
         while self.accept_kw("or"):
-            left = Binary("or", left, self.parse_and())
-        return left
+            self.parse_and()
 
-    def parse_and(self):
-        left = self.parse_not()
+    def parse_and(self) -> None:
+        self.parse_not()
         while self.accept_kw("and"):
-            left = Binary("and", left, self.parse_not())
-        return left
+            self.parse_not()
 
-    def parse_not(self):
+    def parse_not(self) -> None:
         if self.accept_kw("not"):
-            return Unary("not", self.nested(self.parse_not))
-        return self.parse_predicate()
+            self.nested(self.parse_not)
+        else:
+            self.parse_predicate()
 
-    def parse_predicate(self):
-        left = self.parse_additive()
+    def parse_predicate(self) -> None:
+        mark = len(self.blocks)
+        self.parse_additive()
         tok = self.tokens[self.i]
         if tok.kind == "op" and tok.value in ("=", "<>", "!=", "<", "<=", ">", ">="):
             self.advance()
-            return Binary(tok.value, left, self.parse_additive())
+            self.parse_additive()
+            return
         if tok.kind != "ident":
-            return left  # every predicate form below starts with a keyword
+            return  # every predicate form below starts with a keyword
         negated = False
         if self.at_kw("not") and self.peek(1).word in ("between", "in", "like"):
             self.advance()
             negated = True
         if self.accept_kw("between"):
-            low = self.parse_additive()
+            self.parse_additive()
             self.expect_kw("and")
-            high = self.parse_additive()
-            return Between(left, low, high, negated)
+            self.parse_additive()
+            return
         if self.accept_kw("in"):
             self.expect_punct("(")
             if self.at_kw("select"):
+                # The tested subquery is walked before any inside the operand.
                 query = self.nested(self.parse_select_block)
-                self.expect_punct(")")
-                return InSelect(left, query, negated)
-            items = self.nested(self.parse_expr_list)
+                self.blocks.insert(mark, query)
+            else:
+                self.nested(self.parse_expr_list)
             self.expect_punct(")")
-            return InList(left, tuple(items), negated)
+            return
         if self.accept_kw("like"):
-            return Binary("not like" if negated else "like", left, self.parse_additive())
+            self.parse_additive()
+            return
         if negated:
             raise SqlParseError("dangling NOT in predicate", tok.pos)
         if self.accept_kw("is"):
-            neg = self.accept_kw("not")
+            self.accept_kw("not")
             self.expect_kw("null")
-            return Unary("is not null" if neg else "is null", left)
-        return left
 
-    def parse_additive(self):
-        left = self.parse_term()
+    def parse_additive(self) -> None:
+        self.parse_term()
         while True:
             tok = self.tokens[self.i]
             if tok.kind == "op" and tok.value in ("+", "-", "||"):
                 self.advance()
-                left = Binary(tok.value, left, self.parse_term())
+                self.parse_term()
             else:
-                return left
+                return
 
-    def parse_term(self):
-        left = self.parse_factor()
+    def parse_term(self) -> None:
+        self.parse_factor()
         while True:
             tok = self.tokens[self.i]
             if tok.kind == "op" and tok.value in ("*", "/", "%"):
                 self.advance()
-                left = Binary(tok.value, left, self.parse_factor())
+                self.parse_factor()
             else:
-                return left
+                return
 
-    def parse_factor(self):
+    def parse_factor(self) -> None:
         tok = self.tokens[self.i]
         if tok.kind == "op" and tok.value in ("+", "-"):
             self.advance()
-            return Unary(tok.value, self.nested(self.parse_factor))
-        return self.parse_primary()
+            self.nested(self.parse_factor)
+        else:
+            self.parse_primary()
 
-    def parse_primary(self):
+    def parse_primary(self) -> None:
         tok = self.tokens[self.i]
-        if tok.kind == "number":
+        if tok.kind in ("number", "string"):
             self.advance()
-            return Literal(tok.value)
-        if tok.kind == "string":
-            self.advance()
-            return Literal(tok.value)
+            return
         if tok.kind == "punct" and tok.value == "(":
             self.advance()
             if self.at_kw("select"):
                 query = self.nested(self.parse_select_block)
-                self.expect_punct(")")
-                return SubSelect(query)
-            expr = self.nested(self.parse_expr)
+                self.blocks.append(query)
+            else:
+                self.nested(self.parse_expr)
             self.expect_punct(")")
-            return expr
+            return
         if tok.kind in ("ident", "qident"):
             word = tok.word
             if word == "null":
                 self.advance()
-                return Literal("null")
+                return
             if word == "exists":
                 self.advance()
                 self.expect_punct("(")
                 query = self.nested(self.parse_select_block)
+                self.blocks.append(query)
                 self.expect_punct(")")
-                return Exists(query)
+                return
             if word in _TYPED_LITERAL_PREFIXES and self.peek(1).kind == "string":
-                self.advance()
-                lit = self.advance()
-                return Literal(f"{word} '{lit.value}'")
+                self.i += 2
+                return
             if word == "interval" and self.peek(1).kind == "string":
-                self.advance()
-                lit = self.advance()
-                unit = ""
+                self.i += 2
                 if self.at_kw("year", "month", "day", "hour", "minute", "second"):
-                    unit = " " + self.advance().word
-                return Literal(f"interval '{lit.value}'{unit}")
+                    self.advance()
+                return
             name = self.expect_name()
             if self.accept_punct("("):
-                return self.parse_func_args(name)
+                self.parse_func_args()
+                return
             if self.accept_punct("."):
                 nxt = self.peek()
                 if nxt.kind == "op" and nxt.value == "*":
                     self.advance()
-                    return Literal("*")
-                return ColumnRef(qualifier=name, column=self.expect_name())
-            return ColumnRef(qualifier=None, column=name)
+                    return
+                self.refs.append(ColumnRef(qualifier=name, column=self.expect_name()))
+                return
+            self.refs.append(ColumnRef(qualifier=None, column=name))
+            return
         raise SqlParseError(f"unexpected token {tok.value!r}", tok.pos)
 
-    def parse_func_args(self, name: str) -> FuncCall:
+    def parse_func_args(self) -> None:
         self.accept_kw("distinct")
-        args: list = []
         tok = self.peek()
         if tok.kind == "op" and tok.value == "*":
             self.advance()
-            args.append(Literal("*"))
         elif not (tok.kind == "punct" and tok.value == ")"):
-            args = self.nested(self.parse_expr_list)
+            self.nested(self.parse_expr_list)
         self.expect_punct(")")
-        return FuncCall(name=name, args=tuple(args))
 
 
 def parse_statement(text: str) -> Statement:
@@ -885,44 +837,6 @@ DEFAULT_POLICY = ExtractionPolicy(
 _DERIVED = None  # scope marker: alias bound to a derived table, not a base table
 
 
-def _expr_parts(expr) -> tuple[list[ColumnRef], list[SelectBlock]]:
-    """Column references of an expression and the subquery blocks inside it.
-
-    One pre-order, left-to-right walk with an explicit stack, so chains of
-    any length cannot exhaust the call stack. References inside subqueries
-    are not collected; each subquery block is walked with its own scope.
-    """
-    refs: list[ColumnRef] = []
-    subs: list[SelectBlock] = []
-    stack = [expr]
-    push = stack.append
-    while stack:
-        node = stack.pop()
-        cls = type(node)
-        if cls is ColumnRef:
-            refs.append(node)
-        elif cls is Binary:
-            push(node.right)
-            push(node.left)
-        elif cls is InList:
-            stack.extend(reversed(node.items))
-            push(node.operand)
-        elif cls is FuncCall:
-            stack.extend(reversed(node.args))
-        elif cls is Unary:
-            push(node.operand)
-        elif cls is Between:
-            push(node.high)
-            push(node.low)
-            push(node.operand)
-        elif cls is InSelect:
-            subs.append(node.query)
-            push(node.operand)
-        elif cls is SubSelect or cls is Exists:
-            subs.append(node.query)
-    return refs, subs
-
-
 class _Extractor:
     def __init__(self, schema: SchemaMap, policy: ExtractionPolicy,
                  ordinal: int, diagnostics: Optional[list[str]]):
@@ -938,8 +852,7 @@ class _Extractor:
 
     def block_scope(self, block: SelectBlock) -> dict[str, Optional[str]]:
         scope: dict[str, Optional[str]] = {}
-        sources = list(block.sources) + [j.source for j in block.joins]
-        for src in sources:
+        for src in block.sources:
             if isinstance(src, TableRef):
                 key = src.alias or src.table
                 value: Optional[str] = src.table
@@ -991,40 +904,29 @@ class _Extractor:
                 return
         self.diag(f"unresolvable column '{ref.column}'; skipped")
 
-    def harvest_exprs(self, exprs, scopes, position: str,
-                      select_aliases: frozenset[str] = frozenset()) -> None:
+    def harvest(self, exprs: tuple[Expr, ...], scopes, position: str,
+                select_aliases: frozenset[str] = frozenset()) -> None:
         for expr in exprs:
-            if expr is None:
-                continue
-            refs, subs = _expr_parts(expr)
             if self.policy.wants(position):
-                for ref in refs:
+                for ref in expr.refs:
                     self.resolve(ref, scopes, select_aliases)
-            for sub in subs:
-                self.walk_block(sub, scopes)
+            for block in expr.blocks:
+                self.walk_block(block, scopes)
 
     def walk_block(self, block: SelectBlock, outer_scopes) -> None:
         scopes = [self.block_scope(block)] + outer_scopes
         aliases = frozenset(block.select_aliases)
-        self.harvest_exprs(block.select_items, scopes, "select")
-        self.harvest_exprs([j.condition for j in block.joins], scopes, "join")
-        self.harvest_exprs([block.where], scopes, "where")
-        self.harvest_exprs(block.group_by, scopes, "group_by", aliases)
-        self.harvest_exprs([block.having], scopes, "having", aliases)
-        self.harvest_exprs(block.order_by, scopes, "order_by", aliases)
+        self.harvest(block.select, scopes, "select")
+        self.harvest(block.join, scopes, "join")
+        self.harvest(block.where, scopes, "where")
+        self.harvest(block.group_by, scopes, "group_by", aliases)
+        self.harvest(block.having, scopes, "having", aliases)
+        self.harvest(block.order_by, scopes, "order_by", aliases)
         # Derived tables in FROM are their own blocks; they see only scopes
         # enclosing this block, not its sibling FROM entries.
-        for src in list(block.sources) + [j.source for j in block.joins]:
+        for src in block.sources:
             if isinstance(src, DerivedTable):
                 self.walk_block(src.query, outer_scopes)
-
-    def walk_update(self, stmt: UpdateStatement) -> None:
-        scopes = [{stmt.table.table: stmt.table.table}]
-        self.harvest_exprs([stmt.where], scopes, "where")
-
-    def walk_delete(self, stmt: DeleteStatement) -> None:
-        scopes = [{stmt.table.table: stmt.table.table}]
-        self.harvest_exprs([stmt.where], scopes, "where")
 
 
 def extract_items(
@@ -1047,10 +949,8 @@ def extract_items(
     extractor = _Extractor(schema, policy, query.ordinal, diagnostics)
     if isinstance(stmt, SelectBlock):
         extractor.walk_block(stmt, [])
-    elif isinstance(stmt, UpdateStatement):
-        extractor.walk_update(stmt)
-    elif isinstance(stmt, DeleteStatement):
-        extractor.walk_delete(stmt)
+    elif isinstance(stmt, WriteStatement):
+        extractor.harvest(stmt.where, [{stmt.table: stmt.table}], "where")
     return TransactionContext(query_ordinal=query.ordinal,
                               items=frozenset(extractor.items))
 

@@ -7,9 +7,13 @@ seeded so every run checks the same inputs.
 
 from __future__ import annotations
 
+import ast
 import random
+import re
+import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +322,28 @@ def test_cli_contract_file_level_failures(fixture_args, tmp_path, capsys):
     assert main(no_stats) == 1
     capsys.readouterr()
     print("\n[PASS] CLI contract (exit codes 0/1/2 across the invocation matrix)")
+
+
+def test_runtime_is_stdlib_only():
+    """The package imports only the standard library and itself."""
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "idxminer").rglob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            for name in names:
+                top = name.split(".")[0]
+                if top != "__future__" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+    print(f"\n[PASS] stdlib-only runtime ({len(modules)} modules)")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 from idxminer.advisor import (
     ConfigurationTotals,
     IndexCandidate,
@@ -95,6 +97,27 @@ def test_ddl_reparses_under_subset_grammar():
     queries = parse_workload(emit_ddl(config))
     assert len(queries) == 3
     for query in queries:
+        assert query.kind is QueryKind.OTHER
+        assert query.parse_error is None
+
+
+def test_colliding_index_names_are_made_unique():
+    long_table = "a_rather_long_dimension_table"
+    config = make_configuration([
+        make_candidate(columns=("a", "b")), make_candidate(columns=("a_b",)),
+        make_candidate(columns=("café",)), make_candidate(columns=("cafè",)),
+        make_candidate(table=long_table, columns=tuple(f"col x{i}" for i in range(5))),
+        make_candidate(table=long_table, columns=tuple(f"col_x{i}" for i in range(5))),
+    ])
+    ddl = emit_ddl(config)
+    names = [line.split()[2] for line in ddl.splitlines()]
+    assert len(set(names)) == len(names)
+    # The first holder of a name keeps it, so names without a clash never move.
+    assert names[0] == "idx_t_a_b" and names[2] == "idx_t_caf_"
+    assert re.fullmatch(r"idx_t_a_b_[0-9a-f]{6}", names[1])
+    assert re.fullmatch(r"idx_t_caf__[0-9a-f]{6}", names[3])
+    assert len(names[4]) == len(names[5]) == MAX_INDEX_NAME_LENGTH
+    for query in parse_workload(ddl):
         assert query.kind is QueryKind.OTHER
         assert query.parse_error is None
 

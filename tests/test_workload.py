@@ -1,24 +1,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idxminer.workload import (
     MAX_NESTING,
     AttributeItem,
-    Binary,
-    ColumnRef,
     DEFAULT_POLICY,
     ExtractionPolicy,
-    InList,
-    Literal,
     QueryKind,
     SchemaError,
-    Unary,
     canonical_identifier,
     extract_items,
     extract_workload,
     parse_schema,
-    parse_statement,
     parse_workload,
     split_statements,
 )
@@ -186,16 +181,25 @@ def test_diagnostics_follow_expression_pre_order():
     # A clause's own columns first, then its subqueries, each in text order.
     order = [1, 3, 7, 8, 9, 10, 11, 2, 4, 5, 6, 12, 13]
     assert diags == [f"statement 0: unresolvable column 'g{n}'; skipped" for n in order]
+    # An IN subquery comes before the subqueries inside the operand it tests.
+    diags = []
+    items(
+        "SELECT a FROM t WHERE (SELECT g1 FROM s WHERE g2 = 1) "
+        "IN (SELECT g3 FROM s WHERE g4 = 1)",
+        policy=ExtractionPolicy(ExtractionPolicy.VALID_POSITIONS),
+        diagnostics=diags,
+    )
+    order = [3, 4, 1, 2]
+    assert diags == [f"statement 0: unresolvable column 'g{n}'; skipped" for n in order]
 
 
 def test_in_list_items_parse_alike_with_or_without_operators():
-    stmt = parse_statement("SELECT a FROM t WHERE a IN (1, 'x', -2, 3 + 4, b, 'y')")
-    assert stmt.where == InList(
-        ColumnRef(None, "a"),
-        (Literal("1"), Literal("x"), Unary("-", Literal("2")),
-         Binary("+", Literal("3"), Literal("4")), ColumnRef(None, "b"), Literal("y")),
-        False,
-    )
+    text = "SELECT a FROM t WHERE a IN (1, 'x', -2, 3 + 4, b, 'y')"
+    (query,) = parse_workload(text)
+    assert query.kind is QueryKind.SELECT
+    assert query.parse_error is None
+    # The bare-literal shortcut must not swallow the column among literals.
+    assert items(text) == {("t", "a"), ("t", "b")}
 
 
 NESTERS = {
@@ -249,6 +253,11 @@ def test_limit_needs_a_number():
 def test_update_and_delete_where_items():
     assert items("UPDATE t SET a = 0 WHERE b = 3") == {("t", "b")}
     assert items("DELETE FROM s WHERE d < 4") == {("s", "d")}
+    # SET values are no indexable position, nor are the subqueries in them.
+    diags = []
+    assert items("UPDATE t SET a = (SELECT d FROM s WHERE s.d = 1) WHERE b = 3",
+                 diagnostics=diags) == {("t", "b")}
+    assert diags == []
 
 
 def test_group_having_order_positions():
@@ -299,6 +308,117 @@ def test_item_membership_against_schema(tpcr_workload_text, tpcr_schema):
     for ctx in extract_workload(queries, tpcr_schema):
         for item in ctx.items:
             assert tpcr_schema.has_column(item.table, item.column)
+
+
+# -- extraction on generated statements -------------------------------------
+
+LITERALS = ["1", "2.5e1", "'x'", "'t.a; s.d -- not a column'", "NULL",
+            "DATE '1998-12-01'", "INTERVAL '3' DAY"]
+COMPARISONS = ["=", "<>", "!=", "<", "<=", ">", ">="]
+ARITHMETIC = ["+", "-", "*", "/", "%", "||"]
+
+
+@st.composite
+def planted_select(draw):
+    """A SELECT over SCHEMA and the qualified columns it plants.
+
+    Columns are planted in WHERE, JOIN ON, GROUP BY, HAVING and ORDER BY,
+    nested in predicates, calls, arithmetic and at most one IN or EXISTS
+    subquery, among literals; none is planted in a select list, which the
+    default policy leaves out. Nesting stays far below MAX_NESTING.
+    """
+    planted = set()
+    subquery_left = True
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def column(names):
+        table = pick(["t", "s"])
+        name = pick(SCHEMA.tables[table])
+        planted.add((table, name))
+        return f"{names[table]}.{name}"
+
+    def value(level, names):
+        form = draw(st.integers(0, 5 if level else 1))
+        if form == 0:
+            return column(names)
+        if form == 1:
+            return pick(LITERALS)
+        if form == 2:
+            args = [value(level - 1, names) for _ in range(draw(st.integers(1, 2)))]
+            return f"{pick(['lower', 'coalesce', 'abs'])}({', '.join(args)})"
+        if form == 3:
+            left, right = value(level - 1, names), value(level - 1, names)
+            return f"{left} {pick(ARITHMETIC)} {right}"
+        if form == 4:
+            return f"- {value(level - 1, names)}"
+        return f"({value(level - 1, names)})"
+
+    def predicate(level, names):
+        nonlocal subquery_left
+        form = draw(st.integers(0, 8 if level else 4))
+        negated = pick(["", "NOT "])
+        if form == 0:
+            return f"{value(level, names)} {pick(COMPARISONS)} {value(level, names)}"
+        if form == 1:
+            return (f"{value(level, names)} {negated}BETWEEN {value(level, names)} "
+                    f"AND {value(level, names)}")
+        if form == 2:
+            items = [value(level, names) for _ in range(draw(st.integers(1, 3)))]
+            return f"{value(level, names)} {negated}IN ({', '.join(items)})"
+        if form == 3:
+            return f"{value(level, names)} {negated}LIKE 'a%'"
+        if form == 4:
+            return f"{value(level, names)} IS {negated}NULL"
+        if form == 5:
+            return f"NOT {predicate(level - 1, names)}"
+        if form == 6:
+            return f"({predicate(level - 1, names)})"
+        if form == 7 or not subquery_left:
+            return (f"{predicate(level - 1, names)} {pick(['AND', 'OR'])} "
+                    f"{predicate(level - 1, names)}")
+        subquery_left = False
+        inner = pick(["s", "w"])
+        inner_names = {"t": names["t"], "s": inner}
+        block = (f"(SELECT {inner}.k FROM {source('s', inner)} "
+                 f"WHERE {predicate(level - 1, inner_names)})")
+        if draw(st.booleans()):
+            return f"EXISTS {block}"
+        return f"{value(level, names)} {negated}IN {block}"
+
+    def source(table, name):
+        return table if name == table else f"{table} {pick(['', 'AS '])}{name}"
+
+    names = {"t": pick(["t", "u"]), "s": pick(["s", "v"])}
+    parts = [f"SELECT {pick(['*', 'count(*)', names['t'] + '.k', '1', 'lower(x) AS z'])}",
+             f"FROM {source('t', names['t'])}"]
+    if draw(st.booleans()):
+        parts.append(f"{pick(['JOIN', 'INNER JOIN', 'LEFT JOIN', 'LEFT OUTER JOIN'])} "
+                     f"{source('s', names['s'])} ON {predicate(3, names)}")
+    else:
+        parts.append(f", {source('s', names['s'])}")
+    if draw(st.booleans()):
+        parts.append(f"WHERE {predicate(3, names)}")
+    if draw(st.booleans()):
+        keys = [value(1, names) for _ in range(draw(st.integers(1, 3)))]
+        parts.append(f"GROUP BY {', '.join(keys)}")
+        if draw(st.booleans()):
+            parts.append(f"HAVING {predicate(1, names)}")
+    if draw(st.booleans()):
+        keys = [f"{value(1, names)}{pick(['', ' ASC', ' DESC'])}"
+                for _ in range(draw(st.integers(1, 2)))]
+        parts.append(f"ORDER BY {', '.join(keys)}")
+    return " ".join(parts), planted
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(planted_select())
+def test_extraction_finds_exactly_the_planted_columns(case):
+    text, planted = case
+    diags = []
+    assert items(text, diagnostics=diags) == planted
+    assert diags == []
 
 
 # -- canonicalization and schema files ---------------------------------------
