@@ -13,12 +13,11 @@ from .advisor import (
     derive_candidates,
     select,
 )
-from .catalog import CatalogSnapshot, TableStats, is_large, load_stats
+from .catalog import is_large, load_stats
 from .miner import (
     ClosedItemset,
     MinSupport,
     TransactionDatabase,
-    closure,
     mine_bruteforce,
     mine_closed,
 )

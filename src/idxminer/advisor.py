@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-from .catalog import CatalogSnapshot, MissingStatsError, is_large
+from .catalog import MissingStatsError, is_large, row_count
 from .miner import ClosedItemset, TransactionDatabase, canonical_order
 from .workload import AttributeItem, SchemaMap, TransactionContext
 
@@ -57,19 +57,11 @@ class IndexCandidate:
 
 
 @dataclass(frozen=True)
-class ConfigurationTotals:
-    candidate_count: int
-    estimated_bytes: int
-    tables_touched: int
-
-
-@dataclass(frozen=True)
 class IndexConfiguration:
     strategy: Strategy
     candidates: tuple[IndexCandidate, ...]
     scores: tuple[float, ...]
     est_bytes: tuple[int, ...]
-    totals: ConfigurationTotals
 
 
 def build_database(
@@ -144,26 +136,26 @@ def derive_candidates(
     return candidates
 
 
-def score(candidate: IndexCandidate, snapshot: CatalogSnapshot,
+def score(candidate: IndexCandidate, rows: Mapping[str, int],
           workload_size: int) -> float:
     """Frequency-weighted size heuristic; grows with support and row count."""
     if workload_size < 1:
         raise ValueError("workload_size must be >= 1")
-    row_count = snapshot.get(candidate.table).row_count
-    return (candidate.support / workload_size) * math.log2(1 + row_count)
+    n_rows = row_count(rows, candidate.table)
+    return (candidate.support / workload_size) * math.log2(1 + n_rows)
 
 
 def estimated_index_bytes(candidate: IndexCandidate,
-                          snapshot: CatalogSnapshot) -> int:
+                          rows: Mapping[str, int]) -> int:
     """Rough b-tree footprint: per-row pointer plus fixed bytes per key column."""
-    row_count = snapshot.get(candidate.table).row_count
-    return row_count * (ROW_POINTER_BYTES + KEY_BYTES_PER_COLUMN * len(candidate.columns))
+    n_rows = row_count(rows, candidate.table)
+    return n_rows * (ROW_POINTER_BYTES + KEY_BYTES_PER_COLUMN * len(candidate.columns))
 
 
 def select(
     candidates: Iterable[IndexCandidate],
     strategy: Strategy,
-    snapshot: Optional[CatalogSnapshot],
+    rows: Optional[Mapping[str, int]],
     threshold_rows: int = DEFAULT_THRESHOLD_ROWS,
     *,
     workload_size: int,
@@ -171,7 +163,7 @@ def select(
 ) -> IndexConfiguration:
     """Apply a selection strategy and score the surviving candidates.
 
-    LARGE_TABLES requires a snapshot covering every candidate table and
+    LARGE_TABLES requires row counts for every candidate table and
     keeps only candidates on tables at or above ``threshold_rows``. ALL
     keeps everything; candidates without statistics then score 0 with a
     diagnostic instead of failing the run.
@@ -185,24 +177,24 @@ def select(
         seen.add(key)
 
     if strategy is Strategy.LARGE_TABLES:
-        if snapshot is None:
+        if rows is None:
             raise MissingStatsError(
                 "strategy LARGE_TABLES requires table statistics"
             )
-        missing = sorted({c.table for c in pool if c.table not in snapshot})
+        missing = sorted({c.table for c in pool if c.table not in rows})
         if missing:
             raise MissingStatsError(
                 "no statistics for table(s): " + ", ".join(missing)
             )
-        kept = [c for c in pool if is_large(c.table, snapshot, threshold_rows)]
+        kept = [c for c in pool if is_large(c.table, rows, threshold_rows)]
     else:
         kept = pool
 
     scored = []
     for candidate in kept:
-        if snapshot is not None and candidate.table in snapshot:
-            value = score(candidate, snapshot, workload_size)
-            size = estimated_index_bytes(candidate, snapshot)
+        if rows is not None and candidate.table in rows:
+            value = score(candidate, rows, workload_size)
+            size = estimated_index_bytes(candidate, rows)
         else:
             if diagnostics is not None:
                 diagnostics.append(
@@ -212,16 +204,9 @@ def select(
         scored.append((candidate, value, size))
     scored.sort(key=lambda row: (-row[1],) + row[0].sort_key())
 
-    ordered = tuple(row[0] for row in scored)
-    totals = ConfigurationTotals(
-        candidate_count=len(ordered),
-        estimated_bytes=sum(row[2] for row in scored),
-        tables_touched=len({c.table for c in ordered}),
-    )
     return IndexConfiguration(
         strategy=strategy,
-        candidates=ordered,
+        candidates=tuple(row[0] for row in scored),
         scores=tuple(row[1] for row in scored),
         est_bytes=tuple(row[2] for row in scored),
-        totals=totals,
     )

@@ -1,20 +1,18 @@
-"""Table-level statistics backing the large-table strategy and scoring.
+"""Table row counts backing the large-table strategy and scoring.
 
 Statistics come from a flat file, one table per line::
 
     <table><TAB><row_count>[<TAB><avg_row_bytes>]
 
-``#`` starts a comment line and blank lines are skipped. The loader is the
-single seam where a live-catalog backend could be substituted later.
+``#`` starts a comment line and blank lines are skipped. The optional
+third column is checked to be a positive integer but is not used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Mapping
 
 from .workload import canonical_identifier
-
-DEFAULT_AVG_ROW_BYTES = 100
 
 
 class StatsError(ValueError):
@@ -22,39 +20,12 @@ class StatsError(ValueError):
 
 
 class MissingStatsError(LookupError):
-    """Raised when a table has no entry in the catalog snapshot."""
+    """Raised when a table has no row count."""
 
 
-@dataclass(frozen=True)
-class TableStats:
-    table: str
-    row_count: int
-    avg_row_bytes: int = DEFAULT_AVG_ROW_BYTES
-
-    def __post_init__(self):
-        if self.row_count < 0:
-            raise StatsError(f"negative row count for table '{self.table}'")
-        if self.avg_row_bytes < 1:
-            raise StatsError(f"non-positive row bytes for table '{self.table}'")
-
-
-@dataclass
-class CatalogSnapshot:
-    stats: dict[str, TableStats] = field(default_factory=dict)
-
-    def __contains__(self, table: str) -> bool:
-        return table in self.stats
-
-    def get(self, table: str) -> TableStats:
-        try:
-            return self.stats[table]
-        except KeyError:
-            raise MissingStatsError(f"no statistics for table '{table}'") from None
-
-
-def load_stats(stats_text: str) -> CatalogSnapshot:
-    """Parse a statistics file; errors name the offending line."""
-    stats: dict[str, TableStats] = {}
+def load_stats(stats_text: str) -> dict[str, int]:
+    """Parse a statistics file into table -> row count; errors name the line."""
+    rows: dict[str, int] = {}
     for lineno, raw in enumerate(stats_text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -65,35 +36,33 @@ def load_stats(stats_text: str) -> CatalogSnapshot:
                 f"line {lineno}: expected <table><TAB><rows>[<TAB><bytes>], got {raw!r}"
             )
         table = canonical_identifier(fields[0])
-        if table in stats:
+        if table in rows:
             raise StatsError(f"line {lineno}: duplicate table '{table}'")
         try:
-            row_count = int(fields[1])
-            avg_row_bytes = int(fields[2]) if len(fields) == 3 else DEFAULT_AVG_ROW_BYTES
+            counts = [int(f) for f in fields[1:]]
         except ValueError:
             raise StatsError(f"line {lineno}: counts must be integers") from None
-        try:
-            stats[table] = TableStats(table=table, row_count=row_count,
-                                      avg_row_bytes=avg_row_bytes)
-        except StatsError as exc:
-            raise StatsError(f"line {lineno}: {exc}") from None
-    return CatalogSnapshot(stats=stats)
+        if counts[0] < 0:
+            raise StatsError(f"line {lineno}: negative row count for table '{table}'")
+        if counts[1:] and counts[1] < 1:
+            raise StatsError(f"line {lineno}: non-positive row bytes for table '{table}'")
+        rows[table] = counts[0]
+    return rows
 
 
-def dump_stats(snapshot: CatalogSnapshot) -> str:
-    """Serialize a snapshot back into the file format (tables sorted)."""
-    lines = [
-        f"{s.table}\t{s.row_count}\t{s.avg_row_bytes}"
-        for s in sorted(snapshot.stats.values(), key=lambda s: s.table)
-    ]
-    return "".join(line + "\n" for line in lines)
+def row_count(rows: Mapping[str, int], table: str) -> int:
+    """The row count of ``table``; MissingStatsError when it has none."""
+    try:
+        return rows[table]
+    except KeyError:
+        raise MissingStatsError(f"no statistics for table '{table}'") from None
 
 
-def is_large(table: str, snapshot: CatalogSnapshot, threshold_rows: int) -> bool:
+def is_large(table: str, rows: Mapping[str, int], threshold_rows: int) -> bool:
     """True when the table's row count reaches the threshold.
 
     Unknown tables raise MissingStatsError rather than passing as small.
     """
     if threshold_rows < 0:
         raise ValueError("threshold_rows must be >= 0")
-    return snapshot.get(table).row_count >= threshold_rows
+    return row_count(rows, table) >= threshold_rows

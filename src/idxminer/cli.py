@@ -32,12 +32,8 @@ class _Parser(argparse.ArgumentParser):
     # configuration errors here and must exit 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._config_error(message))
-
-    @staticmethod
-    def _config_error(message: str) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +102,10 @@ def _parse_minsup(text: str) -> miner.MinSupport:
         raise ConfigError(f"invalid --minsup {text!r}: {exc}") from None
 
 
-def _build_config(args) -> dict:
+def _build_config(args) -> tuple[
+    miner.MinSupport, advisor.Strategy, workload.ExtractionPolicy, Path
+]:
+    """The minimum support, strategy, extraction policy and output directory."""
     minsup = _parse_minsup(args.minsup)
     strategy = (
         advisor.Strategy.LARGE_TABLES
@@ -126,17 +125,8 @@ def _build_config(args) -> dict:
             raise ConfigError(str(exc)) from None
     else:
         policy = workload.DEFAULT_POLICY
-    out_dir = args.out or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
-    return {
-        "minsup": minsup,
-        "strategy": strategy,
-        "threshold_rows": args.threshold_rows,
-        "maximal_only": not args.no_maximal_only,
-        "policy": policy,
-        "out_dir": Path(out_dir),
-        "mine_only": args.mine_only,
-        "verbose": args.verbose,
-    }
+    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR)
+    return minsup, strategy, policy, out_dir
 
 
 def _read_text(path: str, what: str) -> str:
@@ -156,7 +146,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = _build_config(args)
+        minsup, strategy, policy, out_dir = _build_config(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -164,9 +154,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         workload_text = _read_text(args.workload, "workload")
         schema = workload.parse_schema(_read_text(args.schema, "schema"))
-        snapshot = None
+        row_counts = None
         if args.stats:
-            snapshot = catalog.load_stats(_read_text(args.stats, "stats"))
+            row_counts = catalog.load_stats(_read_text(args.stats, "stats"))
     except (FileNotFoundError, workload.SchemaError, catalog.StatsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -176,28 +166,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     for query in queries:
         if query.parse_error:
             diagnostics.append(f"statement {query.ordinal}: {query.parse_error}")
-    contexts = workload.extract_workload(queries, schema, config["policy"], diagnostics)
+    contexts = workload.extract_workload(queries, schema, policy, diagnostics)
 
     db, items_by_id = advisor.build_database(contexts)
-    closed = miner.mine_closed(db, config["minsup"])
+    closed = miner.mine_closed(db, minsup)
 
-    if config["mine_only"]:
+    if args.mine_only:
         for itemset in closed:
             rendered = ",".join(str(items_by_id[i]) for i in itemset.items)
             print(f"{itemset.support}\t{rendered}")
-        _print_diagnostics(diagnostics, config["verbose"])
+        _print_diagnostics(diagnostics, args.verbose)
         return 0
 
     candidates = advisor.derive_candidates(
         closed, schema, items_by_id,
-        maximal_only=config["maximal_only"], diagnostics=diagnostics,
+        maximal_only=not args.no_maximal_only, diagnostics=diagnostics,
     )
     try:
         configuration = advisor.select(
             candidates,
-            config["strategy"],
-            snapshot,
-            config["threshold_rows"],
+            strategy,
+            row_counts,
+            args.threshold_rows,
             workload_size=len(queries),
             diagnostics=diagnostics,
         )
@@ -208,7 +198,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     summary = {kind: 0 for kind in ("select", "update", "delete", "insert", "other")}
     for query in queries:
         summary[query.kind.value.lower()] += 1
-    minsup_used = config["minsup"].resolve(len(queries)) if queries else 0
+    minsup_used = minsup.resolve(len(queries)) if queries else 0
     recommendation = report.Recommendation(
         configuration=configuration,
         minsup_used=minsup_used,
@@ -216,7 +206,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         diagnostics=tuple(diagnostics),
     )
 
-    out_dir = config["out_dir"]
     text_report = report.emit_report(recommendation, "text")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,7 +217,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     sys.stdout.write(text_report)
-    _print_diagnostics(diagnostics, config["verbose"])
+    _print_diagnostics(diagnostics, args.verbose)
     return 0
 
 

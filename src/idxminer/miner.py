@@ -33,10 +33,6 @@ from typing import Iterable, Union
 
 BRUTE_FORCE_MAX_ITEMS = 20
 
-# Fractional thresholds are interpreted at this decimal precision, so that
-# e.g. 0.1 of 30 transactions resolves to ceil(3) = 3, not ceil(3.0000000004).
-_FRACTION_PRECISION = 10**9
-
 
 @dataclass(frozen=True)
 class ClosedItemset:
@@ -64,7 +60,7 @@ class TransactionDatabase:
 class MinSupport:
     """Minimum support: an absolute count (int >= 1) or a fraction in (0, 1]."""
 
-    value: Union[int, float, Fraction]
+    value: Union[int, Fraction]
 
     def __post_init__(self):
         if isinstance(self.value, bool):
@@ -72,43 +68,22 @@ class MinSupport:
         if isinstance(self.value, int):
             if self.value < 1:
                 raise ValueError("absolute minimum support must be >= 1")
-        elif isinstance(self.value, (float, Fraction)):
+        elif isinstance(self.value, Fraction):
             if not 0 < self.value <= 1:
                 raise ValueError("fractional minimum support must be in (0, 1]")
         else:
             raise ValueError(f"unsupported minimum support value {self.value!r}")
 
     def resolve(self, n_transactions: int) -> int:
-        """Absolute threshold over ``n_transactions``; fractions round up."""
+        """Absolute threshold over ``n_transactions``; a fraction f gives ceil(f * n)."""
         if isinstance(self.value, int):
             return self.value
-        frac = Fraction(self.value).limit_denominator(_FRACTION_PRECISION)
-        return math.ceil(frac * n_transactions)
+        return math.ceil(self.value * n_transactions)
 
 
 def canonical_order(itemsets: Iterable[ClosedItemset]) -> list[ClosedItemset]:
     """Descending support, then lexicographic item tuples."""
     return sorted(itemsets, key=lambda c: (-c.support, c.items))
-
-
-def closure(items: Iterable[int], db: TransactionDatabase) -> frozenset[int] | None:
-    """Intersection of all transactions containing ``items``.
-
-    Returns None when no transaction contains the itemset (including the
-    empty itemset over an empty database), instead of the vacuous full
-    universe.
-    """
-    itemset = frozenset(items)
-    unknown = itemset - set(db.universe)
-    if unknown:
-        raise ValueError(f"items outside the universe: {sorted(unknown)}")
-    covering = [t for t in db.transactions if itemset <= t]
-    if not covering:
-        return None
-    out = set(covering[0])
-    for t in covering[1:]:
-        out &= t
-    return frozenset(out)
 
 
 def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItemset]:
@@ -117,8 +92,6 @@ def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItems
     if n == 0:
         return []
     threshold = minsup.resolve(n)
-    if threshold < 1:
-        raise ValueError("minimum support resolved to zero")
     m = len(db.universe)
     if m == 0 or threshold > n:
         return []
@@ -189,8 +162,6 @@ def mine_bruteforce(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedI
     if n == 0 or m == 0:
         return []
     threshold = minsup.resolve(n)
-    if threshold < 1:
-        raise ValueError("minimum support resolved to zero")
 
     supports: dict[frozenset[int], int] = {}
     for size in range(1, m + 1):

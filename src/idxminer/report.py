@@ -22,6 +22,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .advisor import IndexCandidate, IndexConfiguration
 
@@ -99,8 +100,19 @@ def emit_report(recommendation: Recommendation, format: str = "text") -> str:
     raise ValueError(f"unknown report format {format!r}")
 
 
-def _ratio(support: int, workload_size: int) -> float:
-    return support / workload_size if workload_size else 0.0
+def _cells(rec: Recommendation) -> Iterator[tuple[str, ...]]:
+    """The table, columns, support, ratio, score and bytes of each candidate."""
+    config = rec.configuration
+    for candidate, value, size in zip(config.candidates, config.scores,
+                                      config.est_bytes):
+        yield (
+            candidate.table,
+            ",".join(candidate.columns),
+            str(candidate.support),
+            f"{candidate.support / rec.workload_size:.4f}",
+            f"{value:.6f}",
+            str(size),
+        )
 
 
 def _text_report(rec: Recommendation) -> str:
@@ -120,27 +132,17 @@ def _text_report(rec: Recommendation) -> str:
     if not config.candidates:
         lines.append("no index candidates met the support threshold")
     else:
-        header = ("#", "table", "columns", "support", "ratio", "score", "est_bytes")
-        rows = [header]
-        for rank, candidate in enumerate(config.candidates, start=1):
-            rows.append((
-                str(rank),
-                candidate.table,
-                ",".join(candidate.columns),
-                str(candidate.support),
-                f"{_ratio(candidate.support, size):.4f}",
-                f"{config.scores[rank - 1]:.6f}",
-                str(config.est_bytes[rank - 1]),
-            ))
-        widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
+        rows = [("#", "table", "columns", "support", "ratio", "score", "est_bytes")]
+        rows += [(str(rank), *cells) for rank, cells in enumerate(_cells(rec), start=1)]
+        widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
         for row in rows:
             lines.append("  ".join(cell.ljust(width)
                                    for cell, width in zip(row, widths)).rstrip())
-    totals = config.totals
     lines += [
         "",
-        f"totals: {totals.candidate_count} candidates on "
-        f"{totals.tables_touched} tables, ~{totals.estimated_bytes} bytes estimated",
+        f"totals: {len(config.candidates)} candidates on "
+        f"{len({c.table for c in config.candidates})} tables, "
+        f"~{sum(config.est_bytes)} bytes estimated",
         f"diagnostics: {len(rec.diagnostics)}",
     ]
     lines.extend(f"  {d}" for d in rec.diagnostics)
@@ -149,12 +151,11 @@ def _text_report(rec: Recommendation) -> str:
 
 def _structured_report(rec: Recommendation) -> str:
     config = rec.configuration
-    size = rec.workload_size
     lines = [
         "format: idxminer.report.v1",
         f"strategy: {config.strategy.value}",
         f"minsup: {rec.minsup_used}",
-        f"workload_statements: {size}",
+        f"workload_statements: {rec.workload_size}",
     ]
     lines += [
         f"statements_{kind}: {rec.workload_summary.get(kind, 0)}"
@@ -163,19 +164,10 @@ def _structured_report(rec: Recommendation) -> str:
     lines += [
         f"diagnostics: {len(rec.diagnostics)}",
         f"candidates: {len(config.candidates)}",
-        f"tables_touched: {config.totals.tables_touched}",
-        f"total_estimated_bytes: {config.totals.estimated_bytes}",
+        f"tables_touched: {len({c.table for c in config.candidates})}",
+        f"total_estimated_bytes: {sum(config.est_bytes)}",
     ]
-    for i, candidate in enumerate(config.candidates):
-        lines.append("\t".join((
-            "candidate",
-            candidate.table,
-            ",".join(candidate.columns),
-            str(candidate.support),
-            f"{_ratio(candidate.support, size):.4f}",
-            f"{config.scores[i]:.6f}",
-            str(config.est_bytes[i]),
-        )))
+    lines += ["\t".join(("candidate", *cells)) for cells in _cells(rec)]
     return "".join(line + "\n" for line in lines)
 
 

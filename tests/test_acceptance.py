@@ -12,6 +12,7 @@ import random
 import re
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from idxminer.advisor import (
     build_database,
     select,
 )
-from idxminer.catalog import CatalogSnapshot, TableStats
 from idxminer.cli import main
 from idxminer.miner import (
     MinSupport,
@@ -149,13 +149,13 @@ def test_pipeline_golden(fixture_args, tmp_path):
     queries = parse_workload(WORKLOAD_PATH.read_text(encoding="utf-8"))
     contexts = extract_workload(queries, schema)
     db, _ = build_database(contexts)
-    threshold = MinSupport(0.25).resolve(len(db.transactions))
+    threshold = MinSupport(Fraction(1, 4)).resolve(len(db.transactions))
     frequent = {i for i in db.universe if scan_support(db, {i}) >= threshold}
     assert len(frequent) <= 20
     projected = TransactionDatabase.from_transactions(
         [row & frequent for row in db.transactions]
     )
-    assert mine_closed(db, MinSupport(0.25)) == mine_bruteforce(
+    assert mine_closed(db, MinSupport(Fraction(1, 4))) == mine_bruteforce(
         projected, MinSupport(threshold)
     )
     print("\n[PASS] pipeline golden (pinned candidates, byte-identical outputs)")
@@ -174,25 +174,21 @@ def random_pool(rng: random.Random):
         seen.add((table, columns))
         candidates.append(IndexCandidate(table=table, columns=columns,
                                          support=rng.randint(1, 9)))
-    snapshot = CatalogSnapshot(
-        stats={t: TableStats(table=t, row_count=rng.randrange(0, 10**7))
-               for t in tables}
-    )
-    return candidates, snapshot
+    return candidates, {t: rng.randrange(0, 10**7) for t in tables}
 
 
 def test_strategy_properties(tmp_path, capsys):
     """LARGE_TABLES selects a subset of ALL and shrinks as thresholds rise."""
     rng = random.Random(SEED + 2)
     for _ in range(200):
-        candidates, snapshot = random_pool(rng)
+        candidates, row_counts = random_pool(rng)
         threshold = rng.randrange(0, 10**7)
-        everything = select(candidates, Strategy.ALL, snapshot, threshold,
+        everything = select(candidates, Strategy.ALL, row_counts, threshold,
                             workload_size=20)
-        large = select(candidates, Strategy.LARGE_TABLES, snapshot, threshold,
+        large = select(candidates, Strategy.LARGE_TABLES, row_counts, threshold,
                        workload_size=20)
         assert set(large.candidates) <= set(everything.candidates)
-        higher = select(candidates, Strategy.LARGE_TABLES, snapshot,
+        higher = select(candidates, Strategy.LARGE_TABLES, row_counts,
                         min(10**7, threshold * 2 + 1), workload_size=20)
         assert set(higher.candidates) <= set(large.candidates)
 
@@ -275,10 +271,10 @@ def test_score_model_substitute_check():
     reported benefit order is exactly the score order."""
     rng = random.Random(SEED + 3)
     for _ in range(200):
-        candidates, snapshot = random_pool(rng)
-        config = select(candidates, Strategy.ALL, snapshot, workload_size=30)
+        candidates, row_counts = random_pool(rng)
+        config = select(candidates, Strategy.ALL, row_counts, workload_size=30)
         for candidate, value in zip(config.candidates, config.scores):
-            row_count = snapshot.get(candidate.table).row_count
+            row_count = row_counts[candidate.table]
             if candidate.support > 0 and row_count > 0:
                 assert value > 0.0
         assert list(config.scores) == sorted(config.scores, reverse=True)

@@ -13,7 +13,7 @@ from idxminer.advisor import (
     score,
     select,
 )
-from idxminer.catalog import CatalogSnapshot, MissingStatsError, TableStats
+from idxminer.catalog import MissingStatsError
 from idxminer.miner import ClosedItemset, MinSupport, mine_closed
 from idxminer.workload import AttributeItem, SchemaMap, TransactionContext
 
@@ -27,13 +27,6 @@ ITEMS = {
     3: AttributeItem("t", "b"),
     4: AttributeItem("t", "x"),
 }
-
-
-def snapshot(**rows: int) -> CatalogSnapshot:
-    return CatalogSnapshot(
-        stats={name: TableStats(table=name, row_count=count)
-               for name, count in rows.items()}
-    )
 
 
 def candidate(table, columns, support=1):
@@ -216,14 +209,14 @@ def test_raising_minsup_never_adds_candidates():
 def test_select_all_keeps_every_candidate():
     pool = [candidate("t", ["a"]), candidate("t", ["b"]), candidate("s", ["k"]),
             candidate("s", ["d"]), candidate("t", ["a", "b"])]
-    config = select(pool, Strategy.ALL, snapshot(t=10, s=10), workload_size=4)
-    assert config.totals.candidate_count == 5
+    config = select(pool, Strategy.ALL, dict(t=10, s=10), workload_size=4)
+    assert len(config.candidates) == 5
     assert set(config.candidates) == set(pool)
 
 
 def test_select_large_tables_filters_small_ones():
     pool = [candidate("big", ["a"], support=2), candidate("tiny", ["b"], support=2)]
-    config = select(pool, Strategy.LARGE_TABLES, snapshot(big=6_000_000, tiny=25),
+    config = select(pool, Strategy.LARGE_TABLES, dict(big=6_000_000, tiny=25),
                     threshold_rows=100_000, workload_size=4)
     assert [c.table for c in config.candidates] == ["big"]
 
@@ -235,7 +228,7 @@ def test_select_large_tables_is_subset_of_all():
             candidate(f"t{i}", ["c"], support=rng.randint(1, 9))
             for i in range(rng.randint(0, 8))
         ]
-        stats = snapshot(**{f"t{i}": rng.randrange(0, 10**6) for i in range(8)})
+        stats = {f"t{i}": rng.randrange(0, 10**6) for i in range(8)}
         threshold = rng.randrange(0, 10**6)
         all_kept = select(pool, Strategy.ALL, stats, threshold, workload_size=10)
         large = select(pool, Strategy.LARGE_TABLES, stats, threshold, workload_size=10)
@@ -245,7 +238,7 @@ def test_select_large_tables_is_subset_of_all():
 def test_select_missing_stats_lists_tables():
     pool = [candidate("known", ["a"]), candidate("ghost", ["b"])]
     with pytest.raises(MissingStatsError, match="ghost"):
-        select(pool, Strategy.LARGE_TABLES, snapshot(known=10), workload_size=2)
+        select(pool, Strategy.LARGE_TABLES, dict(known=10), workload_size=2)
     with pytest.raises(MissingStatsError):
         select(pool, Strategy.LARGE_TABLES, None, workload_size=2)
 
@@ -256,7 +249,7 @@ def test_select_orders_by_score_then_name():
         candidate("t", ["b"], support=4),
         candidate("s", ["k"], support=4),
     ]
-    config = select(pool, Strategy.ALL, snapshot(t=1000, s=1000), workload_size=4)
+    config = select(pool, Strategy.ALL, dict(t=1000, s=1000), workload_size=4)
     assert [c.columns[0] for c in config.candidates] == ["k", "b", "a"]
     assert list(config.scores) == sorted(config.scores, reverse=True)
 
@@ -280,27 +273,27 @@ def test_select_rejects_duplicate_candidates():
 
 
 def test_score_zero_support_scores_zero():
-    assert score(candidate("t", ["a"], support=0), snapshot(t=500), 20) == 0.0
+    assert score(candidate("t", ["a"], support=0), dict(t=500), 20) == 0.0
 
 
 def test_score_example_value():
-    got = score(candidate("t", ["a"], support=10), snapshot(t=1), 20)
+    got = score(candidate("t", ["a"], support=10), dict(t=1), 20)
     assert got == pytest.approx(0.5)
 
 
 def test_score_monotone_in_row_count():
-    small = score(candidate("t", ["a"], support=5), snapshot(t=1000), 10)
-    large = score(candidate("t", ["a"], support=5), snapshot(t=2000), 10)
+    small = score(candidate("t", ["a"], support=5), dict(t=1000), 10)
+    large = score(candidate("t", ["a"], support=5), dict(t=2000), 10)
     assert large >= small
 
 
 def test_score_missing_stats_errors():
     with pytest.raises(MissingStatsError):
-        score(candidate("ghost", ["a"], support=1), snapshot(t=10), 5)
+        score(candidate("ghost", ["a"], support=1), dict(t=10), 5)
 
 
 def test_estimated_bytes_grow_with_key_width():
-    single = estimated_index_bytes(candidate("t", ["a"]), snapshot(t=1000))
-    double = estimated_index_bytes(candidate("t", ["a", "b"]), snapshot(t=1000))
+    single = estimated_index_bytes(candidate("t", ["a"]), dict(t=1000))
+    double = estimated_index_bytes(candidate("t", ["a", "b"]), dict(t=1000))
     assert single == 1000 * 24
     assert double == 1000 * 40

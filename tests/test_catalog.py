@@ -4,37 +4,19 @@ import random
 
 import pytest
 
-from idxminer.catalog import (
-    DEFAULT_AVG_ROW_BYTES,
-    CatalogSnapshot,
-    MissingStatsError,
-    StatsError,
-    TableStats,
-    dump_stats,
-    is_large,
-    load_stats,
-)
+from idxminer.catalog import MissingStatsError, StatsError, is_large, load_stats
 
 
 def test_load_single_line():
-    snapshot = load_stats("lineitem\t6000000\t120\n")
-    stats = snapshot.get("lineitem")
-    assert stats.row_count == 6000000
-    assert stats.avg_row_bytes == 120
+    assert load_stats("lineitem\t6000000\t120\n") == {"lineitem": 6000000}
 
 
 def test_load_empty_file():
-    assert load_stats("").stats == {}
-
-
-def test_row_bytes_default_applied():
-    snapshot = load_stats("t\t10\n")
-    assert snapshot.get("t").avg_row_bytes == DEFAULT_AVG_ROW_BYTES
+    assert load_stats("") == {}
 
 
 def test_comments_and_blank_lines_ignored():
-    snapshot = load_stats("# header\n\nt\t10\t50  # trailing\n")
-    assert snapshot.get("t").row_count == 10
+    assert load_stats("# header\n\nt\t10\t50  # trailing\n") == {"t": 10}
 
 
 def test_duplicate_table_errors_with_line_number():
@@ -54,45 +36,43 @@ def test_negative_row_count_rejected():
         load_stats("t\t-5\n")
 
 
+@pytest.mark.parametrize("row_bytes", ["0", "-3"])
+def test_non_positive_row_bytes_rejected(row_bytes):
+    with pytest.raises(StatsError, match="line 2: non-positive row bytes"):
+        load_stats(f"s\t1\nt\t10\t{row_bytes}\n")
+
+
+def test_non_integer_row_bytes_rejected():
+    with pytest.raises(StatsError, match="line 1: counts must be integers"):
+        load_stats("t\t10\twide\n")
+
+
 def test_table_names_canonicalized():
-    snapshot = load_stats("LINEITEM\t10\n")
-    assert "lineitem" in snapshot
-
-
-def test_round_trip_is_semantically_identical():
-    original = load_stats("b\t2\t30\na\t1\n")
-    recovered = load_stats(dump_stats(original))
-    assert recovered.stats == original.stats
+    assert "lineitem" in load_stats("LINEITEM\t10\n")
 
 
 def test_is_large_direct_comparisons():
-    snapshot = load_stats("big\t6000000\nsmall\t25\n")
-    assert is_large("big", snapshot, 100000)
-    assert not is_large("small", snapshot, 100000)
-    assert is_large("small", snapshot, 0)
+    rows = load_stats("big\t6000000\nsmall\t25\n")
+    assert is_large("big", rows, 100000)
+    assert not is_large("small", rows, 100000)
+    assert is_large("small", rows, 0)
 
 
 def test_is_large_unknown_table_is_an_error():
     with pytest.raises(MissingStatsError):
-        is_large("ghost", CatalogSnapshot(), 10)
+        is_large("ghost", {}, 10)
 
 
 def test_is_large_rejects_negative_threshold():
-    snapshot = load_stats("t\t10\n")
     with pytest.raises(ValueError):
-        is_large("t", snapshot, -1)
+        is_large("t", load_stats("t\t10\n"), -1)
 
 
 def test_is_large_monotone_in_threshold():
     rng = random.Random(5)
-    snapshot = CatalogSnapshot(
-        stats={
-            f"t{i}": TableStats(table=f"t{i}", row_count=rng.randrange(0, 10**7))
-            for i in range(20)
-        }
-    )
+    rows = {f"t{i}": rng.randrange(0, 10**7) for i in range(20)}
     thresholds = sorted(rng.randrange(0, 10**7) for _ in range(10))
-    for table in snapshot.stats:
-        flags = [is_large(table, snapshot, t) for t in thresholds]
+    for table in rows:
+        flags = [is_large(table, rows, t) for t in thresholds]
         # once the flag drops to False it must stay False as thresholds rise
         assert flags == sorted(flags, reverse=True)

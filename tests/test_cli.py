@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import SCHEMA_PATH, WORKLOAD_PATH
@@ -47,6 +49,11 @@ def test_minsup_above_one_exits_1(fixture_args, capsys):
     assert run(fixture_args("--minsup", "1.5")) == 1
 
 
+def test_tiny_fractional_minsup_resolves_to_one(fixture_args, capsys):
+    assert run(fixture_args("--minsup", "0.0000000001")) == 0
+    assert "minimum support: 1 of 22 statements\n" in capsys.readouterr().out
+
+
 def test_unknown_flag_exits_1(fixture_args, capsys):
     assert run(fixture_args("--frobnicate")) == 1
 
@@ -73,10 +80,12 @@ def test_malformed_schema_exits_2(fixture_args, tmp_path, capsys):
 
 def test_malformed_stats_exits_2(fixture_args, tmp_path, capsys):
     bad = tmp_path / "stats.txt"
-    bad.write_text("lineitem\tlots\n", encoding="utf-8")
     args = fixture_args()
     args[args.index("--stats") + 1] = str(bad)
-    assert run(args) == 2
+    # the third column is unused but must still be a positive integer
+    for line in ("lineitem\tlots\n", "lineitem\t10\t0\n"):
+        bad.write_text(line, encoding="utf-8")
+        assert run(args) == 2
 
 
 def test_stats_missing_candidate_table_under_large_tables_exits_1(
@@ -144,7 +153,7 @@ def test_mine_only_dump_matches_bruteforce_oracle(fixture_args, capsys, tpcr_sch
 
     queries = parse_workload(tpcr_workload_text)
     db, items_by_id = build_database(extract_workload(queries, tpcr_schema))
-    threshold = MinSupport(0.25).resolve(len(db.transactions))
+    threshold = MinSupport(Fraction(1, 4)).resolve(len(db.transactions))
     frequent = {
         i for i in db.universe
         if sum(1 for row in db.transactions if i in row) >= threshold

@@ -11,7 +11,6 @@ from idxminer.miner import (
     MinSupport,
     TransactionDatabase,
     canonical_order,
-    closure,
     mine_bruteforce,
     mine_closed,
 )
@@ -50,7 +49,7 @@ def test_three_row_example():
 def test_empty_transaction_list():
     db = TransactionDatabase.from_transactions([])
     assert mine_closed(db, MinSupport(1)) == []
-    assert mine_closed(db, MinSupport(0.5)) == []
+    assert mine_closed(db, MinSupport(Fraction(1, 2))) == []
 
 
 def test_threshold_above_every_support():
@@ -60,8 +59,8 @@ def test_threshold_above_every_support():
 def test_empty_rows_keep_counting_in_fraction_resolution():
     db = TransactionDatabase.from_transactions([{A}, set(), set(), set()])
     # 0.5 of 4 rows resolves to 2, which {A} does not reach.
-    assert mine_closed(db, MinSupport(0.5)) == []
-    assert mine_closed(db, MinSupport(0.25)) == [ClosedItemset(items=(A,), support=1)]
+    assert mine_closed(db, MinSupport(Fraction(1, 2))) == []
+    assert mine_closed(db, MinSupport(Fraction(1, 4))) == [ClosedItemset(items=(A,), support=1)]
 
 
 def test_canonical_output_order():
@@ -77,27 +76,6 @@ def test_mining_is_repeatable():
     assert mine_closed(db, MinSupport(2)) == mine_closed(db, MinSupport(2))
 
 
-# -- closure ------------------------------------------------------------------
-
-
-def test_closure_of_b_over_three_rows():
-    assert closure({B}, THREE_ROWS) == {A, B}
-
-
-def test_closure_of_empty_set_is_common_items():
-    assert closure(set(), THREE_ROWS) == {A}
-
-
-def test_closure_unsupported_returns_none():
-    db = TransactionDatabase.from_transactions([{A}, {B}])
-    assert closure({A, B}, db) is None
-
-
-def test_closure_rejects_items_outside_universe():
-    with pytest.raises(ValueError):
-        closure({99}, THREE_ROWS)
-
-
 # -- MinSupport ---------------------------------------------------------------
 
 
@@ -108,18 +86,21 @@ def test_minsup_absolute_passthrough():
 @pytest.mark.parametrize(
     "value,n,expected",
     [
-        (0.25, 22, 6),
-        (0.1, 30, 3),  # must not become 4 through float noise
-        (1.0, 7, 7),
+        ("0.25", 22, 6),
+        ("0.1", 30, 3),  # must not become 4 through float noise
+        ("1.0", 7, 7),
         (Fraction(1, 3), 9, 3),
-        (0.5, 5, 3),
+        ("0.5", 5, 3),
+        ("0.0000000001", 100, 1),
     ],
 )
 def test_minsup_fraction_resolves_by_ceiling(value, n, expected):
-    assert MinSupport(value).resolve(n) == expected
+    assert MinSupport(Fraction(value)).resolve(n) == expected
 
 
-@pytest.mark.parametrize("bad", [0, -2, 0.0, 1.5, -0.1, True, "3"])
+@pytest.mark.parametrize(
+    "bad", [0, -2, 0.0, 1.5, -0.1, 0.25, Fraction(0), Fraction(3, 2), True, "3"]
+)
 def test_minsup_rejects_invalid_values(bad):
     with pytest.raises(ValueError):
         MinSupport(bad)

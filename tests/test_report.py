@@ -2,12 +2,7 @@ from __future__ import annotations
 
 import re
 
-from idxminer.advisor import (
-    ConfigurationTotals,
-    IndexCandidate,
-    IndexConfiguration,
-    Strategy,
-)
+from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
 from idxminer.report import (
     MAX_INDEX_NAME_LENGTH,
     Recommendation,
@@ -32,11 +27,6 @@ def make_configuration(candidates, scores=None, est_bytes=None,
         candidates=tuple(candidates),
         scores=scores,
         est_bytes=est_bytes,
-        totals=ConfigurationTotals(
-            candidate_count=len(candidates),
-            estimated_bytes=sum(est_bytes),
-            tables_touched=len({c.table for c in candidates}),
-        ),
     )
 
 
