@@ -104,7 +104,7 @@ def derive_candidates(
         by_table: dict[str, list[str]] = {}
         for item_id in itemset.items:
             attr = items_by_id[item_id]
-            if not schema.has_table(attr.table):
+            if attr.table not in schema:
                 diag(f"itemset references unknown table '{attr.table}'; item skipped")
                 continue
             singles.setdefault((attr.table, attr.column), itemset.support)

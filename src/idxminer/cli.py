@@ -94,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_minsup(text: str) -> miner.MinSupport:
     raw = text.strip()
     try:
-        if "." in raw or "/" in raw:
+        try:
+            value = int(raw)
+        except ValueError:
             value = Fraction(raw)
-            return miner.MinSupport(value)
-        return miner.MinSupport(int(raw))
+        return miner.MinSupport(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid --minsup {text!r}: {exc}") from None
 

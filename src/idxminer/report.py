@@ -73,14 +73,19 @@ def emit_ddl(configuration: IndexConfiguration) -> str:
 
     ``index_name`` can map two candidates to one name (columns ``a, b`` and
     ``a_b``, or ``café`` and ``cafè``). A name already taken gets a digest of
-    the candidate's exact table and columns instead, so names stay unique.
+    the candidate's exact table and columns instead, and while that name is
+    taken too, a digest of the same key with a retry count appended; so
+    names stay unique, even where a name cut to length digests to itself.
     """
     lines = []
     taken: set[str] = set()
     for candidate in configuration.candidates:
-        name = index_name(candidate)
-        if name in taken:
-            name = _with_digest(name, json.dumps([candidate.table, *candidate.columns]))
+        name = natural = index_name(candidate)
+        key = [candidate.table, *candidate.columns]
+        retry = 0
+        while name in taken:
+            name = _with_digest(natural, json.dumps(key + [retry] if retry else key))
+            retry += 1
         taken.add(name)
         columns = ", ".join(_sql_name(c) for c in candidate.columns)
         lines.append(

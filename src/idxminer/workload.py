@@ -23,9 +23,15 @@ FROM source may appear, and each nested block is harvested with its own
 scope. Statements outside the subset are kept (kind ``OTHER``,
 per-statement diagnostic) so workload counts stay stable.
 
-The parser builds no expression tree. For each clause-level expression it
-keeps only what extraction reads: the column references and the subquery
-blocks, each in order (``Expr``).
+Every SELECT, UPDATE and DELETE parses to one record, ``Block``: its
+sources (bound name to base table or nested block), its select-list aliases
+and its clause-level expressions tagged with their positions, in text
+order. An UPDATE or DELETE is a block with one source and at most a WHERE
+clause. The parser builds no expression tree. For each clause-level
+expression it keeps only what extraction reads: the column references and
+the subquery blocks, each in order (``Expr``). The expression grammar has
+two levels of binary operators, one for AND and OR, one for arithmetic and
+``||``; a recognizer that builds nothing needs no precedence between them.
 
 A schema file declares tables in blank-line-separated stanzas; ``#``
 starts a comment line::
@@ -71,17 +77,8 @@ class SqlParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class SchemaMap:
-    """Table name to ordered column list, both canonicalized."""
-
-    tables: dict[str, tuple[str, ...]]
-
-    def has_table(self, table: str) -> bool:
-        return table in self.tables
-
-    def has_column(self, table: str, column: str) -> bool:
-        return column in self.tables.get(table, ())
+# Table name to ordered column list, both canonicalized.
+SchemaMap = dict[str, tuple[str, ...]]
 
 
 def parse_schema(schema_text: str) -> SchemaMap:
@@ -113,7 +110,7 @@ def parse_schema(schema_text: str) -> SchemaMap:
                 f"line {lineno}: duplicate column '{column}' in table '{current}'"
             )
         tables[current].append(column)
-    return SchemaMap({t: tuple(cols) for t, cols in tables.items()})
+    return {t: tuple(cols) for t, cols in tables.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -237,49 +234,28 @@ class Expr:
     """
 
     refs: tuple[ColumnRef, ...]
-    blocks: tuple["SelectBlock", ...]
+    blocks: tuple["Block", ...]
 
 
 @dataclass(frozen=True)
-class TableRef:
-    table: str
-    alias: Optional[str]
+class Block:
+    """One SELECT block, or the target and WHERE clause of an UPDATE or DELETE.
 
-
-@dataclass(frozen=True)
-class DerivedTable:
-    query: "SelectBlock"
-    alias: str
-
-
-@dataclass(frozen=True)
-class SelectBlock:
-    """One SELECT block; each clause holds one ``Expr`` per expression.
-
-    ``sources`` lists the FROM entries, then the JOIN entries: the order in
-    which aliases bind, the first binding of a duplicate alias winning.
+    ``sources`` pairs each bound name (the alias, else the table) with its
+    base table's name or, for a derived table, its block. FROM entries come
+    first, then JOIN entries: the order in which names bind, the first
+    binding of a duplicate name winning. ``clauses`` pairs each clause-level
+    expression with its position (``select``, ``join``, ``where``,
+    ``group_by``, ``having`` or ``order_by``), in text order.
     """
 
-    sources: tuple[Union[TableRef, DerivedTable], ...]
+    sources: tuple[tuple[str, Union[str, "Block"]], ...]
     select_aliases: tuple[str, ...]
-    select: tuple[Expr, ...]
-    join: tuple[Expr, ...]
-    where: tuple[Expr, ...]
-    group_by: tuple[Expr, ...]
-    having: tuple[Expr, ...]
-    order_by: tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class WriteStatement:
-    """An UPDATE or DELETE: its target table and its WHERE clause."""
-
-    table: str
-    where: tuple[Expr, ...]
+    clauses: tuple[tuple[str, Expr], ...]
 
 
 # INSERT and CREATE INDEX parse to None: they yield no items.
-Statement = Optional[Union[SelectBlock, WriteStatement]]
+Statement = Optional[Block]
 
 # Words that terminate an implicit alias after a table reference.
 _RESERVED = {
@@ -309,7 +285,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.refs: list[ColumnRef] = []
-        self.blocks: list[SelectBlock] = []
+        self.blocks: list[Block] = []
 
     # -- token helpers -----------------------------------------------------
 
@@ -403,18 +379,17 @@ class _Parser:
         self.expect_end()
         return stmt
 
-    def parse_select_block(self) -> SelectBlock:
+    def parse_select_block(self) -> Block:
         self.expect_kw("select")
         self.accept_kw("distinct")
-        select: list[Expr] = []
+        clauses: list[tuple[str, Expr]] = []
         aliases: list[str] = []
-        self.parse_select_item(select, aliases)
+        self.parse_select_item(clauses, aliases)
         while self.accept_punct(","):
-            self.parse_select_item(select, aliases)
+            self.parse_select_item(clauses, aliases)
         self.expect_kw("from")
         sources = [self.parse_table_source()]
-        join_sources: list[Union[TableRef, DerivedTable]] = []
-        join: list[Expr] = []
+        joined: list[tuple[str, Union[str, Block]]] = []
         while True:
             if self.accept_punct(","):
                 sources.append(self.parse_table_source())
@@ -425,80 +400,66 @@ class _Parser:
                 else:
                     self.accept_kw("inner")
                 self.expect_kw("join")
-                join_sources.append(self.parse_table_source())
+                joined.append(self.parse_table_source())
                 self.expect_kw("on")
-                join.append(self.expression())
+                clauses.append(("join", self.expression()))
                 continue
             break
-        where = self.where_clause()
-        group_by: tuple[Expr, ...] = ()
-        having: tuple[Expr, ...] = ()
+        clauses += self.where_clause()
         if self.accept_kw("group"):
             self.expect_kw("by")
-            group_by = self.expression_list()
+            clauses.append(("group_by", self.expression()))
+            while self.accept_punct(","):
+                clauses.append(("group_by", self.expression()))
             if self.accept_kw("having"):
-                having = (self.expression(),)
-        order_by: list[Expr] = []
+                clauses.append(("having", self.expression()))
         if self.accept_kw("order"):
             self.expect_kw("by")
-            order_by.append(self.parse_order_item())
-            while self.accept_punct(","):
-                order_by.append(self.parse_order_item())
+            while True:
+                clauses.append(("order_by", self.expression()))
+                self.accept_kw("asc", "desc")
+                if not self.accept_punct(","):
+                    break
         if self.accept_kw("limit"):
             tok = self.advance()
             if tok.kind != "number":
                 raise SqlParseError(f"expected a number after LIMIT, found {tok.value!r}",
                                     tok.pos)
-        return SelectBlock(
-            sources=tuple(sources + join_sources),
-            select_aliases=tuple(aliases),
-            select=tuple(select),
-            join=tuple(join),
-            where=where,
-            group_by=group_by,
-            having=having,
-            order_by=tuple(order_by),
-        )
+        return Block(tuple(sources + joined), tuple(aliases), tuple(clauses))
 
-    def parse_select_item(self, select: list[Expr], aliases: list[str]) -> None:
+    def parse_select_item(self, clauses: list[tuple[str, Expr]],
+                          aliases: list[str]) -> None:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "*":
             self.advance()
             return
-        select.append(self.expression())
+        clauses.append(("select", self.expression()))
         if self.accept_kw("as") or self.at_alias():
             aliases.append(self.expect_name())
 
-    def parse_order_item(self) -> Expr:
-        expr = self.expression()
-        if self.at_kw("asc", "desc"):
-            self.advance()
-        return expr
-
-    def parse_table_source(self) -> Union[TableRef, DerivedTable]:
+    def parse_table_source(self) -> tuple[str, Union[str, Block]]:
+        """A FROM or JOIN entry as (bound name, base table name or block)."""
         if self.accept_punct("("):
             query = self.nested(self.parse_select_block)
             self.expect_punct(")")
             self.accept_kw("as")
-            alias = self.expect_name()
-            return DerivedTable(query=query, alias=alias)
+            return self.expect_name(), query
         table = self.expect_name()
-        alias = None
         if self.accept_kw("as") or self.at_alias():
-            alias = self.expect_name()
-        return TableRef(table=table, alias=alias)
+            return self.expect_name(), table
+        return table, table
 
-    def where_clause(self) -> tuple[Expr, ...]:
-        return (self.expression(),) if self.accept_kw("where") else ()
+    def where_clause(self) -> tuple[tuple[str, Expr], ...]:
+        return (("where", self.expression()),) if self.accept_kw("where") else ()
 
-    def parse_update(self) -> WriteStatement:
+    def parse_update(self) -> Block:
         self.expect_kw("update")
         table = self.expect_name()
         self.expect_kw("set")
         self.parse_assignment()
         while self.accept_punct(","):
             self.parse_assignment()
-        return WriteStatement(table=table, where=self.where_clause())
+        return Block(((table, table),), (), self.where_clause())
 
     def parse_assignment(self) -> None:
         # The assigned values are checked but yield no items: their
@@ -510,11 +471,11 @@ class _Parser:
         self.advance()
         self.parse_expr()
 
-    def parse_delete(self) -> WriteStatement:
+    def parse_delete(self) -> Block:
         self.expect_kw("delete")
         self.expect_kw("from")
         table = self.expect_name()
-        return WriteStatement(table=table, where=self.where_clause())
+        return Block(((table, table),), (), self.where_clause())
 
     def parse_insert(self) -> None:
         self.expect_kw("insert")
@@ -561,12 +522,6 @@ class _Parser:
         self.refs, self.blocks = outer
         return expr
 
-    def expression_list(self) -> tuple[Expr, ...]:
-        exprs = [self.expression()]
-        while self.accept_punct(","):
-            exprs.append(self.expression())
-        return tuple(exprs)
-
     def parse_expr(self) -> None:
         tok = self.tokens[self.i]
         if tok.kind in ("number", "string"):
@@ -575,22 +530,14 @@ class _Parser:
             if nxt.kind == "punct" and nxt.value in (",", ")"):
                 self.i += 1
                 return
-        self.parse_or()
+        self.parse_not()
+        while self.accept_kw("and", "or"):
+            self.parse_not()
 
     def parse_expr_list(self) -> None:
         self.parse_expr()
         while self.accept_punct(","):
             self.parse_expr()
-
-    def parse_or(self) -> None:
-        self.parse_and()
-        while self.accept_kw("or"):
-            self.parse_and()
-
-    def parse_and(self) -> None:
-        self.parse_not()
-        while self.accept_kw("and"):
-            self.parse_not()
 
     def parse_not(self) -> None:
         if self.accept_kw("not"):
@@ -637,20 +584,10 @@ class _Parser:
             self.expect_kw("null")
 
     def parse_additive(self) -> None:
-        self.parse_term()
-        while True:
-            tok = self.tokens[self.i]
-            if tok.kind == "op" and tok.value in ("+", "-", "||"):
-                self.advance()
-                self.parse_term()
-            else:
-                return
-
-    def parse_term(self) -> None:
         self.parse_factor()
         while True:
             tok = self.tokens[self.i]
-            if tok.kind == "op" and tok.value in ("*", "/", "%"):
+            if tok.kind == "op" and tok.value in ("+", "-", "||", "*", "/", "%"):
                 self.advance()
                 self.parse_factor()
             else:
@@ -834,7 +771,13 @@ DEFAULT_POLICY = ExtractionPolicy(
     positions=frozenset({"where", "join", "group_by", "order_by", "having"})
 )
 
-_DERIVED = None  # scope marker: alias bound to a derived table, not a base table
+# Positions where a bare name may be a select-list alias: the aliased
+# expression is projection, so such a name yields no item.
+_ALIAS_POSITIONS = frozenset({"group_by", "having", "order_by"})
+
+# A scope maps each bound name to its base table's name, or to the block of
+# the derived table it names.
+_Scope = dict[str, Union[str, Block]]
 
 
 class _Extractor:
@@ -850,37 +793,30 @@ class _Extractor:
         if self.diagnostics is not None:
             self.diagnostics.append(f"statement {self.ordinal}: {message}")
 
-    def block_scope(self, block: SelectBlock) -> dict[str, Optional[str]]:
-        scope: dict[str, Optional[str]] = {}
-        for src in block.sources:
-            if isinstance(src, TableRef):
-                key = src.alias or src.table
-                value: Optional[str] = src.table
-            else:
-                key, value = src.alias, _DERIVED
-            if key in scope:
-                self.diag(f"duplicate alias '{key}' in FROM; first binding kept")
+    def block_scope(self, block: Block) -> _Scope:
+        scope: _Scope = {}
+        for name, source in block.sources:
+            if name in scope:
+                self.diag(f"duplicate alias '{name}' in FROM; first binding kept")
                 continue
-            scope[key] = value
+            scope[name] = source
         return scope
 
-    def resolve(self, ref: ColumnRef, scopes: list[dict[str, Optional[str]]],
-                select_aliases: frozenset[str] = frozenset()) -> None:
+    def resolve(self, ref: ColumnRef, scopes: list[_Scope],
+                select_aliases: frozenset[str]) -> None:
         if ref.qualifier is None and ref.column in select_aliases:
-            # GROUP BY/ORDER BY/HAVING may name a select-list alias; the
-            # aliased expression is projection, so it yields no item.
             return
         if ref.qualifier is not None:
             for scope in scopes:
                 if ref.qualifier in scope:
                     table = scope[ref.qualifier]
-                    if table is _DERIVED:
+                    if not isinstance(table, str):
                         self.diag(
                             f"column '{ref.qualifier}.{ref.column}' belongs to a "
                             "derived table; skipped"
                         )
                         return
-                    if not self.schema.has_column(table, ref.column):
+                    if ref.column not in self.schema.get(table, ()):
                         self.diag(
                             f"column '{ref.qualifier}.{ref.column}' not found in "
                             f"table '{table}'; skipped"
@@ -891,8 +827,8 @@ class _Extractor:
             self.diag(f"unknown table or alias '{ref.qualifier}'; skipped")
             return
         for scope in scopes:
-            tables = sorted({t for t in scope.values() if t is not _DERIVED})
-            matches = [t for t in tables if self.schema.has_column(t, ref.column)]
+            tables = sorted({t for t in scope.values() if isinstance(t, str)})
+            matches = [t for t in tables if ref.column in self.schema.get(t, ())]
             if len(matches) == 1:
                 self.items.add(AttributeItem(table=matches[0], column=ref.column))
                 return
@@ -904,29 +840,22 @@ class _Extractor:
                 return
         self.diag(f"unresolvable column '{ref.column}'; skipped")
 
-    def harvest(self, exprs: tuple[Expr, ...], scopes, position: str,
-                select_aliases: frozenset[str] = frozenset()) -> None:
-        for expr in exprs:
-            if self.policy.wants(position):
-                for ref in expr.refs:
-                    self.resolve(ref, scopes, select_aliases)
-            for block in expr.blocks:
-                self.walk_block(block, scopes)
-
-    def walk_block(self, block: SelectBlock, outer_scopes) -> None:
+    def walk_block(self, block: Block, outer_scopes: list[_Scope]) -> None:
+        """Resolve each wanted clause's columns, then its subqueries, in text order."""
         scopes = [self.block_scope(block)] + outer_scopes
         aliases = frozenset(block.select_aliases)
-        self.harvest(block.select, scopes, "select")
-        self.harvest(block.join, scopes, "join")
-        self.harvest(block.where, scopes, "where")
-        self.harvest(block.group_by, scopes, "group_by", aliases)
-        self.harvest(block.having, scopes, "having", aliases)
-        self.harvest(block.order_by, scopes, "order_by", aliases)
+        for position, expr in block.clauses:
+            if self.policy.wants(position):
+                shadowed = aliases if position in _ALIAS_POSITIONS else frozenset()
+                for ref in expr.refs:
+                    self.resolve(ref, scopes, shadowed)
+            for sub in expr.blocks:
+                self.walk_block(sub, scopes)
         # Derived tables in FROM are their own blocks; they see only scopes
         # enclosing this block, not its sibling FROM entries.
-        for src in block.sources:
-            if isinstance(src, DerivedTable):
-                self.walk_block(src.query, outer_scopes)
+        for _, source in block.sources:
+            if isinstance(source, Block):
+                self.walk_block(source, outer_scopes)
 
 
 def extract_items(
@@ -945,12 +874,8 @@ def extract_items(
         raise ValueError("cannot extract items from an unparsed (OTHER) statement")
     if query.kind is QueryKind.INSERT:
         return TransactionContext(query_ordinal=query.ordinal, items=frozenset())
-    stmt = parse_statement(query.raw_text)
     extractor = _Extractor(schema, policy, query.ordinal, diagnostics)
-    if isinstance(stmt, SelectBlock):
-        extractor.walk_block(stmt, [])
-    elif isinstance(stmt, WriteStatement):
-        extractor.harvest(stmt.where, [{stmt.table: stmt.table}], "where")
+    extractor.walk_block(parse_statement(query.raw_text), [])
     return TransactionContext(query_ordinal=query.ordinal,
                               items=frozenset(extractor.items))
 

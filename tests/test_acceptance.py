@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, SCHEMA_PATH, WORKLOAD_PATH
+from conftest import FIXTURES, GOLDEN, SCHEMA_PATH, WORKLOAD_PATH
 
 from idxminer.advisor import (
     IndexCandidate,
@@ -161,6 +161,27 @@ def test_pipeline_golden(fixture_args, tmp_path):
     print("\n[PASS] pipeline golden (pinned candidates, byte-identical outputs)")
 
 
+def test_diagnostics_golden(tmp_path, capsys):
+    """A log that triggers every extractor diagnostic pins their order and text."""
+    out = tmp_path / "out"
+    args = [
+        "--workload", str(FIXTURES / "diagnostics_workload.sql"),
+        "--schema", str(FIXTURES / "diagnostics_schema.txt"),
+        "--stats", str(FIXTURES / "diagnostics_stats.txt"),
+        "--minsup", "2",
+        "--out", str(out),
+        "-v",
+    ]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    golden = GOLDEN / "diagnostics"
+    for name in ("recommendation.sql", "report.txt", "report.dat"):
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+    assert captured.out == (golden / "report.txt").read_text(encoding="utf-8")
+    assert captured.err == (golden / "stderr.txt").read_text(encoding="utf-8")
+    print("\n[PASS] diagnostics golden (every extractor diagnostic, byte-identical)")
+
+
 def random_pool(rng: random.Random):
     tables = [f"t{i}" for i in range(rng.randint(1, 8))]
     candidates = []
@@ -262,7 +283,7 @@ def test_extraction_properties():
         assert diagnostics == [], sql_a
         assert items_a, sql_a
         for item in items_a:
-            assert schema.has_column(item.table, item.column)
+            assert item.column in schema[item.table]
     print("\n[PASS] extraction properties (30-query corpus, alias invariance)")
 
 

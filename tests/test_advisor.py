@@ -15,9 +15,9 @@ from idxminer.advisor import (
 )
 from idxminer.catalog import MissingStatsError
 from idxminer.miner import ClosedItemset, MinSupport, mine_closed
-from idxminer.workload import AttributeItem, SchemaMap, TransactionContext
+from idxminer.workload import AttributeItem, TransactionContext
 
-SCHEMA = SchemaMap({"t": ("a", "b", "x"), "s": ("k", "d")})
+SCHEMA = {"t": ("a", "b", "x"), "s": ("k", "d")}
 
 # Item ids follow sorted AttributeItem order: s.d=0, s.k=1, t.a=2, t.b=3, t.x=4
 ITEMS = {
@@ -161,15 +161,14 @@ def test_maximal_only_matches_strict_superset_definition():
         if not db.universe:
             continue
         closed = mine_closed(db, MinSupport(1))
-        schema = SchemaMap(tables)
-        everything = derive_candidates(closed, schema, items_by_id, maximal_only=False)
+        everything = derive_candidates(closed, tables, items_by_id, maximal_only=False)
         expected = [
             cand for cand in everything
             if not any(other.table == cand.table
                        and set(cand.columns) < set(other.columns)
                        for other in everything)
         ]
-        assert derive_candidates(closed, schema, items_by_id) == expected
+        assert derive_candidates(closed, tables, items_by_id) == expected
 
 
 def test_raising_minsup_never_adds_candidates():

@@ -54,6 +54,11 @@ def test_tiny_fractional_minsup_resolves_to_one(fixture_args, capsys):
     assert "minimum support: 1 of 22 statements\n" in capsys.readouterr().out
 
 
+def test_minsup_in_exponent_notation(fixture_args, capsys):
+    assert run(fixture_args("--minsup", "1e-1")) == 0
+    assert "minimum support: 3 of 22 statements\n" in capsys.readouterr().out
+
+
 def test_unknown_flag_exits_1(fixture_args, capsys):
     assert run(fixture_args("--frobnicate")) == 1
 

@@ -110,6 +110,15 @@ def test_colliding_index_names_are_made_unique():
     for query in parse_workload(ddl):
         assert query.kind is QueryKind.OTHER
         assert query.parse_error is None
+    # A digest name can itself be taken, by another candidate's natural name.
+    config = make_configuration([
+        make_candidate(columns=("a", "b")), make_candidate(columns=("a", "b_12c393")),
+        make_candidate(columns=("a_b",)),
+    ])
+    names = [line.split()[2] for line in emit_ddl(config).splitlines()]
+    assert names[:2] == ["idx_t_a_b", "idx_t_a_b_12c393"]
+    assert re.fullmatch(r"idx_t_a_b_[0-9a-f]{6}", names[2])
+    assert len(set(names)) == len(names)
 
 
 # -- reports ---------------------------------------------------------------------

@@ -130,6 +130,10 @@ def test_other_statement_rejected():
 
 def test_unqualified_column_resolved_via_schema():
     assert items("SELECT x FROM t WHERE a = 1") == {("t", "a")}
+    # A FROM table outside the schema holds no columns to resolve against.
+    diags = []
+    assert items("SELECT a FROM u, t WHERE a = 1", diagnostics=diags) == {("t", "a")}
+    assert diags == []
 
 
 def test_unresolvable_column_skipped_with_diagnostic():
@@ -160,6 +164,9 @@ def test_alias_renaming_invariance():
 def test_columns_inside_expressions_still_count():
     got = items("SELECT x FROM t WHERE lower(t.a) = 'y' AND t.b + 1 > 2")
     assert got == {("t", "a"), ("t", "b")}
+    got = items("SELECT a FROM t WHERE t.a = 1 OR t.b = 2 AND "
+                "NOT t.k BETWEEN 1 AND 2 * 3 + t.x || 4")
+    assert got == {("t", "a"), ("t", "b"), ("t", "k"), ("t", "x")}
 
 
 def test_subquery_clauses_harvested():
@@ -270,6 +277,17 @@ def test_group_having_order_positions():
 def test_select_alias_in_order_by_is_not_an_item():
     got = items("SELECT t.a + 1 AS bump FROM t ORDER BY bump")
     assert got == set()
+    # The alias shadows ORDER BY, but not WHERE.
+    assert items("SELECT t.b AS a FROM t WHERE a = 1 ORDER BY a") == {("t", "a")}
+
+
+def test_from_entries_bind_before_join_entries():
+    # ", t x" follows the JOIN in the text but binds first, so x is t.
+    diags = []
+    got = items("SELECT a FROM t JOIN s x ON t.k = x.k, t x WHERE x.a = 1",
+                diagnostics=diags)
+    assert got == {("t", "a"), ("t", "k")}
+    assert diags == ["statement 0: duplicate alias 'x' in FROM; first binding kept"]
 
 
 def test_policy_restricts_positions():
@@ -307,7 +325,7 @@ def test_item_membership_against_schema(tpcr_workload_text, tpcr_schema):
     queries = parse_workload(tpcr_workload_text)
     for ctx in extract_workload(queries, tpcr_schema):
         for item in ctx.items:
-            assert tpcr_schema.has_column(item.table, item.column)
+            assert item.column in tpcr_schema[item.table]
 
 
 # -- extraction on generated statements -------------------------------------
@@ -335,7 +353,7 @@ def planted_select(draw):
 
     def column(names):
         table = pick(["t", "s"])
-        name = pick(SCHEMA.tables[table])
+        name = pick(SCHEMA[table])
         planted.add((table, name))
         return f"{names[table]}.{name}"
 
