@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Optional
 
 from .catalog import MissingStatsError, is_large, row_count
 from .miner import ClosedItemset, TransactionDatabase, canonical_order
-from .workload import AttributeItem, SchemaMap, TransactionContext
+from .workload import AttributeItem, TransactionContext
 
 DEFAULT_THRESHOLD_ROWS = 100_000
 ROW_POINTER_BYTES = 8
@@ -83,35 +83,25 @@ def build_database(
 
 def derive_candidates(
     closed: Iterable[ClosedItemset],
-    schema: SchemaMap,
     items_by_id: Mapping[int, AttributeItem],
     maximal_only: bool = True,
-    diagnostics: Optional[list[str]] = None,
 ) -> list[IndexCandidate]:
     """Partition closed itemsets by table into merged index candidates.
 
+    Every item names a schema column, since extraction emits no other, so
+    the schema is not consulted here.
     With ``maximal_only`` a candidate whose column set is a strict subset of
     another candidate on the same table is dropped; the composite's
     leading-prefix ordering can serve the subset.
     """
-    def diag(message: str) -> None:
-        if diagnostics is not None:
-            diagnostics.append(message)
-
     singles: dict[tuple[str, str], int] = {}
     fragments: dict[tuple[str, frozenset[str]], int] = {}
     for itemset in canonical_order(closed):
         by_table: dict[str, list[str]] = {}
         for item_id in itemset.items:
             attr = items_by_id[item_id]
-            if attr.table not in schema:
-                diag(f"itemset references unknown table '{attr.table}'; item skipped")
-                continue
             singles.setdefault((attr.table, attr.column), itemset.support)
             by_table.setdefault(attr.table, []).append(attr.column)
-        if not by_table:
-            diag("itemset skipped: no item resolves to a known table")
-            continue
         for table, columns in by_table.items():
             fragments.setdefault((table, frozenset(columns)), itemset.support)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -98,6 +99,8 @@ def _parse_minsup(text: str) -> miner.MinSupport:
             value = int(raw)
         except ValueError:
             value = Fraction(raw)
+            if value > 1 and value.denominator == 1:
+                value = int(value)  # a count spelled "1e1", "2.0" or "10/1"
         return miner.MinSupport(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid --minsup {text!r}: {exc}") from None
@@ -164,9 +167,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     diagnostics: list[str] = []
     queries = workload.parse_workload(workload_text)
-    for query in queries:
-        if query.parse_error:
-            diagnostics.append(f"statement {query.ordinal}: {query.parse_error}")
     contexts = workload.extract_workload(queries, schema, policy, diagnostics)
 
     db, items_by_id = advisor.build_database(contexts)
@@ -179,10 +179,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         _print_diagnostics(diagnostics, args.verbose)
         return 0
 
-    candidates = advisor.derive_candidates(
-        closed, schema, items_by_id,
-        maximal_only=not args.no_maximal_only, diagnostics=diagnostics,
-    )
+    candidates = advisor.derive_candidates(closed, items_by_id,
+                                           maximal_only=not args.no_maximal_only)
     try:
         configuration = advisor.select(
             candidates,
@@ -196,14 +194,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    summary = {kind: 0 for kind in ("select", "update", "delete", "insert", "other")}
-    for query in queries:
-        summary[query.kind.value.lower()] += 1
     minsup_used = minsup.resolve(len(queries)) if queries else 0
     recommendation = report.Recommendation(
         configuration=configuration,
         minsup_used=minsup_used,
-        workload_summary=summary,
+        workload_summary=Counter(query.kind.value.lower() for query in queries),
         diagnostics=tuple(diagnostics),
     )
 

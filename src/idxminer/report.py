@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .advisor import IndexCandidate, IndexConfiguration
+from .workload import QueryKind
 
 NAME_PREFIX = "idx"
 MAX_INDEX_NAME_LENGTH = 60
@@ -94,9 +95,6 @@ def emit_ddl(configuration: IndexConfiguration) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-_KIND_ORDER = ("select", "update", "delete", "insert", "other")
-
-
 def emit_report(recommendation: Recommendation, format: str = "text") -> str:
     if format == "text":
         return _text_report(recommendation)
@@ -120,12 +118,17 @@ def _cells(rec: Recommendation) -> Iterator[tuple[str, ...]]:
         )
 
 
+def _kind_counts(rec: Recommendation) -> Iterator[tuple[str, int]]:
+    """Each statement kind's lower-cased name and count, in ``QueryKind`` order."""
+    for kind in QueryKind:
+        name = kind.value.lower()
+        yield name, rec.workload_summary.get(name, 0)
+
+
 def _text_report(rec: Recommendation) -> str:
     config = rec.configuration
     size = rec.workload_size
-    kinds = " ".join(
-        f"{kind}={rec.workload_summary.get(kind, 0)}" for kind in _KIND_ORDER
-    )
+    kinds = " ".join(f"{name}={count}" for name, count in _kind_counts(rec))
     lines = [
         "Index recommendation",
         "====================",
@@ -162,10 +165,7 @@ def _structured_report(rec: Recommendation) -> str:
         f"minsup: {rec.minsup_used}",
         f"workload_statements: {rec.workload_size}",
     ]
-    lines += [
-        f"statements_{kind}: {rec.workload_summary.get(kind, 0)}"
-        for kind in _KIND_ORDER
-    ]
+    lines += [f"statements_{name}: {count}" for name, count in _kind_counts(rec)]
     lines += [
         f"diagnostics: {len(rec.diagnostics)}",
         f"candidates: {len(config.candidates)}",

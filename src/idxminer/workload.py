@@ -176,8 +176,16 @@ _TOKEN_RE = re.compile(
 )
 
 
+_SYMBOL_KINDS = frozenset({"op", "punct"})
+
+
 class Token:
-    """One token; ``word`` is the lower-cased text of an ident, else empty."""
+    """One token; ``word`` is the text that keywords and symbols match.
+
+    It is the lower-cased text of an ident, the text of an op or punct, and
+    empty for a literal, a quoted identifier or ``end``, which never read as
+    either.
+    """
 
     __slots__ = ("kind", "value", "pos", "word")
 
@@ -185,7 +193,8 @@ class Token:
         self.kind = kind  # ident | qident | number | string | op | punct | end
         self.value = value
         self.pos = pos
-        self.word = value.lower() if kind == "ident" else ""
+        self.word = (value.lower() if kind == "ident"
+                     else value if kind in _SYMBOL_KINDS else "")
 
     def __repr__(self) -> str:
         return f"Token({self.kind!r}, {self.value!r}, {self.pos})"
@@ -300,6 +309,10 @@ class _Parser:
             self.i += 1
         return tok
 
+    # The ``_kw`` helpers match a token's ``word``: a keyword or a symbol.
+    # The expression rules test ``word`` inline where they run once per
+    # operand or list item, as a call there costs about 5 % of parse time.
+
     def at_kw(self, *words: str) -> bool:
         return self.tokens[self.i].word in words
 
@@ -312,24 +325,13 @@ class _Parser:
     def expect_kw(self, word: str) -> None:
         if not self.accept_kw(word):
             tok = self.peek()
-            raise SqlParseError(f"expected {word.upper()}, found {tok.value!r}", tok.pos)
+            shown = word.upper() if word.isalpha() else repr(word)
+            raise SqlParseError(f"expected {shown}, found {tok.value!r}", tok.pos)
 
     def at_alias(self) -> bool:
         """True at a name that can be an implicit alias (no reserved word)."""
         tok = self.tokens[self.i]
         return tok.kind in ("ident", "qident") and tok.word not in _RESERVED
-
-    def accept_punct(self, value: str) -> bool:
-        tok = self.tokens[self.i]
-        if tok.kind == "punct" and tok.value == value:
-            self.i += 1
-            return True
-        return False
-
-    def expect_punct(self, value: str) -> None:
-        if not self.accept_punct(value):
-            tok = self.peek()
-            raise SqlParseError(f"expected {value!r}, found {tok.value!r}", tok.pos)
 
     def expect_name(self) -> str:
         tok = self.peek()
@@ -385,13 +387,13 @@ class _Parser:
         clauses: list[tuple[str, Expr]] = []
         aliases: list[str] = []
         self.parse_select_item(clauses, aliases)
-        while self.accept_punct(","):
+        while self.accept_kw(","):
             self.parse_select_item(clauses, aliases)
         self.expect_kw("from")
         sources = [self.parse_table_source()]
         joined: list[tuple[str, Union[str, Block]]] = []
         while True:
-            if self.accept_punct(","):
+            if self.accept_kw(","):
                 sources.append(self.parse_table_source())
                 continue
             if self.at_kw("inner", "left", "join"):
@@ -409,7 +411,7 @@ class _Parser:
         if self.accept_kw("group"):
             self.expect_kw("by")
             clauses.append(("group_by", self.expression()))
-            while self.accept_punct(","):
+            while self.accept_kw(","):
                 clauses.append(("group_by", self.expression()))
             if self.accept_kw("having"):
                 clauses.append(("having", self.expression()))
@@ -418,7 +420,7 @@ class _Parser:
             while True:
                 clauses.append(("order_by", self.expression()))
                 self.accept_kw("asc", "desc")
-                if not self.accept_punct(","):
+                if not self.accept_kw(","):
                     break
         if self.accept_kw("limit"):
             tok = self.advance()
@@ -429,9 +431,7 @@ class _Parser:
 
     def parse_select_item(self, clauses: list[tuple[str, Expr]],
                           aliases: list[str]) -> None:
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "*":
-            self.advance()
+        if self.accept_kw("*"):
             return
         clauses.append(("select", self.expression()))
         if self.accept_kw("as") or self.at_alias():
@@ -439,9 +439,9 @@ class _Parser:
 
     def parse_table_source(self) -> tuple[str, Union[str, Block]]:
         """A FROM or JOIN entry as (bound name, base table name or block)."""
-        if self.accept_punct("("):
+        if self.accept_kw("("):
             query = self.nested(self.parse_select_block)
-            self.expect_punct(")")
+            self.expect_kw(")")
             self.accept_kw("as")
             return self.expect_name(), query
         table = self.expect_name()
@@ -457,7 +457,7 @@ class _Parser:
         table = self.expect_name()
         self.expect_kw("set")
         self.parse_assignment()
-        while self.accept_punct(","):
+        while self.accept_kw(","):
             self.parse_assignment()
         return Block(((table, table),), (), self.where_clause())
 
@@ -465,10 +465,9 @@ class _Parser:
         # The assigned values are checked but yield no items: their
         # references land in the statement-level sinks, which nothing reads.
         self.expect_name()
-        tok = self.peek()
-        if not (tok.kind == "op" and tok.value == "="):
+        if not self.accept_kw("="):
+            tok = self.peek()
             raise SqlParseError(f"expected '=' in SET clause, found {tok.value!r}", tok.pos)
-        self.advance()
         self.parse_expr()
 
     def parse_delete(self) -> Block:
@@ -486,9 +485,9 @@ class _Parser:
         depth = 0
         while self.peek().kind != "end":
             tok = self.advance()
-            if tok.kind == "punct" and tok.value == "(":
+            if tok.word == "(":
                 depth += 1
-            elif tok.kind == "punct" and tok.value == ")":
+            elif tok.word == ")":
                 depth -= 1
                 if depth < 0:
                     raise SqlParseError("unbalanced ')' in INSERT body", tok.pos)
@@ -501,11 +500,11 @@ class _Parser:
         self.expect_name()
         self.expect_kw("on")
         self.expect_name()
-        self.expect_punct("(")
+        self.expect_kw("(")
         self.expect_name()
-        while self.accept_punct(","):
+        while self.accept_kw(","):
             self.expect_name()
-        self.expect_punct(")")
+        self.expect_kw(")")
 
     # -- expressions ----------------------------------------------------------
 
@@ -526,8 +525,7 @@ class _Parser:
         tok = self.tokens[self.i]
         if tok.kind in ("number", "string"):
             # A bare literal ending a list item holds nothing to record.
-            nxt = self.tokens[self.i + 1]
-            if nxt.kind == "punct" and nxt.value in (",", ")"):
+            if self.tokens[self.i + 1].word in (",", ")"):
                 self.i += 1
                 return
         self.parse_not()
@@ -536,7 +534,8 @@ class _Parser:
 
     def parse_expr_list(self) -> None:
         self.parse_expr()
-        while self.accept_punct(","):
+        while self.tokens[self.i].word == ",":
+            self.i += 1
             self.parse_expr()
 
     def parse_not(self) -> None:
@@ -549,8 +548,8 @@ class _Parser:
         mark = len(self.blocks)
         self.parse_additive()
         tok = self.tokens[self.i]
-        if tok.kind == "op" and tok.value in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            self.advance()
+        if tok.word in ("=", "<>", "!=", "<", "<=", ">", ">="):
+            self.i += 1
             self.parse_additive()
             return
         if tok.kind != "ident":
@@ -565,14 +564,14 @@ class _Parser:
             self.parse_additive()
             return
         if self.accept_kw("in"):
-            self.expect_punct("(")
+            self.expect_kw("(")
             if self.at_kw("select"):
                 # The tested subquery is walked before any inside the operand.
                 query = self.nested(self.parse_select_block)
                 self.blocks.insert(mark, query)
             else:
                 self.nested(self.parse_expr_list)
-            self.expect_punct(")")
+            self.expect_kw(")")
             return
         if self.accept_kw("like"):
             self.parse_additive()
@@ -585,18 +584,13 @@ class _Parser:
 
     def parse_additive(self) -> None:
         self.parse_factor()
-        while True:
-            tok = self.tokens[self.i]
-            if tok.kind == "op" and tok.value in ("+", "-", "||", "*", "/", "%"):
-                self.advance()
-                self.parse_factor()
-            else:
-                return
+        while self.tokens[self.i].word in ("+", "-", "||", "*", "/", "%"):
+            self.i += 1
+            self.parse_factor()
 
     def parse_factor(self) -> None:
-        tok = self.tokens[self.i]
-        if tok.kind == "op" and tok.value in ("+", "-"):
-            self.advance()
+        if self.tokens[self.i].word in ("+", "-"):
+            self.i += 1
             self.nested(self.parse_factor)
         else:
             self.parse_primary()
@@ -606,14 +600,14 @@ class _Parser:
         if tok.kind in ("number", "string"):
             self.advance()
             return
-        if tok.kind == "punct" and tok.value == "(":
-            self.advance()
+        if tok.word == "(":
+            self.i += 1
             if self.at_kw("select"):
                 query = self.nested(self.parse_select_block)
                 self.blocks.append(query)
             else:
                 self.nested(self.parse_expr)
-            self.expect_punct(")")
+            self.expect_kw(")")
             return
         if tok.kind in ("ident", "qident"):
             word = tok.word
@@ -622,10 +616,10 @@ class _Parser:
                 return
             if word == "exists":
                 self.advance()
-                self.expect_punct("(")
+                self.expect_kw("(")
                 query = self.nested(self.parse_select_block)
                 self.blocks.append(query)
-                self.expect_punct(")")
+                self.expect_kw(")")
                 return
             if word in _TYPED_LITERAL_PREFIXES and self.peek(1).kind == "string":
                 self.i += 2
@@ -636,13 +630,11 @@ class _Parser:
                     self.advance()
                 return
             name = self.expect_name()
-            if self.accept_punct("("):
+            if self.accept_kw("("):
                 self.parse_func_args()
                 return
-            if self.accept_punct("."):
-                nxt = self.peek()
-                if nxt.kind == "op" and nxt.value == "*":
-                    self.advance()
+            if self.accept_kw("."):
+                if self.accept_kw("*"):
                     return
                 self.refs.append(ColumnRef(qualifier=name, column=self.expect_name()))
                 return
@@ -652,12 +644,9 @@ class _Parser:
 
     def parse_func_args(self) -> None:
         self.accept_kw("distinct")
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "*":
-            self.advance()
-        elif not (tok.kind == "punct" and tok.value == ")"):
+        if not self.accept_kw("*") and not self.at_kw(")"):
             self.nested(self.parse_expr_list)
-        self.expect_punct(")")
+        self.expect_kw(")")
 
 
 def parse_statement(text: str) -> Statement:
@@ -890,11 +879,15 @@ def extract_workload(
 
     Every statement becomes a transaction: OTHER and INSERT statements get
     empty item sets, which keeps support denominators equal to the workload
-    size.
+    size. Given a sink, each statement's diagnostics go to ``diagnostics``
+    in statement order: an OTHER statement's ``parse_error``, or the
+    extraction diagnostics of the others.
     """
     contexts: list[TransactionContext] = []
     for query in queries:
         if query.kind is QueryKind.OTHER:
+            if query.parse_error and diagnostics is not None:
+                diagnostics.append(f"statement {query.ordinal}: {query.parse_error}")
             contexts.append(TransactionContext(query_ordinal=query.ordinal,
                                                items=frozenset()))
             continue

@@ -17,8 +17,6 @@ from idxminer.catalog import MissingStatsError
 from idxminer.miner import ClosedItemset, MinSupport, mine_closed
 from idxminer.workload import AttributeItem, TransactionContext
 
-SCHEMA = {"t": ("a", "b", "x"), "s": ("k", "d")}
-
 # Item ids follow sorted AttributeItem order: s.d=0, s.k=1, t.a=2, t.b=3, t.x=4
 ITEMS = {
     0: AttributeItem("s", "d"),
@@ -57,7 +55,7 @@ def test_build_database_empty():
 
 def test_cross_table_itemset_splits_per_table():
     closed = [ClosedItemset(items=(1, 2, 3), support=4)]
-    got = derive_candidates(closed, SCHEMA, ITEMS)
+    got = derive_candidates(closed, ITEMS)
     assert [(c.table, c.columns, c.support) for c in got] == [
         ("s", ("k",), 4),
         ("t", ("a", "b"), 4),
@@ -66,7 +64,7 @@ def test_cross_table_itemset_splits_per_table():
 
 def test_singleton_passthrough():
     closed = [ClosedItemset(items=(2,), support=3)]
-    got = derive_candidates(closed, SCHEMA, ITEMS)
+    got = derive_candidates(closed, ITEMS)
     assert [(c.table, c.columns, c.support) for c in got] == [("t", ("a",), 3)]
 
 
@@ -75,9 +73,9 @@ def test_maximal_only_toggle():
         ClosedItemset(items=(2,), support=5),
         ClosedItemset(items=(2, 3), support=3),
     ]
-    kept = derive_candidates(closed, SCHEMA, ITEMS, maximal_only=True)
+    kept = derive_candidates(closed, ITEMS, maximal_only=True)
     assert [(c.table, c.columns, c.support) for c in kept] == [("t", ("a", "b"), 3)]
-    both = derive_candidates(closed, SCHEMA, ITEMS, maximal_only=False)
+    both = derive_candidates(closed, ITEMS, maximal_only=False)
     assert {(c.table, c.columns, c.support) for c in both} == {
         ("t", ("a",), 5),
         ("t", ("a", "b"), 3),
@@ -89,7 +87,7 @@ def test_identical_fragments_merge_keeping_max_support():
         ClosedItemset(items=(1, 2), support=6),
         ClosedItemset(items=(2,), support=9),
     ]
-    got = derive_candidates(closed, SCHEMA, ITEMS)
+    got = derive_candidates(closed, ITEMS)
     by_table = {c.table: c for c in got}
     assert by_table["t"].support == 9
 
@@ -100,19 +98,8 @@ def test_column_order_follows_singleton_support_then_name():
         ClosedItemset(items=(3,), support=7),
         ClosedItemset(items=(2, 3), support=4),
     ]
-    got = derive_candidates(closed, SCHEMA, ITEMS)
+    got = derive_candidates(closed, ITEMS)
     assert got[0].columns == ("b", "a")
-
-
-def test_unknown_table_items_skipped_with_diagnostic():
-    items = dict(ITEMS)
-    items[9] = AttributeItem("ghost", "g")
-    diags = []
-    got = derive_candidates(
-        [ClosedItemset(items=(9,), support=2)], SCHEMA, items, diagnostics=diags
-    )
-    assert got == []
-    assert any("ghost" in d or "no item" in d for d in diags)
 
 
 def test_support_coherence_against_singletons():
@@ -136,7 +123,7 @@ def test_support_coherence_against_singletons():
             (a.table, a.column): sum(i in row for row in db.transactions)
             for i, a in items_by_id.items()
         }
-        for cand in derive_candidates(closed, SCHEMA, items_by_id, maximal_only=False):
+        for cand in derive_candidates(closed, items_by_id, maximal_only=False):
             cap = min(rows_with[cand.table, col] for col in cand.columns)
             assert cand.support <= cap
 
@@ -161,14 +148,14 @@ def test_maximal_only_matches_strict_superset_definition():
         if not db.universe:
             continue
         closed = mine_closed(db, MinSupport(1))
-        everything = derive_candidates(closed, tables, items_by_id, maximal_only=False)
+        everything = derive_candidates(closed, items_by_id, maximal_only=False)
         expected = [
             cand for cand in everything
             if not any(other.table == cand.table
                        and set(cand.columns) < set(other.columns)
                        for other in everything)
         ]
-        assert derive_candidates(closed, tables, items_by_id) == expected
+        assert derive_candidates(closed, items_by_id) == expected
 
 
 def test_raising_minsup_never_adds_candidates():
@@ -194,7 +181,7 @@ def test_raising_minsup_never_adds_candidates():
             closed = mine_closed(db, MinSupport(threshold))
             got = {
                 (c.table, c.columns, c.support)
-                for c in derive_candidates(closed, SCHEMA, items_by_id,
+                for c in derive_candidates(closed, items_by_id,
                                            maximal_only=False)
             }
             if previous is not None:

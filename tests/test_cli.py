@@ -59,6 +59,15 @@ def test_minsup_in_exponent_notation(fixture_args, capsys):
     assert "minimum support: 3 of 22 statements\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spelling, count", [
+    ("1e1", 10), ("10/1", 10), ("2.0", 2), ("1.0", 22),
+])
+def test_whole_minsup_above_one_is_a_count(fixture_args, capsys, spelling, count):
+    # "1.0" stays the fraction 1, which resolves to every statement.
+    assert run(fixture_args("--minsup", spelling)) == 0
+    assert f"minimum support: {count} of 22 statements\n" in capsys.readouterr().out
+
+
 def test_unknown_flag_exits_1(fixture_args, capsys):
     assert run(fixture_args("--frobnicate")) == 1
 

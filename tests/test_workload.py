@@ -321,6 +321,39 @@ def test_extract_workload_keeps_every_statement():
     assert contexts[2].items == frozenset()
 
 
+def test_extract_workload_emits_diagnostics_in_statement_order():
+    queries = parse_workload("SELECT a FROM t WHERE ghost = 1; SELECT FROM; "
+                             "SELECT a FROM t WHERE zzz = 1")
+    diagnostics: list[str] = []
+    extract_workload(queries, SCHEMA, DEFAULT_POLICY, diagnostics)
+    assert diagnostics == [
+        "statement 0: unresolvable column 'ghost'; skipped",
+        "statement 1: expected FROM, found ''",
+        "statement 2: unresolvable column 'zzz'; skipped",
+    ]
+
+
+@pytest.mark.parametrize("sql, kind", [
+    ("""SELECT "from" FROM t WHERE t.a = '('""", QueryKind.SELECT),
+    ("""SELECT "from" FROM t WHERE t.a IN (',', ')')""", QueryKind.SELECT),
+    ("""SELECT a "where" FROM t""", QueryKind.SELECT),
+    ("""INSERT INTO t VALUES (')')""", QueryKind.INSERT),
+])
+def test_literals_and_quoted_names_never_read_as_words(sql, kind):
+    (query,) = parse_workload(sql)
+    assert query.kind is kind
+    assert query.parse_error is None
+
+
+@pytest.mark.parametrize("sql, error", [
+    ("SELECT a FROM t WHERE t.a IN (1, 2", "expected ')', found ''"),
+    ("SELECT a t", "expected FROM, found ''"),
+])
+def test_expected_symbol_and_keyword_messages(sql, error):
+    (query,) = parse_workload(sql)
+    assert query.parse_error == error
+
+
 def test_item_membership_against_schema(tpcr_workload_text, tpcr_schema):
     queries = parse_workload(tpcr_workload_text)
     for ctx in extract_workload(queries, tpcr_schema):
