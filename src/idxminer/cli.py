@@ -122,7 +122,7 @@ def _build_config(args) -> tuple[
         raise ConfigError("--threshold-rows must be >= 0")
     if args.dialect != "generic":
         raise ConfigError(f"unsupported dialect {args.dialect!r}")
-    if args.policy:
+    if args.policy is not None:
         try:
             policy = workload.ExtractionPolicy.from_names(args.policy.split(","))
         except ValueError as exc:

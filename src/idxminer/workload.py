@@ -33,6 +33,12 @@ the subquery blocks, each in order (``Expr``). The expression grammar has
 two levels of binary operators, one for AND and OR, one for arithmetic and
 ``||``; a recognizer that builds nothing needs no precedence between them.
 
+Query logs repeat a few templates with new literals, so ``parse_statement``
+memoizes parses by *shape*, the tokens with each literal written ``0`` or
+``''``: the records hold no literal, so statements of one shape parse alike.
+A parse is kept once two different texts show its shape, a failing one
+never, as its message quotes its own token. The memo lives for the process.
+
 A schema file declares tables in blank-line-separated stanzas; ``#``
 starts a comment line::
 
@@ -227,13 +233,13 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef:
     qualifier: Optional[str]
     column: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """What extraction reads of one clause-level expression.
 
@@ -246,7 +252,7 @@ class Expr:
     blocks: tuple["Block", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One SELECT block, or the target and WHERE clause of an UPDATE or DELETE.
 
@@ -649,9 +655,41 @@ class _Parser:
         self.expect_kw(")")
 
 
+# The memo of ``parse_statement``: hash(shape) -> hash(the first text seen
+# with it), and a shape that two different texts have shown -> its parse.
+_shape_texts: dict[int, int] = {}
+_shape_parses: dict[str, Statement] = {}
+
+# Stand-ins for the tokens whose ``word`` is empty, quoted identifiers aside.
+# Each tokenizes back to its kind, so statements share a shape only when
+# their tokens have the same kinds, words and quoted names.
+_SHAPE_STAND_INS = {"number": "0", "string": "''", "end": ""}
+
+
 def parse_statement(text: str) -> Statement:
-    """Parse one semicolon-free statement; raises SqlParseError outside the subset."""
-    return _Parser(tokenize(text)).parse_statement()
+    """Parse one semicolon-free statement; raises SqlParseError outside the subset.
+
+    A literal-free shape is safe to share: the parser reads a literal's
+    value and a token's position only to word an error, and a quoted
+    identifier's value, which the shape keeps, only to name a column. A
+    successful parse is kept under its shape once a second, different text
+    has shown that shape; a shape seen with one text keeps only two ints,
+    so a log of unique statements holds no parse. A hash collision can
+    change only what is kept, never a result. The memo lives for the
+    process.
+    """
+    tokens = tokenize(text)
+    shape = " ".join([
+        tok.word or (_SHAPE_STAND_INS[tok.kind] if tok.kind != "qident"
+                     else '"' + tok.value.replace('"', '""') + '"')
+        for tok in tokens
+    ])
+    if shape in _shape_parses:
+        return _shape_parses[shape]
+    stmt = _Parser(tokens).parse_statement()
+    if _shape_texts.setdefault(hash(shape), hash(text)) != hash(text):
+        _shape_parses[shape] = stmt
+    return stmt
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +709,7 @@ _LEAD_KINDS = {kind.value.lower(): kind for kind in QueryKind
                if kind is not QueryKind.OTHER}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkloadQuery:
     ordinal: int
     raw_text: str
@@ -711,7 +749,7 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class AttributeItem:
     """A (table, column) pair; ordering is lexicographic by both fields."""
 
@@ -722,7 +760,7 @@ class AttributeItem:
         return f"{self.table}.{self.column}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionContext:
     query_ordinal: int
     items: frozenset[AttributeItem]
@@ -750,6 +788,8 @@ class ExtractionPolicy:
     @classmethod
     def from_names(cls, names: list[str]) -> "ExtractionPolicy":
         cleaned = frozenset(n.strip().lower().replace("-", "_") for n in names if n.strip())
+        if not cleaned:
+            raise ValueError("the extraction policy names no position")
         return cls(positions=cleaned)
 
     def wants(self, position: str) -> bool:
@@ -765,8 +805,9 @@ DEFAULT_POLICY = ExtractionPolicy(
 _ALIAS_POSITIONS = frozenset({"group_by", "having", "order_by"})
 
 # A scope maps each bound name to its base table's name, or to the block of
-# the derived table it names.
-_Scope = dict[str, Union[str, Block]]
+# the derived table it names. It comes with its base tables sorted once: the
+# order in which an unqualified column is looked up.
+_Scope = tuple[dict[str, Union[str, Block]], list[str]]
 
 
 class _Extractor:
@@ -783,20 +824,20 @@ class _Extractor:
             self.diagnostics.append(f"statement {self.ordinal}: {message}")
 
     def block_scope(self, block: Block) -> _Scope:
-        scope: _Scope = {}
+        scope: dict[str, Union[str, Block]] = {}
         for name, source in block.sources:
             if name in scope:
                 self.diag(f"duplicate alias '{name}' in FROM; first binding kept")
                 continue
             scope[name] = source
-        return scope
+        return scope, sorted({t for t in scope.values() if isinstance(t, str)})
 
     def resolve(self, ref: ColumnRef, scopes: list[_Scope],
                 select_aliases: frozenset[str]) -> None:
         if ref.qualifier is None and ref.column in select_aliases:
             return
         if ref.qualifier is not None:
-            for scope in scopes:
+            for scope, _ in scopes:
                 if ref.qualifier in scope:
                     table = scope[ref.qualifier]
                     if not isinstance(table, str):
@@ -815,8 +856,7 @@ class _Extractor:
                     return
             self.diag(f"unknown table or alias '{ref.qualifier}'; skipped")
             return
-        for scope in scopes:
-            tables = sorted({t for t in scope.values() if isinstance(t, str)})
+        for _, tables in scopes:
             matches = [t for t in tables if ref.column in self.schema.get(t, ())]
             if len(matches) == 1:
                 self.items.add(AttributeItem(table=matches[0], column=ref.column))

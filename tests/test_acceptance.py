@@ -8,8 +8,10 @@ seeded so every run checks the same inputs.
 from __future__ import annotations
 
 import ast
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN, SCHEMA_PATH, WORKLOAD_PATH
+from conftest import FIXTURES, GOLDEN, SCHEMA_PATH, STATS_PATH, WORKLOAD_PATH
 
 from idxminer.advisor import (
     IndexCandidate,
@@ -161,18 +163,52 @@ def test_pipeline_golden(fixture_args, tmp_path):
     print("\n[PASS] pipeline golden (pinned candidates, byte-identical outputs)")
 
 
+GOLDEN_RUNS = {
+    "tpcr": (["--workload", str(WORKLOAD_PATH), "--schema", str(SCHEMA_PATH),
+              "--stats", str(STATS_PATH), "--minsup", "0.25"], GOLDEN),
+    "diagnostics": (["--workload", str(FIXTURES / "diagnostics_workload.sql"),
+                     "--schema", str(FIXTURES / "diagnostics_schema.txt"),
+                     "--stats", str(FIXTURES / "diagnostics_stats.txt"),
+                     "--minsup", "2"], GOLDEN / "diagnostics"),
+}
+OUTPUT_FILES = ("recommendation.sql", "report.txt", "report.dat")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_outputs_ignore_hash_seed_and_warm_memo(name, tmp_path, capsys):
+    """Runs under two hash seeds, and two runs in one process, match the golden."""
+    args, golden = GOLDEN_RUNS[name]
+    stderr = golden / "stderr.txt"
+    expected_err = stderr.read_bytes() if stderr.exists() else b""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "idxminer.cli", *args,
+                               "--out", str(out), "-v"],
+                              capture_output=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append((out, done.stdout, done.stderr))
+    for again in ("first", "second"):  # the second starts with a warm memo
+        out = tmp_path / f"in-process-{again}"
+        assert main([*args, "--out", str(out), "-v"]) == 0
+        captured = capsys.readouterr()
+        runs.append((out, captured.out.encode(), captured.err.encode()))
+    for out, stdout, err in runs:
+        for file in OUTPUT_FILES:
+            assert (out / file).read_bytes() == (golden / file).read_bytes(), (out, file)
+        assert stdout == (golden / "report.txt").read_bytes(), out
+        assert err == expected_err, out
+    print(f"\n[PASS] {name} outputs identical under hash seeds 0 and 1 and a warm memo")
+
+
 def test_diagnostics_golden(tmp_path, capsys):
     """A log that triggers every extractor diagnostic pins their order and text."""
     out = tmp_path / "out"
-    args = [
-        "--workload", str(FIXTURES / "diagnostics_workload.sql"),
-        "--schema", str(FIXTURES / "diagnostics_schema.txt"),
-        "--stats", str(FIXTURES / "diagnostics_stats.txt"),
-        "--minsup", "2",
-        "--out", str(out),
-        "-v",
-    ]
-    assert main(args) == 0
+    args, _ = GOLDEN_RUNS["diagnostics"]
+    assert main([*args, "--out", str(out), "-v"]) == 0
     captured = capsys.readouterr()
     golden = GOLDEN / "diagnostics"
     for name in ("recommendation.sql", "report.txt", "report.dat"):

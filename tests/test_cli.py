@@ -84,6 +84,20 @@ def test_bad_policy_position_exits_1(fixture_args, capsys):
     assert run(fixture_args("--policy", "where,sideways")) == 1
 
 
+@pytest.mark.parametrize("spelling", [",", " , ", ""])
+def test_policy_naming_no_position_exits_1(fixture_args, capsys, spelling):
+    assert run(fixture_args("--policy", spelling)) == 1
+    assert "names no position" in capsys.readouterr().err
+
+
+def test_policy_blank_entries_are_skipped(fixture_args, tmp_path, capsys):
+    for spelling, out in (("where,,join", "blanks"), ("where,join", "plain")):
+        assert run(fixture_args("--policy", spelling, out=tmp_path / out)) == 0
+    for name in OUTPUT_FILES:
+        assert ((tmp_path / "blanks" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+
+
 def test_malformed_schema_exits_2(fixture_args, tmp_path, capsys):
     bad = tmp_path / "schema.txt"
     bad.write_text("not a stanza\n", encoding="utf-8")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idxminer import workload
 from idxminer.workload import (
     MAX_NESTING,
     AttributeItem,
@@ -10,12 +11,16 @@ from idxminer.workload import (
     ExtractionPolicy,
     QueryKind,
     SchemaError,
+    SqlParseError,
+    _Parser,
     canonical_identifier,
     extract_items,
     extract_workload,
     parse_schema,
+    parse_statement,
     parse_workload,
     split_statements,
+    tokenize,
 )
 
 SCHEMA = parse_schema(
@@ -143,11 +148,12 @@ def test_unresolvable_column_skipped_with_diagnostic():
     assert any("nosuch" in d for d in diags)
 
 
-def test_ambiguous_column_skipped_with_diagnostic():
+@pytest.mark.parametrize("sources", ["s, t", "t, s"])
+def test_ambiguous_column_skipped_with_diagnostic(sources):
     diags = []
-    got = items("SELECT x FROM s, t WHERE k = 1 AND t.a = 2", diagnostics=diags)
+    got = items(f"SELECT x FROM {sources} WHERE k = 1 AND t.a = 2", diagnostics=diags)
     assert got == {("t", "a")}
-    assert any("ambiguous" in d for d in diags)
+    assert diags == ["statement 0: ambiguous column 'k' (in tables s, t); skipped"]
 
 
 def test_alias_resolution():
@@ -470,6 +476,130 @@ def test_extraction_finds_exactly_the_planted_columns(case):
     diags = []
     assert items(text, diagnostics=diags) == planted
     assert diags == []
+
+
+# -- the shape memo of parse_statement ----------------------------------------
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty memo for the test; returns the list of parser runs behind it."""
+    monkeypatch.setattr(workload, "_shape_texts", {})
+    monkeypatch.setattr(workload, "_shape_parses", {})
+    runs = []
+    real = _Parser.parse_statement
+
+    def spy(parser):
+        runs.append(parser)
+        return real(parser)
+
+    monkeypatch.setattr(_Parser, "parse_statement", spy)
+    return runs
+
+
+def parsed(text, parse=parse_statement):
+    """The statement's parse, or its error's message and position."""
+    try:
+        return parse(text)
+    except SqlParseError as exc:
+        return str(exc), exc.pos
+
+
+def fresh(text):
+    """``parsed`` by a new parser, past the memo."""
+    return parsed(text, lambda t: _Parser(tokenize(t)).parse_statement())
+
+
+def test_statements_differing_in_literals_run_the_parser_twice(cold_memo):
+    texts = [f"SELECT a FROM t WHERE t.a = {i} AND t.b LIKE 'v{i}%' LIMIT {i + 1}"
+             for i in range(50)]
+    got = [parse_statement(text) for text in texts]
+    assert len(cold_memo) <= 2
+    assert got == [fresh(text) for text in texts]
+
+
+@pytest.mark.parametrize("kept, other", [
+    ('SELECT "a b" FROM t WHERE t.k = {}', 'SELECT "a" b FROM t WHERE t.k = 1'),
+    ('SELECT "A" FROM t WHERE t.k = {}', 'SELECT "a" FROM t WHERE t.k = 1'),
+    ("SELECT a FROM t LIMIT {}", "SELECT a FROM t LIMIT 'x'"),
+    ("SELECT a FROM t WHERE t.a <= {}", "SELECT a FROM t WHERE t.a < = 1"),
+])
+def test_shapes_stay_apart(cold_memo, kept, other):
+    for value in (1, 2):
+        parse_statement(kept.format(value))
+    assert len(workload._shape_parses) == 1
+    runs = len(cold_memo)
+    got = parsed(other)
+    assert len(cold_memo) == runs + 1
+    assert got == fresh(other)
+
+
+def test_failing_statements_of_one_shape_report_their_own_token(cold_memo):
+    for text, literal in (("SELECT a FROM t LIMIT 'x'", "'x'"),
+                          ("SELECT  a  FROM t LIMIT 'yy'", "'yy'")):
+        assert parsed(text) == (f"expected a number after LIMIT, found {literal}",
+                                text.index(literal))
+    assert workload._shape_parses == {}
+
+
+def test_unique_statements_keep_no_parse(cold_memo):
+    texts = [f"SELECT c{i} FROM t WHERE t.a = {i}" for i in range(500)]
+    for text in texts + texts:
+        parse_statement(text)
+    assert len(cold_memo) == 1000
+    assert workload._shape_parses == {}
+
+
+# Redrawn quoted names change a statement's shape, literals do not.
+NEW_LITERALS = {
+    "number": st.one_of(st.integers(0, 10**6).map(str),
+                        st.floats(0, 1e6).map(lambda x: f"{x:.3f}")),
+    "string": st.text("ab'; -", max_size=5).map(lambda s: "'" + s.replace("'", "''") + "'"),
+    "qident": st.text('aB "', min_size=1, max_size=3).map(
+        lambda s: '"' + s.replace('"', '""') + '"'),
+}
+QUOTES = {"string": "'", "qident": '"'}
+MUTANTS = ["select", "from", "where", "and", "not", "in", "is", "null", "limit",
+           "between", "exists", "date", "(", ")", ",", ".", "=", "<", "<=", "-",
+           "*", "7", "'z'", '"q q"', '"k"', "k", "t"]
+
+
+def source_words(text, data=None):
+    """The statement's tokens as source text; given ``data``, literals and
+    quoted names redrawn."""
+    words = []
+    for tok in tokenize(text)[:-1]:
+        if data is not None and tok.kind in NEW_LITERALS:
+            words.append(data.draw(NEW_LITERALS[tok.kind]))
+        elif tok.kind in QUOTES:
+            quote = QUOTES[tok.kind]
+            words.append(quote + tok.value.replace(quote, quote * 2) + quote)
+        else:
+            words.append(tok.value)
+    return words
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(planted_select(), st.data())
+def test_memoized_parse_equals_a_fresh_parse(case, data):
+    words = source_words(case[0])
+    mutant = list(words)
+    i = data.draw(st.integers(0, len(words) - 1))
+    edit = data.draw(st.sampled_from(["drop", "repeat", "replace", "swap", "quote"]))
+    if edit == "drop":
+        del mutant[i]
+    elif edit == "repeat":
+        mutant.insert(i, mutant[i])
+    elif edit == "replace":
+        mutant[i] = data.draw(st.sampled_from(MUTANTS))
+    elif edit == "swap":
+        mutant[i:i + 2] = mutant[i:i + 2][::-1]
+    else:
+        mutant[i] = '"' + mutant[i].replace('"', '""') + '"'
+    for text in (" ".join(words), " ".join(mutant)):
+        for variant in (text, " ".join(source_words(text, data)),
+                        " ".join(source_words(text, data))):
+            assert parsed(variant) == fresh(variant), variant
 
 
 # -- canonicalization and schema files ---------------------------------------
