@@ -148,12 +148,13 @@ def test_unresolvable_column_skipped_with_diagnostic():
     assert any("nosuch" in d for d in diags)
 
 
-@pytest.mark.parametrize("sources", ["s, t", "t, s"])
-def test_ambiguous_column_skipped_with_diagnostic(sources):
-    diags = []
-    got = items(f"SELECT x FROM {sources} WHERE k = 1 AND t.a = 2", diagnostics=diags)
-    assert got == {("t", "a")}
-    assert diags == ["statement 0: ambiguous column 'k' (in tables s, t); skipped"]
+def test_ambiguous_column_skipped_with_diagnostic():
+    # The diagnostic names the tables in sorted order, whatever the FROM order.
+    for sources in ("s, t", "t, s"):
+        diags = []
+        got = items(f"SELECT x FROM {sources} WHERE k = 1 AND t.a = 2", diagnostics=diags)
+        assert got == {("t", "a")}
+        assert diags == ["statement 0: ambiguous column 'k' (in tables s, t); skipped"]
 
 
 def test_alias_resolution():
