@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-from .catalog import MissingStatsError, is_large, row_count
+from .catalog import MissingStatsError
 from .miner import ClosedItemset, TransactionDatabase, canonical_order
 from .workload import AttributeItem, TransactionContext
 
@@ -126,26 +126,22 @@ def derive_candidates(
     return candidates
 
 
-def score(candidate: IndexCandidate, rows: Mapping[str, int],
-          workload_size: int) -> float:
+def score(candidate: IndexCandidate, n_rows: int, workload_size: int) -> float:
     """Frequency-weighted size heuristic; grows with support and row count."""
     if workload_size < 1:
         raise ValueError("workload_size must be >= 1")
-    n_rows = row_count(rows, candidate.table)
     return (candidate.support / workload_size) * math.log2(1 + n_rows)
 
 
-def estimated_index_bytes(candidate: IndexCandidate,
-                          rows: Mapping[str, int]) -> int:
+def estimated_index_bytes(candidate: IndexCandidate, n_rows: int) -> int:
     """Rough b-tree footprint: per-row pointer plus fixed bytes per key column."""
-    n_rows = row_count(rows, candidate.table)
     return n_rows * (ROW_POINTER_BYTES + KEY_BYTES_PER_COLUMN * len(candidate.columns))
 
 
 def select(
     candidates: Iterable[IndexCandidate],
     strategy: Strategy,
-    rows: Optional[Mapping[str, int]],
+    rows: Mapping[str, int],
     threshold_rows: int = DEFAULT_THRESHOLD_ROWS,
     *,
     workload_size: int,
@@ -153,45 +149,40 @@ def select(
 ) -> IndexConfiguration:
     """Apply a selection strategy and score the surviving candidates.
 
-    LARGE_TABLES requires row counts for every candidate table and
-    keeps only candidates on tables at or above ``threshold_rows``. ALL
-    keeps everything; candidates without statistics then score 0 with a
-    diagnostic instead of failing the run.
+    ``rows`` maps tables to row counts; it is empty when there are no
+    statistics. Each candidate's table is looked up once. LARGE_TABLES
+    requires a count for every candidate table, raising MissingStatsError
+    naming those without one, and keeps only candidates on tables of at
+    least ``threshold_rows`` rows. ALL keeps everything; a candidate
+    without a count then scores 0 with a diagnostic instead of failing
+    the run.
     """
-    pool = list(candidates)
+    large_only = strategy is Strategy.LARGE_TABLES
     seen = set()
-    for candidate in pool:
+    missing = set()
+    scored = []
+    for candidate in candidates:
         key = (candidate.table, candidate.columns)
         if key in seen:
             raise ValueError(f"duplicate candidate {key}")
         seen.add(key)
-
-    if strategy is Strategy.LARGE_TABLES:
-        if rows is None:
-            raise MissingStatsError(
-                "strategy LARGE_TABLES requires table statistics"
-            )
-        missing = sorted({c.table for c in pool if c.table not in rows})
-        if missing:
-            raise MissingStatsError(
-                "no statistics for table(s): " + ", ".join(missing)
-            )
-        kept = [c for c in pool if is_large(c.table, rows, threshold_rows)]
-    else:
-        kept = pool
-
-    scored = []
-    for candidate in kept:
-        if rows is not None and candidate.table in rows:
-            value = score(candidate, rows, workload_size)
-            size = estimated_index_bytes(candidate, rows)
-        else:
+        n_rows = rows.get(candidate.table)
+        if n_rows is None:
+            if large_only:
+                missing.add(candidate.table)
+                continue
             if diagnostics is not None:
                 diagnostics.append(
                     f"no statistics for table '{candidate.table}'; score set to 0"
                 )
-            value, size = 0.0, 0
-        scored.append((candidate, value, size))
+            scored.append((candidate, 0.0, 0))
+        elif not large_only or n_rows >= threshold_rows:
+            scored.append((candidate, score(candidate, n_rows, workload_size),
+                           estimated_index_bytes(candidate, n_rows)))
+    if missing:
+        raise MissingStatsError(
+            "no statistics for table(s): " + ", ".join(sorted(missing))
+        )
     scored.sort(key=lambda row: (-row[1],) + row[0].sort_key())
 
     return IndexConfiguration(

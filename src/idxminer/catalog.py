@@ -5,14 +5,15 @@ Statistics come from a flat file, one table per line::
     <table><TAB><row_count>[<TAB><avg_row_bytes>]
 
 ``#`` starts a comment line and blank lines are skipped. The optional
-third column is checked to be a positive integer but is not used.
+third column is checked to be a positive integer but is not used. Table
+names are canonicalized as schema names are. ``advisor.select`` is the one
+reader of the counts and raises ``MissingStatsError`` when the large-table
+strategy meets a table without one.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from .workload import canonical_identifier
+from .workload import canonical_name
 
 
 class StatsError(ValueError):
@@ -35,7 +36,7 @@ def load_stats(stats_text: str) -> dict[str, int]:
             raise StatsError(
                 f"line {lineno}: expected <table><TAB><rows>[<TAB><bytes>], got {raw!r}"
             )
-        table = canonical_identifier(fields[0])
+        table = canonical_name(fields[0])
         if table in rows:
             raise StatsError(f"line {lineno}: duplicate table '{table}'")
         try:
@@ -48,21 +49,3 @@ def load_stats(stats_text: str) -> dict[str, int]:
             raise StatsError(f"line {lineno}: non-positive row bytes for table '{table}'")
         rows[table] = counts[0]
     return rows
-
-
-def row_count(rows: Mapping[str, int], table: str) -> int:
-    """The row count of ``table``; MissingStatsError when it has none."""
-    try:
-        return rows[table]
-    except KeyError:
-        raise MissingStatsError(f"no statistics for table '{table}'") from None
-
-
-def is_large(table: str, rows: Mapping[str, int], threshold_rows: int) -> bool:
-    """True when the table's row count reaches the threshold.
-
-    Unknown tables raise MissingStatsError rather than passing as small.
-    """
-    if threshold_rows < 0:
-        raise ValueError("threshold_rows must be >= 0")
-    return row_count(rows, table) >= threshold_rows

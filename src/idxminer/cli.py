@@ -158,7 +158,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         workload_text = _read_text(args.workload, "workload")
         schema = workload.parse_schema(_read_text(args.schema, "schema"))
-        row_counts = None
+        row_counts = {}
         if args.stats:
             row_counts = catalog.load_stats(_read_text(args.stats, "stats"))
     except (FileNotFoundError, workload.SchemaError, catalog.StatsError) as exc:
@@ -175,7 +175,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.mine_only:
         for itemset in closed:
             rendered = ",".join(str(items_by_id[i]) for i in itemset.items)
-            print(f"{itemset.support}\t{rendered}")
+            _write_stdout(f"{itemset.support}\t{rendered}\n")
         _print_diagnostics(diagnostics, args.verbose)
         return 0
 
@@ -212,7 +212,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: cannot write output to {str(out_dir)!r}: {exc}", file=sys.stderr)
         return 2
 
-    sys.stdout.write(text_report)
+    _write_stdout(text_report)
     _print_diagnostics(diagnostics, args.verbose)
     return 0
 
@@ -220,6 +220,14 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _write(path: Path, content: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(content)
+
+
+def _write_stdout(text: str) -> None:
+    """Write to stdout, escaping what its encoding cannot hold as stderr does."""
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding:
+        text = text.encode(encoding, "backslashreplace").decode(encoding)
+    sys.stdout.write(text)
 
 
 def _print_diagnostics(diagnostics: list[str], verbose: int) -> None:

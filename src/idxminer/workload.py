@@ -34,8 +34,9 @@ two levels of binary operators, one for AND and OR, one for arithmetic and
 ``||``; a recognizer that builds nothing needs no precedence between them.
 
 Query logs repeat a few templates with new literals, so ``parse_statement``
-memoizes parses by *shape*, the tokens with each literal written ``0`` or
-``''``: the records hold no literal, so statements of one shape parse alike.
+memoizes parses by *shape*: the join of its tokens' words, which the
+tokenizer writes once per token and in which each literal reads ``0`` or
+``''``. The records hold no literal, so statements of one shape parse alike.
 A parse is kept once two different texts show its shape, a failing one
 never, as its message quotes its own token. The memo lives for the process.
 
@@ -50,8 +51,10 @@ starts a comment line::
         o_orderkey
 
 Column lines may be indented or not. All names are canonicalized the same
-way identifiers in queries are: lower-cased, with quoted identifiers kept
-verbatim when they contain characters outside the identifier alphabet.
+way identifiers in queries are: a name is lower-cased unless it is written
+in double quotes (``"Odd-Name"``, ``""`` for a quote inside) and holds
+characters outside the identifier alphabet, when it is kept verbatim. A
+name cannot hold whitespace.
 """
 
 from __future__ import annotations
@@ -69,6 +72,17 @@ def canonical_identifier(text: str, quoted: bool = False) -> str:
     if quoted and not _IDENT_RE.fullmatch(text):
         return text
     return text.lower()
+
+
+def canonical_name(word: str) -> str:
+    """Canonical form of a schema or stats file name.
+
+    A name wrapped in double quotes reads as a quoted identifier does in a
+    query: the quotes go and ``""`` stands for one ``"``.
+    """
+    if len(word) > 1 and word[0] == word[-1] == '"':
+        return canonical_identifier(word[1:-1].replace('""', '"'), quoted=True)
+    return canonical_identifier(word)
 
 
 class SchemaError(ValueError):
@@ -100,7 +114,7 @@ def parse_schema(schema_text: str) -> SchemaMap:
         if words[0].upper() == "TABLE":
             if len(words) != 2:
                 raise SchemaError(f"line {lineno}: expected 'TABLE <name>'")
-            name = canonical_identifier(words[1])
+            name = canonical_name(words[1])
             if name in tables:
                 raise SchemaError(f"line {lineno}: duplicate table '{name}'")
             tables[name] = []
@@ -110,7 +124,7 @@ def parse_schema(schema_text: str) -> SchemaMap:
             raise SchemaError(f"line {lineno}: column outside a TABLE stanza")
         if len(words) != 1:
             raise SchemaError(f"line {lineno}: expected a single column name")
-        column = canonical_identifier(words[0])
+        column = canonical_name(words[0])
         if column in tables[current]:
             raise SchemaError(
                 f"line {lineno}: duplicate column '{column}' in table '{current}'"
@@ -182,25 +196,22 @@ _TOKEN_RE = re.compile(
 )
 
 
-_SYMBOL_KINDS = frozenset({"op", "punct"})
-
-
 class Token:
-    """One token; ``word`` is the text that keywords and symbols match.
+    """One token; ``word`` is what keywords, symbols and the memo shape read.
 
-    It is the lower-cased text of an ident, the text of an op or punct, and
-    empty for a literal, a quoted identifier or ``end``, which never read as
-    either.
+    It is the lower-cased text of an ident, the text of an op or punct,
+    ``0`` for a number, ``''`` for a string, a quoted identifier exactly as
+    written (inner ``""`` kept) and empty for ``end``. Only idents and
+    symbols can equal a keyword or symbol the parser tests for.
     """
 
     __slots__ = ("kind", "value", "pos", "word")
 
-    def __init__(self, kind: str, value: str, pos: int):
+    def __init__(self, kind: str, value: str, pos: int, word: str):
         self.kind = kind  # ident | qident | number | string | op | punct | end
         self.value = value
         self.pos = pos
-        self.word = (value.lower() if kind == "ident"
-                     else value if kind in _SYMBOL_KINDS else "")
+        self.word = word
 
     def __repr__(self) -> str:
         return f"Token({self.kind!r}, {self.value!r}, {self.pos})"
@@ -210,10 +221,14 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group(kind)
+        value = word = m.group(kind)
         pos = m.start(kind)
-        if kind == "string":
-            value = value[1:-1]
+        if kind == "ident":
+            word = value.lower()
+        elif kind == "number":
+            word = "0"
+        elif kind == "string":
+            value, word = value[1:-1], "''"
         elif kind == "qident":
             value = value[1:-1].replace('""', '"')
         elif kind == "bad":
@@ -222,7 +237,7 @@ def tokenize(text: str) -> list[Token]:
             if value == '"':
                 raise SqlParseError("unterminated quoted identifier", pos)
             raise SqlParseError(f"unexpected character {value!r}", pos)
-        tokens.append(Token(kind, value, pos))
+        tokens.append(Token(kind, value, pos, word))
         if kind == "end":
             break
     return tokens
@@ -304,9 +319,7 @@ class _Parser:
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        if offset:
-            return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
         return self.tokens[self.i]
 
     def advance(self) -> Token:
@@ -561,7 +574,7 @@ class _Parser:
         if tok.kind != "ident":
             return  # every predicate form below starts with a keyword
         negated = False
-        if self.at_kw("not") and self.peek(1).word in ("between", "in", "like"):
+        if self.at_kw("not") and self.tokens[self.i + 1].word in ("between", "in", "like"):
             self.advance()
             negated = True
         if self.accept_kw("between"):
@@ -627,10 +640,10 @@ class _Parser:
                 self.blocks.append(query)
                 self.expect_kw(")")
                 return
-            if word in _TYPED_LITERAL_PREFIXES and self.peek(1).kind == "string":
+            if word in _TYPED_LITERAL_PREFIXES and self.tokens[self.i + 1].kind == "string":
                 self.i += 2
                 return
-            if word == "interval" and self.peek(1).kind == "string":
+            if word == "interval" and self.tokens[self.i + 1].kind == "string":
                 self.i += 2
                 if self.at_kw("year", "month", "day", "hour", "minute", "second"):
                     self.advance()
@@ -660,30 +673,21 @@ class _Parser:
 _shape_texts: dict[int, int] = {}
 _shape_parses: dict[str, Statement] = {}
 
-# Stand-ins for the tokens whose ``word`` is empty, quoted identifiers aside.
-# Each tokenizes back to its kind, so statements share a shape only when
-# their tokens have the same kinds, words and quoted names.
-_SHAPE_STAND_INS = {"number": "0", "string": "''", "end": ""}
-
 
 def parse_statement(text: str) -> Statement:
     """Parse one semicolon-free statement; raises SqlParseError outside the subset.
 
-    A literal-free shape is safe to share: the parser reads a literal's
-    value and a token's position only to word an error, and a quoted
-    identifier's value, which the shape keeps, only to name a column. A
-    successful parse is kept under its shape once a second, different text
-    has shown that shape; a shape seen with one text keeps only two ints,
-    so a log of unique statements holds no parse. A hash collision can
-    change only what is kept, never a result. The memo lives for the
-    process.
+    The shape is the tokens' words joined by spaces. It is literal-free and
+    safe to share: the parser reads a literal's value and a token's
+    position only to word an error, and a quoted identifier's value, which
+    its word keeps as written, only to name a column. A successful parse is
+    kept under its shape once a second, different text has shown that
+    shape; a shape seen with one text keeps only two ints, so a log of
+    unique statements holds no parse. A hash collision can change only what
+    is kept, never a result. The memo lives for the process.
     """
     tokens = tokenize(text)
-    shape = " ".join([
-        tok.word or (_SHAPE_STAND_INS[tok.kind] if tok.kind != "qident"
-                     else '"' + tok.value.replace('"', '""') + '"')
-        for tok in tokens
-    ])
+    shape = " ".join([tok.word for tok in tokens])
     if shape in _shape_parses:
         return _shape_parses[shape]
     stmt = _Parser(tokens).parse_statement()
@@ -731,7 +735,7 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
         first = lead.group(0).lower() if lead else ""
         kind = _LEAD_KINDS.get(first, QueryKind.OTHER)
         error: Optional[str] = None
-        if first in ("select", "update", "delete", "insert", "create"):
+        if kind is not QueryKind.OTHER or first == "create":
             try:
                 parse_statement(text)
             except SqlParseError as exc:

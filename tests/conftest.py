@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,17 @@ GOLDEN = Path(__file__).parent / "golden"
 WORKLOAD_PATH = FIXTURES / "tpcr_workload.sql"
 SCHEMA_PATH = FIXTURES / "tpcr_schema.txt"
 STATS_PATH = FIXTURES / "tpcr_stats.txt"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli_process(args: list[str], *, python_flags: tuple[str, ...] = (),
+                    **env: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, adding ``env`` to the environment."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "idxminer.cli", *args],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path, **env), timeout=120,
+    )
 
 
 @pytest.fixture(scope="session")

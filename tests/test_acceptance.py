@@ -8,10 +8,8 @@ seeded so every run checks the same inputs.
 from __future__ import annotations
 
 import ast
-import os
 import random
 import re
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -20,7 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN, SCHEMA_PATH, STATS_PATH, WORKLOAD_PATH
+from conftest import (
+    FIXTURES,
+    GOLDEN,
+    SCHEMA_PATH,
+    STATS_PATH,
+    WORKLOAD_PATH,
+    run_cli_process,
+)
 
 from idxminer.advisor import (
     IndexCandidate,
@@ -180,15 +185,11 @@ def test_outputs_ignore_hash_seed_and_warm_memo(name, tmp_path, capsys):
     args, golden = GOLDEN_RUNS[name]
     stderr = golden / "stderr.txt"
     expected_err = stderr.read_bytes() if stderr.exists() else b""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for seed in ("0", "1"):
         out = tmp_path / f"hash-seed-{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "idxminer.cli", *args,
-                               "--out", str(out), "-v"],
-                              capture_output=True, env=env, timeout=120)
+        done = run_cli_process([*args, "--out", str(out), "-v"],
+                               PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
         assert done.returncode == 0, done.stderr
         runs.append((out, done.stdout, done.stderr))
     for again in ("first", "second"):  # the second starts with a warm memo
@@ -202,6 +203,20 @@ def test_outputs_ignore_hash_seed_and_warm_memo(name, tmp_path, capsys):
         assert stdout == (golden / "report.txt").read_bytes(), out
         assert err == expected_err, out
     print(f"\n[PASS] {name} outputs identical under hash seeds 0 and 1 and a warm memo")
+
+
+@pytest.mark.parametrize("mode", ["-v", "--mine-only"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_no_read_or_write_leaves_out_its_encoding(name, mode, tmp_path):
+    """Under EncodingWarning as an error, every file the CLI opens names its encoding."""
+    args, _ = GOLDEN_RUNS[name]
+    done = run_cli_process(
+        [*args, "--out", str(tmp_path / "out"), mode],
+        python_flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert b"EncodingWarning" not in done.stderr
+    print(f"\n[PASS] {name} {mode} runs clean under EncodingWarning as an error")
 
 
 def test_diagnostics_golden(tmp_path, capsys):

@@ -201,10 +201,16 @@ def test_select_all_keeps_every_candidate():
 
 
 def test_select_large_tables_filters_small_ones():
-    pool = [candidate("big", ["a"], support=2), candidate("tiny", ["b"], support=2)]
-    config = select(pool, Strategy.LARGE_TABLES, dict(big=6_000_000, tiny=25),
+    pool = [candidate("big", ["a"], support=2), candidate("tiny", ["b"], support=2),
+            candidate("edge", ["c"], support=2), candidate("empty", ["d"], support=2)]
+    rows = dict(big=6_000_000, tiny=25, edge=100_000, empty=0)
+    config = select(pool, Strategy.LARGE_TABLES, rows,
                     threshold_rows=100_000, workload_size=4)
-    assert [c.table for c in config.candidates] == ["big"]
+    # The threshold is inclusive: a table of exactly that many rows is large.
+    assert [c.table for c in config.candidates] == ["big", "edge"]
+    config = select(pool, Strategy.LARGE_TABLES, rows, threshold_rows=0,
+                    workload_size=4)
+    assert {c.table for c in config.candidates} == {"big", "tiny", "edge", "empty"}
 
 
 def test_select_large_tables_is_subset_of_all():
@@ -223,10 +229,10 @@ def test_select_large_tables_is_subset_of_all():
 
 def test_select_missing_stats_lists_tables():
     pool = [candidate("known", ["a"]), candidate("ghost", ["b"])]
-    with pytest.raises(MissingStatsError, match="ghost"):
+    with pytest.raises(MissingStatsError, match="table\\(s\\): ghost$"):
         select(pool, Strategy.LARGE_TABLES, dict(known=10), workload_size=2)
-    with pytest.raises(MissingStatsError):
-        select(pool, Strategy.LARGE_TABLES, None, workload_size=2)
+    with pytest.raises(MissingStatsError, match="table\\(s\\): ghost, known$"):
+        select(pool, Strategy.LARGE_TABLES, {}, workload_size=2)
 
 
 def test_select_orders_by_score_then_name():
@@ -242,44 +248,39 @@ def test_select_orders_by_score_then_name():
 
 def test_select_without_stats_scores_zero_with_diagnostic():
     diags = []
-    config = select([candidate("t", ["a"], support=3)], Strategy.ALL, None,
+    config = select([candidate("t", ["a"], support=3)], Strategy.ALL, {},
                     workload_size=3, diagnostics=diags)
     assert config.scores == (0.0,)
     assert config.est_bytes == (0,)
-    assert diags
+    assert diags == ["no statistics for table 't'; score set to 0"]
 
 
 def test_select_rejects_duplicate_candidates():
     dupe = [candidate("t", ["a"]), candidate("t", ["a"])]
     with pytest.raises(ValueError):
-        select(dupe, Strategy.ALL, None, workload_size=1)
+        select(dupe, Strategy.ALL, {}, workload_size=1)
 
 
 # -- score --------------------------------------------------------------------
 
 
 def test_score_zero_support_scores_zero():
-    assert score(candidate("t", ["a"], support=0), dict(t=500), 20) == 0.0
+    assert score(candidate("t", ["a"], support=0), 500, 20) == 0.0
 
 
 def test_score_example_value():
-    got = score(candidate("t", ["a"], support=10), dict(t=1), 20)
+    got = score(candidate("t", ["a"], support=10), 1, 20)
     assert got == pytest.approx(0.5)
 
 
 def test_score_monotone_in_row_count():
-    small = score(candidate("t", ["a"], support=5), dict(t=1000), 10)
-    large = score(candidate("t", ["a"], support=5), dict(t=2000), 10)
+    small = score(candidate("t", ["a"], support=5), 1000, 10)
+    large = score(candidate("t", ["a"], support=5), 2000, 10)
     assert large >= small
 
 
-def test_score_missing_stats_errors():
-    with pytest.raises(MissingStatsError):
-        score(candidate("ghost", ["a"], support=1), dict(t=10), 5)
-
-
 def test_estimated_bytes_grow_with_key_width():
-    single = estimated_index_bytes(candidate("t", ["a"]), dict(t=1000))
-    double = estimated_index_bytes(candidate("t", ["a", "b"]), dict(t=1000))
+    single = estimated_index_bytes(candidate("t", ["a"]), 1000)
+    double = estimated_index_bytes(candidate("t", ["a", "b"]), 1000)
     assert single == 1000 * 24
     assert double == 1000 * 40

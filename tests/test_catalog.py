@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from idxminer.catalog import MissingStatsError, StatsError, is_large, load_stats
+from idxminer.catalog import StatsError, load_stats
 
 
 def test_load_single_line():
@@ -51,28 +49,6 @@ def test_table_names_canonicalized():
     assert "lineitem" in load_stats("LINEITEM\t10\n")
 
 
-def test_is_large_direct_comparisons():
-    rows = load_stats("big\t6000000\nsmall\t25\n")
-    assert is_large("big", rows, 100000)
-    assert not is_large("small", rows, 100000)
-    assert is_large("small", rows, 0)
-
-
-def test_is_large_unknown_table_is_an_error():
-    with pytest.raises(MissingStatsError):
-        is_large("ghost", {}, 10)
-
-
-def test_is_large_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        is_large("t", load_stats("t\t10\n"), -1)
-
-
-def test_is_large_monotone_in_threshold():
-    rng = random.Random(5)
-    rows = {f"t{i}": rng.randrange(0, 10**7) for i in range(20)}
-    thresholds = sorted(rng.randrange(0, 10**7) for _ in range(10))
-    for table in rows:
-        flags = [is_large(table, rows, t) for t in thresholds]
-        # once the flag drops to False it must stay False as thresholds rise
-        assert flags == sorted(flags, reverse=True)
+def test_quoted_table_names_read_as_quoted_identifiers():
+    rows = load_stats('"Odd-Name"\t10\n"order"\t20\n"A""b"\t30\n"Plain"\t40\n')
+    assert rows == {"Odd-Name": 10, "order": 20, 'A"b': 30, "plain": 40}

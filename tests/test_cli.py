@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SCHEMA_PATH, WORKLOAD_PATH
+from conftest import SCHEMA_PATH, WORKLOAD_PATH, run_cli_process
 
 from idxminer.cli import main
+from idxminer.workload import parse_workload
 
 OUTPUT_FILES = ("recommendation.sql", "report.txt", "report.dat")
 
@@ -275,6 +276,53 @@ def test_non_ascii_outside_quotes_is_other_not_a_crash(tmp_path, capsys):
     assert captured.out == "1\tt.a\n"
     assert "statement 0: unexpected character 'é'" in captured.err
     assert "statement 1: unexpected character '²'" in captured.err
+
+
+def test_stdout_escapes_what_its_encoding_cannot_hold(tmp_path):
+    workload = tmp_path / "w.sql"
+    workload.write_text('SELECT é FROM t;\nSELECT a FROM t WHERE t."café" = 1;\n',
+                        encoding="utf-8")
+    schema = tmp_path / "s.txt"
+    schema.write_text('TABLE t\n a\n "café"\n', encoding="utf-8")
+    args = ["--workload", str(workload), "--schema", str(schema), "--minsup", "1"]
+    out = tmp_path / "out"
+    done = run_cli_process([*args, "--out", str(out), "-v"], PYTHONIOENCODING="ascii")
+    assert done.returncode == 0, done.stderr
+    report = (out / "report.txt").read_bytes()
+    assert "statement 0: unexpected character 'é'".encode("utf-8") in report
+    assert done.stdout == report.decode("utf-8").replace("é", "\\xe9").encode("ascii")
+    assert b"statement 0: unexpected character '\\xe9'" in done.stderr
+    done = run_cli_process([*args, "--mine-only"], PYTHONIOENCODING="ascii")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"1\tt.caf\\xe9\n"
+    done = run_cli_process([*args, "--out", str(tmp_path / "utf8")],
+                           PYTHONIOENCODING="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == report
+
+
+def test_quoted_names_in_schema_and_stats_files(tmp_path, capsys):
+    workload = tmp_path / "w.sql"
+    workload.write_text('SELECT * FROM t WHERE t."Odd-Name" = 1 AND t."order" = 2;\n'
+                        'SELECT * FROM "Big-T" WHERE "Order" = 3;\n', encoding="utf-8")
+    schema = tmp_path / "s.txt"
+    schema.write_text('TABLE t\n "Odd-Name"\n "order"\n\nTABLE "Big-T"\n "Order"\n',
+                      encoding="utf-8")
+    stats = tmp_path / "stats.txt"
+    stats.write_text('t\t200000\n"Big-T"\t300000\n', encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["--workload", str(workload), "--schema", str(schema), "--minsup", "1", "-v"]
+    assert run([*args, "--mine-only"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\tBig-T.order\n1\tt.Odd-Name,t.order\n"
+    assert captured.err == ""
+    assert run([*args, "--stats", str(stats), "--strategy", "large-tables",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    ddl = (out / "recommendation.sql").read_text(encoding="utf-8")
+    assert 'ON "Big-T" (order);' in ddl
+    assert 'ON t ("Odd-Name", order);' in ddl
+    assert [q.parse_error for q in parse_workload(ddl)] == [None, None]
 
 
 DEEP_STATEMENTS = {

@@ -83,6 +83,22 @@ def test_tokenize(text, expected):
     assert [(t.kind, t.value, t.pos) for t in tokenize(text)] == expected
 
 
+# ``word`` is what the parser's keyword tests and the memo shape read.
+WORD_CASES = [
+    ("SeLeCt", "ident", "select"),
+    ("1.5e3", "number", "0"),
+    ("'x'", "string", "''"),
+    ('"A""b"', "qident", '"A""b"'),
+    ("<=", "op", "<="),
+    ("(", "punct", "("),
+]
+
+
+@pytest.mark.parametrize("text, kind, word", WORD_CASES)
+def test_token_word(text, kind, word):
+    assert [(t.kind, t.word) for t in tokenize(text)] == [(kind, word), ("end", "")]
+
+
 TOKENIZE_ERRORS = [
     ("'abc", "unterminated string literal", 0),
     ("x = 'a'' AND y = 'b'", "unterminated string literal", 19),

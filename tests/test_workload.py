@@ -637,3 +637,16 @@ def test_schema_duplicate_column_rejected():
 def test_schema_column_outside_stanza_rejected():
     with pytest.raises(SchemaError):
         parse_schema("stray\nTABLE t\n a\n")
+
+
+def test_schema_quoted_names_read_as_quoted_identifiers():
+    schema = parse_schema('TABLE t\n"Odd-Name"\n"order"\n"A""b"\n\nTABLE "U"\nplain\n')
+    assert schema == {"t": ("Odd-Name", "order", 'A"b'), "u": ("plain",)}
+    with pytest.raises(SchemaError, match="duplicate column 'order'"):
+        parse_schema('TABLE t\n"order"\nORDER\n')
+    (query,) = parse_workload(
+        'SELECT * FROM t WHERE t."Odd-Name" = 1 AND t."order" = 2 AND t."A""b" = 3')
+    diagnostics: list[str] = []
+    items = extract_items(query, schema, diagnostics=diagnostics).items
+    assert sorted(map(str, items)) == ['t.A"b', "t.Odd-Name", "t.order"]
+    assert diagnostics == []
