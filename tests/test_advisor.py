@@ -201,12 +201,19 @@ def test_select_all_keeps_every_candidate():
 
 
 def test_select_large_tables_filters_small_ones():
+    pool = [candidate("big", ["a"], support=2), candidate("tiny", ["b"], support=2)]
+    config = select(pool, Strategy.LARGE_TABLES, dict(big=6_000_000, tiny=25),
+                    threshold_rows=100_000, workload_size=4)
+    assert [c.table for c in config.candidates] == ["big"]
+
+
+def test_select_large_tables_threshold_is_inclusive():
     pool = [candidate("big", ["a"], support=2), candidate("tiny", ["b"], support=2),
             candidate("edge", ["c"], support=2), candidate("empty", ["d"], support=2)]
     rows = dict(big=6_000_000, tiny=25, edge=100_000, empty=0)
     config = select(pool, Strategy.LARGE_TABLES, rows,
                     threshold_rows=100_000, workload_size=4)
-    # The threshold is inclusive: a table of exactly that many rows is large.
+    # A table of exactly the threshold's row count is large.
     assert [c.table for c in config.candidates] == ["big", "edge"]
     config = select(pool, Strategy.LARGE_TABLES, rows, threshold_rows=0,
                     workload_size=4)
