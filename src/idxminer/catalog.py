@@ -4,16 +4,16 @@ Statistics come from a flat file, one table per line::
 
     <table><TAB><row_count>[<TAB><avg_row_bytes>]
 
-``#`` starts a comment line and blank lines are skipped. The optional
-third column is checked to be a positive integer but is not used. Table
-names are canonicalized as schema names are. ``advisor.select`` is the one
-reader of the counts and raises ``MissingStatsError`` when the large-table
-strategy meets a table without one.
+``#`` outside double quotes starts a comment and blank lines are skipped.
+The optional third column is checked to be a positive integer but is not
+used. Table names are canonicalized as schema names are. ``advisor.select``
+is the one reader of the counts and raises ``MissingStatsError`` when the
+large-table strategy meets a table without one.
 """
 
 from __future__ import annotations
 
-from .workload import canonical_name
+from .workload import canonical_name, strip_comment
 
 
 class StatsError(ValueError):
@@ -28,7 +28,7 @@ def load_stats(stats_text: str) -> dict[str, int]:
     """Parse a statistics file into table -> row count; errors name the line."""
     rows: dict[str, int] = {}
     for lineno, raw in enumerate(stats_text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = strip_comment(raw).rstrip()
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split("\t") if f.strip()]

@@ -33,6 +33,16 @@ _NAME_HASH_DIGITS = 6
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# Words SQL engines reserve, every keyword the subset grammar reads among
+# them. A name spelled like one goes out quoted.
+_RESERVED_WORDS = frozenset("""
+    all and any as asc between by case check column constraint create cross
+    default delete desc distinct drop else end exists foreign from full grant
+    group having in index inner insert into is join left like limit not null
+    on or order outer primary references right select set table then to union
+    unique update user values when where with
+""".split())
+
 
 @dataclass(frozen=True)
 class Recommendation:
@@ -47,8 +57,8 @@ class Recommendation:
 
 
 def _sql_name(identifier: str) -> str:
-    """Quote identifiers that stray outside the plain identifier alphabet."""
-    if _PLAIN_IDENT.match(identifier):
+    """Quote identifiers outside the plain identifier alphabet or reserved."""
+    if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:
         return identifier
     return '"' + identifier.replace('"', '""') + '"'
 

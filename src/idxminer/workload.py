@@ -33,15 +33,23 @@ the subquery blocks, each in order (``Expr``). The expression grammar has
 two levels of binary operators, one for AND and OR, one for arithmetic and
 ``||``; a recognizer that builds nothing needs no precedence between them.
 
+The tokenizer returns each token's *word* and nothing else: an identifier
+lower-cased, a symbol or a quoted identifier as written, ``0`` for a number
+and ``''`` for a string. The word tells the parser the token's kind as well.
+One regex pass yields the raw tokens and a vocabulary maps each name and
+symbol to its word, so no object is built per token. Only an error message
+quotes a token's value and position, so a failing statement alone is
+scanned again in full (``scan``).
+
 Query logs repeat a few templates with new literals, so ``parse_statement``
-memoizes parses by *shape*: the join of its tokens' words, which the
-tokenizer writes once per token and in which each literal reads ``0`` or
-``''``. The records hold no literal, so statements of one shape parse alike.
-A parse is kept once two different texts show its shape, a failing one
-never, as its message quotes its own token. The memo lives for the process.
+memoizes parses by *shape*: the join of its words, in which each literal
+reads ``0`` or ``''``. The records hold no literal, so statements of one
+shape parse alike. A parse is kept once two different texts show its shape,
+a failing one never, as its message quotes its own token. The memo lives
+for the process.
 
 A schema file declares tables in blank-line-separated stanzas; ``#``
-starts a comment line::
+outside double quotes starts a comment::
 
     TABLE customer
         c_custkey
@@ -85,6 +93,16 @@ def canonical_name(word: str) -> str:
     return canonical_identifier(word)
 
 
+# A line's text before its comment: a ``#`` inside a double-quoted run,
+# closed or not, starts none.
+_BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+
+
+def strip_comment(line: str) -> str:
+    """A schema or stats file line up to its first ``#`` outside double quotes."""
+    return _BEFORE_COMMENT_RE.match(line).group()
+
+
 class SchemaError(ValueError):
     """Raised when a schema file cannot be parsed."""
 
@@ -106,7 +124,7 @@ def parse_schema(schema_text: str) -> SchemaMap:
     tables: dict[str, list[str]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(schema_text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = strip_comment(raw).rstrip()
         if not line.strip():
             current = None
             continue
@@ -176,59 +194,54 @@ def split_statements(text: str) -> list[str]:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-# One alternative per token kind, tried after skipping whitespace. A quoted
-# token closes at the first quote that is not doubled, so an unterminated one
-# fails as a whole and ``bad`` reports its opening quote. ``end`` matches only
-# at the end of the text and ``bad`` takes any other character, so every
-# match ends in a token and the leading ``\s*`` never backtracks.
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
-      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
-      | (?P<qident>"[^"]*(?:""[^"]*)*"(?!"))
-      | (?P<op><=|>=|<>|!=|\|\||[=<>+\-*/%])
-      | (?P<punct>[(),.])
-      | (?P<end>\Z)
-      | (?P<bad>.)
-    )""",
-    re.S | re.X,
+# One pattern per token kind, in the order they are tried. A quoted token
+# closes at the first quote that is not doubled, so an unterminated one fails
+# as a whole and leaves its opening quote a bad character.
+_TOKEN_PATTERNS = (
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("number", r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"),
+    ("string", r"'[^']*(?:''[^']*)*'(?!')"),
+    ("qident", r'"[^"]*(?:""[^"]*)*"(?!")'),
+    ("op", r"<=|>=|<>|!=|\|\||[=<>+\-*/%]"),
+    ("punct", r"[(),.]"),
 )
 
+# The full scanner, tried after skipping whitespace: ``end`` matches only at
+# the end of the text and ``bad`` takes any other character, so every match
+# ends in a token and the leading ``\s*`` never backtracks.
+_TOKEN_RE = re.compile(
+    r"\s*(?:" + "".join(f"(?P<{kind}>{pattern})|" for kind, pattern in _TOKEN_PATTERNS)
+    + r"(?P<end>\Z)|(?P<bad>.))",
+    re.S,
+)
 
-class Token:
-    """One token; ``word`` is what keywords, symbols and the memo shape read.
+# The raw text of each token, bad characters included: ``findall`` skips the
+# whitespace, where no alternative matches.
+_RAW_TOKEN_RE = re.compile("|".join(pattern for _, pattern in _TOKEN_PATTERNS) + r"|\S")
 
-    It is the lower-cased text of an ident, the text of an op or punct,
-    ``0`` for a number, ``''`` for a string, a quoted identifier exactly as
-    written (inner ``""`` kept) and empty for ``end``. Only idents and
-    symbols can equal a keyword or symbol the parser tests for.
+# Raw identifier, quoted identifier and symbol -> its word. Literals are never
+# kept, so the vocabulary grows with the workload's names, not its length.
+_VOCABULARY: dict[str, str] = {}
+
+_DIGITS = "0123456789"
+
+
+def scan(text: str) -> list[tuple[str, str, int]]:
+    """Every token of ``text`` as (kind, value, position), ending in ``end``.
+
+    The kinds are ident, qident, number, string, op, punct and end. A
+    string's value drops its quotes; a quoted identifier's drops them too and
+    reads ``""`` as ``"``. Raises SqlParseError at the first bad character.
+    Only an error message needs a value or a position, so only the error
+    path scans this way.
     """
-
-    __slots__ = ("kind", "value", "pos", "word")
-
-    def __init__(self, kind: str, value: str, pos: int, word: str):
-        self.kind = kind  # ident | qident | number | string | op | punct | end
-        self.value = value
-        self.pos = pos
-        self.word = word
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.value!r}, {self.pos})"
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+    tokens: list[tuple[str, str, int]] = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = word = m.group(kind)
+        value = m.group(kind)
         pos = m.start(kind)
-        if kind == "ident":
-            word = value.lower()
-        elif kind == "number":
-            word = "0"
-        elif kind == "string":
-            value, word = value[1:-1], "''"
+        if kind == "string":
+            value = value[1:-1]
         elif kind == "qident":
             value = value[1:-1].replace('""', '"')
         elif kind == "bad":
@@ -237,10 +250,38 @@ def tokenize(text: str) -> list[Token]:
             if value == '"':
                 raise SqlParseError("unterminated quoted identifier", pos)
             raise SqlParseError(f"unexpected character {value!r}", pos)
-        tokens.append(Token(kind, value, pos, word))
+        tokens.append((kind, value, pos))
         if kind == "end":
             break
     return tokens
+
+
+def tokenize(text: str) -> list[str]:
+    """The words of ``text``'s tokens, ending in the empty word.
+
+    A word is all the parser and the memo shape read of a token: an
+    identifier lower-cased, a symbol as written, a quoted identifier as
+    written (inner ``""`` kept), ``0`` for any number and ``''`` for any
+    string. Raises SqlParseError as ``scan`` does.
+    """
+    known = _VOCABULARY.get
+    words = [known(raw) or ("0" if raw[0] in _DIGITS else _new_word(raw, text))
+             for raw in _RAW_TOKEN_RE.findall(text)]
+    words.append("")
+    return words
+
+
+def _new_word(raw: str, text: str) -> str:
+    """The word of a raw token the vocabulary lacks; a name or symbol joins it."""
+    kind = _TOKEN_RE.match(raw).lastgroup
+    if kind == "number":
+        return "0"
+    if kind == "string":
+        return "''"
+    if kind == "bad":
+        scan(text)  # raises at the first bad character
+    word = _VOCABULARY[raw] = raw.lower() if kind == "ident" else raw
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -302,70 +343,87 @@ _TYPED_LITERAL_PREFIXES = {"date", "time", "timestamp"}
 MAX_NESTING = 50
 
 
+# Leading characters of a name's word: an identifier's, lower-cased, or the
+# quote of a quoted identifier.
+_NAME_LEADS = frozenset('abcdefghijklmnopqrstuvwxyz_"')
+
+# The words of a number and of a string.
+_LITERALS = ("0", "''")
+
+
 class _Parser:
-    """Recursive descent over one statement's tokens.
+    """Recursive descent over one statement's words.
+
+    A word tells its token's kind: the empty word is the end, ``0`` a number,
+    ``''`` a string, a leading ``"`` a quoted identifier and a leading letter
+    or ``_`` an identifier; any other word is a symbol. ``text`` is read only
+    to word an error.
 
     The expression rules check the grammar and build nothing: each appends
     the column references it meets to ``refs`` and the subquery blocks to
     ``blocks``, the sinks of the clause-level expression being parsed.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, words: list[str], text: str):
+        self.words = words
+        self.text = text
         self.i = 0
         self.depth = 0
         self.refs: list[ColumnRef] = []
         self.blocks: list[Block] = []
 
-    # -- token helpers -----------------------------------------------------
+    # -- word helpers --------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
+    def advance(self) -> str:
+        word = self.words[self.i]
+        if word:
             self.i += 1
-        return tok
+        return word
 
-    # The ``_kw`` helpers match a token's ``word``: a keyword or a symbol.
-    # The expression rules test ``word`` inline where they run once per
-    # operand or list item, as a call there costs about 5 % of parse time.
+    def error(self, message: str, i: Optional[int] = None) -> SqlParseError:
+        """``message`` at token ``i``, by default the current one.
+
+        A ``{!r}`` in ``message`` quotes the token's value. Words keep no
+        value or position, so the one failing statement is scanned again.
+        """
+        _, value, pos = scan(self.text)[self.i if i is None else i]
+        return SqlParseError(message.format(value), pos)
+
+    # The ``_kw`` helpers match a word: a keyword or a symbol. The expression
+    # rules test the word inline where they run once per operand or list
+    # item, as a call there costs about 5 % of parse time.
 
     def at_kw(self, *words: str) -> bool:
-        return self.tokens[self.i].word in words
+        return self.words[self.i] in words
 
     def accept_kw(self, *words: str) -> bool:
-        if self.tokens[self.i].word in words:
+        if self.words[self.i] in words:
             self.i += 1
             return True
         return False
 
     def expect_kw(self, word: str) -> None:
         if not self.accept_kw(word):
-            tok = self.peek()
             shown = word.upper() if word.isalpha() else repr(word)
-            raise SqlParseError(f"expected {shown}, found {tok.value!r}", tok.pos)
+            raise self.error(f"expected {shown}, found {{!r}}")
 
     def at_alias(self) -> bool:
         """True at a name that can be an implicit alias (no reserved word)."""
-        tok = self.tokens[self.i]
-        return tok.kind in ("ident", "qident") and tok.word not in _RESERVED
+        word = self.words[self.i]
+        return word[:1] in _NAME_LEADS and word not in _RESERVED
 
     def expect_name(self) -> str:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return tok.word
-        if tok.kind == "qident":
-            self.advance()
-            return canonical_identifier(tok.value, quoted=True)
-        raise SqlParseError(f"expected identifier, found {tok.value!r}", tok.pos)
+        word = self.words[self.i]
+        if word[:1] in _NAME_LEADS:
+            self.i += 1
+            if word[0] == '"':
+                return canonical_identifier(word[1:-1].replace('""', '"'), quoted=True)
+            return word
+        raise self.error("expected identifier, found {!r}")
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise SqlParseError(f"unexpected trailing input {tok.value!r}", tok.pos)
+        if self.words[self.i]:
+            raise self.error("unexpected trailing input {!r}")
 
     def nested(self, parse):
         """Run one recursive descent step, bounding the nesting depth.
@@ -375,7 +433,7 @@ class _Parser:
         """
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise SqlParseError("nesting too deep", self.peek().pos)
+            raise self.error("nesting too deep")
         result = parse()
         self.depth -= 1
         return result
@@ -395,8 +453,7 @@ class _Parser:
         elif self.at_kw("create"):
             stmt = self.parse_create_index()
         else:
-            tok = self.peek()
-            raise SqlParseError(f"unsupported statement start {tok.value!r}", tok.pos)
+            raise self.error("unsupported statement start {!r}")
         self.expect_end()
         return stmt
 
@@ -442,10 +499,9 @@ class _Parser:
                 if not self.accept_kw(","):
                     break
         if self.accept_kw("limit"):
-            tok = self.advance()
-            if tok.kind != "number":
-                raise SqlParseError(f"expected a number after LIMIT, found {tok.value!r}",
-                                    tok.pos)
+            at = self.i
+            if self.advance() != "0":
+                raise self.error("expected a number after LIMIT, found {!r}", at)
         return Block(tuple(sources + joined), tuple(aliases), tuple(clauses))
 
     def parse_select_item(self, clauses: list[tuple[str, Expr]],
@@ -485,8 +541,7 @@ class _Parser:
         # references land in the statement-level sinks, which nothing reads.
         self.expect_name()
         if not self.accept_kw("="):
-            tok = self.peek()
-            raise SqlParseError(f"expected '=' in SET clause, found {tok.value!r}", tok.pos)
+            raise self.error("expected '=' in SET clause, found {!r}")
         self.parse_expr()
 
     def parse_delete(self) -> Block:
@@ -502,16 +557,15 @@ class _Parser:
         # The remainder (column list, VALUES, SELECT) carries no indexable
         # positions; accept it opaquely but insist on balanced parentheses.
         depth = 0
-        while self.peek().kind != "end":
-            tok = self.advance()
-            if tok.word == "(":
+        while word := self.advance():
+            if word == "(":
                 depth += 1
-            elif tok.word == ")":
+            elif word == ")":
                 depth -= 1
                 if depth < 0:
-                    raise SqlParseError("unbalanced ')' in INSERT body", tok.pos)
+                    raise self.error("unbalanced ')' in INSERT body", self.i - 1)
         if depth != 0:
-            raise SqlParseError("unbalanced '(' in INSERT body", self.peek().pos)
+            raise self.error("unbalanced '(' in INSERT body")
 
     def parse_create_index(self) -> None:
         self.expect_kw("create")
@@ -541,10 +595,9 @@ class _Parser:
         return expr
 
     def parse_expr(self) -> None:
-        tok = self.tokens[self.i]
-        if tok.kind in ("number", "string"):
+        if self.words[self.i] in _LITERALS:
             # A bare literal ending a list item holds nothing to record.
-            if self.tokens[self.i + 1].word in (",", ")"):
+            if self.words[self.i + 1] in (",", ")"):
                 self.i += 1
                 return
         self.parse_not()
@@ -553,7 +606,7 @@ class _Parser:
 
     def parse_expr_list(self) -> None:
         self.parse_expr()
-        while self.tokens[self.i].word == ",":
+        while self.words[self.i] == ",":
             self.i += 1
             self.parse_expr()
 
@@ -566,15 +619,16 @@ class _Parser:
     def parse_predicate(self) -> None:
         mark = len(self.blocks)
         self.parse_additive()
-        tok = self.tokens[self.i]
-        if tok.word in ("=", "<>", "!=", "<", "<=", ">", ">="):
+        at = self.i
+        word = self.words[at]
+        if word in ("=", "<>", "!=", "<", "<=", ">", ">="):
             self.i += 1
             self.parse_additive()
             return
-        if tok.kind != "ident":
-            return  # every predicate form below starts with a keyword
+        if word not in ("not", "between", "in", "like", "is"):
+            return  # every predicate form below starts with one of these
         negated = False
-        if self.at_kw("not") and self.tokens[self.i + 1].word in ("between", "in", "like"):
+        if word == "not" and self.words[at + 1] in ("between", "in", "like"):
             self.advance()
             negated = True
         if self.accept_kw("between"):
@@ -596,30 +650,30 @@ class _Parser:
             self.parse_additive()
             return
         if negated:
-            raise SqlParseError("dangling NOT in predicate", tok.pos)
+            raise self.error("dangling NOT in predicate", at)
         if self.accept_kw("is"):
             self.accept_kw("not")
             self.expect_kw("null")
 
     def parse_additive(self) -> None:
         self.parse_factor()
-        while self.tokens[self.i].word in ("+", "-", "||", "*", "/", "%"):
+        while self.words[self.i] in ("+", "-", "||", "*", "/", "%"):
             self.i += 1
             self.parse_factor()
 
     def parse_factor(self) -> None:
-        if self.tokens[self.i].word in ("+", "-"):
+        if self.words[self.i] in ("+", "-"):
             self.i += 1
             self.nested(self.parse_factor)
         else:
             self.parse_primary()
 
     def parse_primary(self) -> None:
-        tok = self.tokens[self.i]
-        if tok.kind in ("number", "string"):
-            self.advance()
+        word = self.words[self.i]
+        if word in _LITERALS:
+            self.i += 1
             return
-        if tok.word == "(":
+        if word == "(":
             self.i += 1
             if self.at_kw("select"):
                 query = self.nested(self.parse_select_block)
@@ -628,25 +682,23 @@ class _Parser:
                 self.nested(self.parse_expr)
             self.expect_kw(")")
             return
-        if tok.kind in ("ident", "qident"):
-            word = tok.word
+        if word[:1] in _NAME_LEADS:
             if word == "null":
-                self.advance()
+                self.i += 1
                 return
             if word == "exists":
-                self.advance()
+                self.i += 1
                 self.expect_kw("(")
                 query = self.nested(self.parse_select_block)
                 self.blocks.append(query)
                 self.expect_kw(")")
                 return
-            if word in _TYPED_LITERAL_PREFIXES and self.tokens[self.i + 1].kind == "string":
+            if word in _TYPED_LITERAL_PREFIXES and self.words[self.i + 1] == "''":
                 self.i += 2
                 return
-            if word == "interval" and self.tokens[self.i + 1].kind == "string":
+            if word == "interval" and self.words[self.i + 1] == "''":
                 self.i += 2
-                if self.at_kw("year", "month", "day", "hour", "minute", "second"):
-                    self.advance()
+                self.accept_kw("year", "month", "day", "hour", "minute", "second")
                 return
             name = self.expect_name()
             if self.accept_kw("("):
@@ -659,7 +711,7 @@ class _Parser:
                 return
             self.refs.append(ColumnRef(qualifier=None, column=name))
             return
-        raise SqlParseError(f"unexpected token {tok.value!r}", tok.pos)
+        raise self.error("unexpected token {!r}")
 
     def parse_func_args(self) -> None:
         self.accept_kw("distinct")
@@ -677,20 +729,20 @@ _shape_parses: dict[str, Statement] = {}
 def parse_statement(text: str) -> Statement:
     """Parse one semicolon-free statement; raises SqlParseError outside the subset.
 
-    The shape is the tokens' words joined by spaces. It is literal-free and
-    safe to share: the parser reads a literal's value and a token's
-    position only to word an error, and a quoted identifier's value, which
-    its word keeps as written, only to name a column. A successful parse is
-    kept under its shape once a second, different text has shown that
-    shape; a shape seen with one text keeps only two ints, so a log of
-    unique statements holds no parse. A hash collision can change only what
-    is kept, never a result. The memo lives for the process.
+    The shape is the statement's words joined by spaces. It is literal-free
+    and safe to share: the parser reads nothing but the words on success,
+    and a failing parse is never kept, as its error rescans its own text.
+    A successful parse is kept under its shape once a second, different
+    text has shown that shape; a shape seen with one text keeps only two
+    ints, so a log of unique statements holds no parse. A hash collision
+    can change only what is kept, never a result. The memo lives for the
+    process.
     """
-    tokens = tokenize(text)
-    shape = " ".join([tok.word for tok in tokens])
+    words = tokenize(text)
+    shape = " ".join(words)
     if shape in _shape_parses:
         return _shape_parses[shape]
-    stmt = _Parser(tokens).parse_statement()
+    stmt = _Parser(words, text).parse_statement()
     if _shape_texts.setdefault(hash(shape), hash(text)) != hash(text):
         _shape_parses[shape] = stmt
     return stmt

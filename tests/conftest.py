@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from idxminer import workload
 
@@ -16,6 +17,19 @@ WORKLOAD_PATH = FIXTURES / "tpcr_workload.sql"
 SCHEMA_PATH = FIXTURES / "tpcr_schema.txt"
 STATS_PATH = FIXTURES / "tpcr_stats.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Random statement text: the SQL alphabet, some non-ASCII characters and
+# fragments of real statements.
+SQL_ALPHABET = (
+    "abcxyzSELCTFROMWHEINDTabcdefghijklmnopqrstuvwxyz_0123456789"
+    " \t\n'\";.,()*=<>!|+-/%"
+    "é²٣ "
+)
+SQL_WORDS = ["SELECT ", " FROM ", " WHERE ", " AND ", " OR ", " NOT ", " IN ",
+             "(", ")", "--", "/*", "*/", "''", '""', " t.a ", " 1.5e3 "]
+sql_text = st.lists(st.one_of(st.text(SQL_ALPHABET, max_size=6),
+                              st.sampled_from(SQL_WORDS)),
+                    max_size=30).map("".join)
 
 
 def run_cli_process(args: list[str], *, python_flags: tuple[str, ...] = (),

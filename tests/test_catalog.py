@@ -52,3 +52,7 @@ def test_table_names_canonicalized():
 def test_quoted_table_names_read_as_quoted_identifiers():
     rows = load_stats('"Odd-Name"\t10\n"order"\t20\n"A""b"\t30\n"Plain"\t40\n')
     assert rows == {"Odd-Name": 10, "order": 20, 'A"b': 30, "plain": 40}
+
+
+def test_hash_inside_a_quoted_name_starts_no_comment():
+    assert load_stats('"x#y"\t5\n"#"\t6  # note\n') == {"x#y": 5, "#": 6}

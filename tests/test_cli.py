@@ -7,7 +7,8 @@ import pytest
 from conftest import SCHEMA_PATH, WORKLOAD_PATH, run_cli_process
 
 from idxminer.cli import main
-from idxminer.workload import parse_workload
+from idxminer.report import parse_structured_report
+from idxminer.workload import canonical_identifier, parse_workload, scan, split_statements
 
 OUTPUT_FILES = ("recommendation.sql", "report.txt", "report.dat")
 
@@ -320,9 +321,17 @@ def test_quoted_names_in_schema_and_stats_files(tmp_path, capsys):
                 "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     ddl = (out / "recommendation.sql").read_text(encoding="utf-8")
-    assert 'ON "Big-T" (order);' in ddl
-    assert 'ON t ("Odd-Name", order);' in ddl
+    assert 'ON "Big-T" ("order");' in ddl
+    assert 'ON t ("Odd-Name", "order");' in ddl
     assert [q.parse_error for q in parse_workload(ddl)] == [None, None]
+    # CREATE INDEX <name> ON <table> (<columns>), names read as queries read them.
+    targets = []
+    for statement in split_statements(ddl):
+        names = [canonical_identifier(value, quoted=kind == "qident")
+                 for kind, value, _ in scan(statement) if kind in ("ident", "qident")]
+        targets.append((names[4], tuple(names[5:])))
+    _, rows = parse_structured_report((out / "report.dat").read_text(encoding="utf-8"))
+    assert targets == [(table, columns) for table, columns, _ in rows]
 
 
 DEEP_STATEMENTS = {

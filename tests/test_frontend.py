@@ -8,9 +8,10 @@ random text drawn from the SQL alphabet plus some non-ASCII characters.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from idxminer.workload import SqlParseError, parse_statement, split_statements, tokenize
+from conftest import sql_text
+from idxminer.workload import SqlParseError, parse_statement, scan, split_statements, tokenize
 
 SPLIT_CASES = [
     ("", []),
@@ -80,10 +81,10 @@ TOKENIZE_CASES = [
 
 @pytest.mark.parametrize("text, expected", TOKENIZE_CASES)
 def test_tokenize(text, expected):
-    assert [(t.kind, t.value, t.pos) for t in tokenize(text)] == expected
+    assert scan(text) == expected
 
 
-# ``word`` is what the parser's keyword tests and the memo shape read.
+# A word is what the parser and the memo shape read of a token.
 WORD_CASES = [
     ("SeLeCt", "ident", "select"),
     ("1.5e3", "number", "0"),
@@ -96,7 +97,8 @@ WORD_CASES = [
 
 @pytest.mark.parametrize("text, kind, word", WORD_CASES)
 def test_token_word(text, kind, word):
-    assert [(t.kind, t.word) for t in tokenize(text)] == [(kind, word), ("end", "")]
+    assert [token[0] for token in scan(text)] == [kind, "end"]
+    assert tokenize(text) == [word, ""]
 
 
 TOKENIZE_ERRORS = [
@@ -120,24 +122,14 @@ TOKENIZE_ERRORS = [
 
 @pytest.mark.parametrize("text, message, pos", TOKENIZE_ERRORS)
 def test_tokenize_errors(text, message, pos):
-    with pytest.raises(SqlParseError) as info:
-        tokenize(text)
-    assert str(info.value) == message
-    assert info.value.pos == pos
+    for tokenizer in (scan, tokenize):
+        with pytest.raises(SqlParseError) as info:
+            tokenizer(text)
+        assert str(info.value) == message
+        assert info.value.pos == pos
 
 
 # -- properties over random text ---------------------------------------------
-
-SQL_ALPHABET = (
-    "abcxyzSELCTFROMWHEINDTabcdefghijklmnopqrstuvwxyz_0123456789"
-    " \t\n'\";.,()*=<>!|+-/%"
-    "é²٣ "
-)
-SQL_WORDS = ["SELECT ", " FROM ", " WHERE ", " AND ", " OR ", " NOT ", " IN ",
-             "(", ")", "--", "/*", "*/", "''", '""', " t.a ", " 1.5e3 "]
-sql_text = st.lists(st.one_of(st.text(SQL_ALPHABET, max_size=6),
-                              st.sampled_from(SQL_WORDS)),
-                    max_size=30).map("".join)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -146,13 +138,13 @@ def test_front_end_raises_only_parse_errors(text):
     for statement in split_statements(text):
         assert statement and statement == statement.strip()
     try:
-        tokens = tokenize(text)
+        tokens = scan(text)
     except SqlParseError:
         pass
     else:
-        positions = [t.pos for t in tokens]
+        positions = [pos for _, _, pos in tokens]
         assert positions == sorted(set(positions))
-        assert tokens[-1].kind == "end" and tokens[-1].pos == len(text)
+        assert tokens[-1] == ("end", "", len(text))
     try:
         parse_statement(text)
     except SqlParseError:

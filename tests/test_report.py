@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
 from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
 from idxminer.report import (
     MAX_INDEX_NAME_LENGTH,
     Recommendation,
+    _sql_name,
     emit_ddl,
     emit_report,
     index_name,
@@ -77,6 +80,20 @@ def test_quoted_identifiers_in_ddl():
     config = make_configuration([make_candidate(table="Order Data", columns=("k",))])
     ddl = emit_ddl(config)
     assert 'ON "Order Data" (k);' in ddl
+
+
+@pytest.mark.parametrize("name, sql", [
+    ("k", "k"),
+    ("orders", "orders"),
+    ("order", '"order"'),
+    ("ORDER", '"ORDER"'),
+    ("select", '"select"'),
+    ("values", '"values"'),
+    ("Order Data", '"Order Data"'),
+    ('A"b', '"A""b"'),
+])
+def test_sql_name_quotes_odd_and_reserved_names(name, sql):
+    assert _sql_name(name) == sql
 
 
 def test_ddl_reparses_under_subset_grammar():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sql_text
 from idxminer import workload
 from idxminer.workload import (
     MAX_NESTING,
@@ -19,6 +20,7 @@ from idxminer.workload import (
     parse_schema,
     parse_statement,
     parse_workload,
+    scan,
     split_statements,
     tokenize,
 )
@@ -508,7 +510,7 @@ def parsed(text, parse=parse_statement):
 
 def fresh(text):
     """``parsed`` by a new parser, past the memo."""
-    return parsed(text, lambda t: _Parser(tokenize(t)).parse_statement())
+    return parsed(text, lambda t: _Parser(tokenize(t), t).parse_statement())
 
 
 def test_statements_differing_in_literals_run_the_parser_twice(cold_memo):
@@ -543,6 +545,24 @@ def test_failing_statements_of_one_shape_report_their_own_token(cold_memo):
     assert workload._shape_parses == {}
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("INSERT INTO t VALUES (1))", "unbalanced ')' in INSERT body", 24),
+    ("INSERT INTO t VALUES ((1)", "unbalanced '(' in INSERT body", 25),
+    ("SELECT a FROM t LIMIT x", "expected a number after LIMIT, found 'x'", 22),
+    ("SELECT a FROM t LIMIT", "expected a number after LIMIT, found ''", 21),
+    ("SELECT a FROM t LIMIT 'it''s'", "expected a number after LIMIT, found \"it''s\"", 22),
+    ('SELECT a FROM t LIMIT "A""b"', "expected a number after LIMIT, found 'A\"b'", 22),
+    ("UPDATE t SET a 1", "expected '=' in SET clause, found '1'", 15),
+    ("SELECT a FROM t WHERE t.a = 1 b", "unexpected trailing input 'b'", 30),
+    ("VACUUM t", "unsupported statement start 'VACUUM'", 0),
+    ("DELETE t", "expected FROM, found 't'", 7),
+    ("SELECT a FROM 7", "expected identifier, found '7'", 14),
+    ("SELECT a FROM t WHERE " + "NOT " * 51 + "t.a = 1", "nesting too deep", 226),
+])
+def test_parse_errors_quote_and_place_their_token(cold_memo, text, message, pos):
+    assert parsed(text) == (message, pos)
+
+
 def test_unique_statements_keep_no_parse(cold_memo):
     texts = [f"SELECT c{i} FROM t WHERE t.a = {i}" for i in range(500)]
     for text in texts + texts:
@@ -569,15 +589,36 @@ def source_words(text, data=None):
     """The statement's tokens as source text; given ``data``, literals and
     quoted names redrawn."""
     words = []
-    for tok in tokenize(text)[:-1]:
-        if data is not None and tok.kind in NEW_LITERALS:
-            words.append(data.draw(NEW_LITERALS[tok.kind]))
-        elif tok.kind in QUOTES:
-            quote = QUOTES[tok.kind]
-            words.append(quote + tok.value.replace(quote, quote * 2) + quote)
+    for kind, value, _ in scan(text)[:-1]:
+        if data is not None and kind in NEW_LITERALS:
+            words.append(data.draw(NEW_LITERALS[kind]))
+        elif kind in QUOTES:
+            quote = QUOTES[kind]
+            words.append(quote + value.replace(quote, quote * 2) + quote)
         else:
-            words.append(tok.value)
+            words.append(value)
     return words
+
+
+# The word of each token kind's value; any other kind's word is its value.
+WORD_OF = {
+    "ident": str.lower,
+    "number": lambda value: "0",
+    "string": lambda value: "''",
+    "qident": lambda value: '"' + value.replace('"', '""') + '"',
+}
+
+
+def scanned_words(text):
+    """What ``tokenize`` must return: the word of each of the scanner's tokens."""
+    return [WORD_OF.get(kind, str)(value) for kind, value, _ in scan(text)]
+
+
+def assert_front_end_agrees(text):
+    """``tokenize`` gives the scanner's words or raises its error, and
+    ``parse_statement`` gives what a fresh parser does."""
+    assert parsed(text, tokenize) == parsed(text, scanned_words), text
+    assert parsed(text) == fresh(text), text
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -600,7 +641,23 @@ def test_memoized_parse_equals_a_fresh_parse(case, data):
     for text in (" ".join(words), " ".join(mutant)):
         for variant in (text, " ".join(source_words(text, data)),
                         " ".join(source_words(text, data))):
-            assert parsed(variant) == fresh(variant), variant
+            assert_front_end_agrees(variant)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(sql_text)
+def test_front_end_agrees_with_the_scanner_on_random_text(text):
+    assert_front_end_agrees(text)
+
+
+def test_literals_leave_the_vocabulary_alone():
+    texts = [f"SELECT a FROM t WHERE t.a IN ({i}, .{i}, {i}e{i % 9}) AND t.b = 'v{i}'"
+             for i in range(1000)]
+    tokenize(texts[0])
+    size = len(workload._VOCABULARY)
+    for text in texts[1:]:
+        tokenize(text)
+    assert len(workload._VOCABULARY) == size
 
 
 # -- canonicalization and schema files ---------------------------------------
@@ -637,6 +694,13 @@ def test_schema_duplicate_column_rejected():
 def test_schema_column_outside_stanza_rejected():
     with pytest.raises(SchemaError):
         parse_schema("stray\nTABLE t\n a\n")
+
+
+def test_schema_hash_inside_a_quoted_name_starts_no_comment():
+    schema = parse_schema('TABLE t\n"a#b"\n"#" # note\n')
+    assert schema == {"t": ("a#b", "#")}
+    (query,) = parse_workload('SELECT * FROM t WHERE t."a#b" = 1')
+    assert {str(item) for item in extract_items(query, schema).items} == {"t.a#b"}
 
 
 def test_schema_quoted_names_read_as_quoted_identifiers():
