@@ -32,13 +32,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-from .catalog import MissingStatsError
 from .miner import ClosedItemset, TransactionDatabase, canonical_order
 from .workload import AttributeItem, TransactionContext
 
 DEFAULT_THRESHOLD_ROWS = 100_000
 ROW_POINTER_BYTES = 8
 KEY_BYTES_PER_COLUMN = 16
+
+
+class MissingStatsError(LookupError):
+    """Raised when the large-table strategy meets a table without a row count."""
 
 
 class Strategy(str, Enum):
@@ -59,9 +62,12 @@ class IndexCandidate:
 @dataclass(frozen=True)
 class IndexConfiguration:
     strategy: Strategy
-    candidates: tuple[IndexCandidate, ...]
-    scores: tuple[float, ...]
-    est_bytes: tuple[int, ...]
+    # (candidate, score, bytes) per selected index, best first.
+    rows: tuple[tuple[IndexCandidate, float, int], ...]
+
+    @property
+    def candidates(self) -> tuple[IndexCandidate, ...]:
+        return tuple(candidate for candidate, _, _ in self.rows)
 
 
 def build_database(
@@ -184,10 +190,4 @@ def select(
             "no statistics for table(s): " + ", ".join(sorted(missing))
         )
     scored.sort(key=lambda row: (-row[1],) + row[0].sort_key())
-
-    return IndexConfiguration(
-        strategy=strategy,
-        candidates=tuple(row[0] for row in scored),
-        scores=tuple(row[1] for row in scored),
-        est_bytes=tuple(row[2] for row in scored),
-    )
+    return IndexConfiguration(strategy=strategy, rows=tuple(scored))

@@ -7,8 +7,8 @@ Statistics come from a flat file, one table per line::
 ``#`` outside double quotes starts a comment and blank lines are skipped.
 The optional third column is checked to be a positive integer but is not
 used. Table names are canonicalized as schema names are. ``advisor.select``
-is the one reader of the counts and raises ``MissingStatsError`` when the
-large-table strategy meets a table without one.
+is the one reader of the counts; it raises ``advisor.MissingStatsError``
+when the large-table strategy meets a table without one.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from .workload import canonical_name, strip_comment
 
 class StatsError(ValueError):
     """Raised when a statistics file cannot be parsed."""
-
-
-class MissingStatsError(LookupError):
-    """Raised when a table has no row count."""
 
 
 def load_stats(stats_text: str) -> dict[str, int]:

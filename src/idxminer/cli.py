@@ -107,15 +107,11 @@ def _parse_minsup(text: str) -> miner.MinSupport:
 
 
 def _build_config(args) -> tuple[
-    miner.MinSupport, advisor.Strategy, workload.ExtractionPolicy, Path
+    miner.MinSupport, advisor.Strategy, frozenset[str], Path
 ]:
     """The minimum support, strategy, extraction policy and output directory."""
     minsup = _parse_minsup(args.minsup)
-    strategy = (
-        advisor.Strategy.LARGE_TABLES
-        if args.strategy == "large-tables"
-        else advisor.Strategy.ALL
-    )
+    strategy = advisor.Strategy(args.strategy.upper().replace("-", "_"))
     if strategy is advisor.Strategy.LARGE_TABLES and not args.stats:
         raise ConfigError("--strategy large-tables requires --stats")
     if args.threshold_rows < 0:
@@ -124,7 +120,7 @@ def _build_config(args) -> tuple[
         raise ConfigError(f"unsupported dialect {args.dialect!r}")
     if args.policy is not None:
         try:
-            policy = workload.ExtractionPolicy.from_names(args.policy.split(","))
+            policy = workload.extraction_policy(args.policy.split(","))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     else:
@@ -190,7 +186,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             workload_size=len(queries),
             diagnostics=diagnostics,
         )
-    except catalog.MissingStatsError as exc:
+    except advisor.MissingStatsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -198,7 +194,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     recommendation = report.Recommendation(
         configuration=configuration,
         minsup_used=minsup_used,
-        workload_summary=Counter(query.kind.value.lower() for query in queries),
+        workload_summary=Counter(query.kind for query in queries),
         diagnostics=tuple(diagnostics),
     )
 

@@ -14,11 +14,6 @@ replaces recursion, so a chain of thousands of nested closed sets is fine.
 The result is exactly the set of closed itemsets whose support meets the
 threshold, each with its exact support.
 
-``mine_bruteforce`` is an intentionally naive oracle: it enumerates every
-non-empty subset of the item universe, counts supports by direct scan, and
-keeps the subsets no single-item extension of which preserves support. It
-shares no machinery with ``mine_closed`` so the two can check each other.
-
 Transaction ids and item positions are packed into integer bitmasks, which
 keeps support counting and closure tests cheap for workload-sized inputs.
 """
@@ -28,10 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Union
-
-BRUTE_FORCE_MAX_ITEMS = 20
 
 
 @dataclass(frozen=True)
@@ -144,40 +136,4 @@ def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItems
     for cmask, support in closed:
         items = tuple(db.universe[p] for p in range(m) if cmask >> p & 1)
         results.append(ClosedItemset(items=items, support=support))
-    return canonical_order(results)
-
-
-def mine_bruteforce(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItemset]:
-    """Exhaustive oracle: enumerate every subset, keep closed frequent ones.
-
-    Refuses universes larger than BRUTE_FORCE_MAX_ITEMS items; enumeration
-    is exponential on purpose.
-    """
-    m = len(db.universe)
-    if m > BRUTE_FORCE_MAX_ITEMS:
-        raise ValueError(
-            f"brute-force mining limited to {BRUTE_FORCE_MAX_ITEMS} items, got {m}"
-        )
-    n = len(db.transactions)
-    if n == 0 or m == 0:
-        return []
-    threshold = minsup.resolve(n)
-
-    supports: dict[frozenset[int], int] = {}
-    for size in range(1, m + 1):
-        for combo in combinations(db.universe, size):
-            itemset = frozenset(combo)
-            supports[itemset] = sum(1 for t in db.transactions if itemset <= t)
-
-    results = []
-    for itemset, support in supports.items():
-        if support < threshold:
-            continue
-        if any(
-            supports[itemset | {extra}] == support
-            for extra in db.universe
-            if extra not in itemset
-        ):
-            continue
-        results.append(ClosedItemset(items=tuple(sorted(itemset)), support=support))
     return canonical_order(results)

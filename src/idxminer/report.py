@@ -9,8 +9,9 @@ Two report forms share one underlying recommendation:
 
       candidate<TAB>table<TAB>col,col<TAB>support<TAB>ratio<TAB>score<TAB>bytes
 
-  ``parse_structured_report`` reads the form back; the candidate triple
-  (table, columns, support) round-trips exactly.
+  A column name holding ``,`` or ``"`` goes out in double quotes, with each
+  inner ``"`` doubled. ``parse_structured_report`` reads the form back; the
+  candidate triple (table, columns, support) round-trips exactly.
 
 All output is deterministic: fixed float precision, canonical ordering, no
 timestamps.
@@ -22,7 +23,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .advisor import IndexCandidate, IndexConfiguration
 from .workload import QueryKind
@@ -32,6 +33,10 @@ MAX_INDEX_NAME_LENGTH = 60
 _NAME_HASH_DIGITS = 6
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# A column name in a report.dat candidate row, starting the field or after a
+# comma: double-quoted with ``""`` for ``"``, or bare up to the next comma.
+_DAT_COLUMN_RE = re.compile(r'(?:^|(?<=,))(?:"((?:[^"]|"")*)"|([^,]*))')
 
 # Words SQL engines reserve, every keyword the subset grammar reads among
 # them. A name spelled like one goes out quoted.
@@ -48,7 +53,7 @@ _RESERVED_WORDS = frozenset("""
 class Recommendation:
     configuration: IndexConfiguration
     minsup_used: int
-    workload_summary: dict[str, int]
+    workload_summary: Mapping[QueryKind, int]
     diagnostics: tuple[str, ...]
 
     @property
@@ -56,11 +61,15 @@ class Recommendation:
         return sum(self.workload_summary.values())
 
 
+def _quoted(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
 def _sql_name(identifier: str) -> str:
     """Quote identifiers outside the plain identifier alphabet or reserved."""
     if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:
         return identifier
-    return '"' + identifier.replace('"', '""') + '"'
+    return _quoted(identifier)
 
 
 def _with_digest(name: str, key: str) -> str:
@@ -115,12 +124,11 @@ def emit_report(recommendation: Recommendation, format: str = "text") -> str:
 
 def _cells(rec: Recommendation) -> Iterator[tuple[str, ...]]:
     """The table, columns, support, ratio, score and bytes of each candidate."""
-    config = rec.configuration
-    for candidate, value, size in zip(config.candidates, config.scores,
-                                      config.est_bytes):
+    for candidate, value, size in rec.configuration.rows:
         yield (
             candidate.table,
-            ",".join(candidate.columns),
+            ",".join(_quoted(c) if "," in c or '"' in c else c
+                     for c in candidate.columns),
             str(candidate.support),
             f"{candidate.support / rec.workload_size:.4f}",
             f"{value:.6f}",
@@ -131,8 +139,7 @@ def _cells(rec: Recommendation) -> Iterator[tuple[str, ...]]:
 def _kind_counts(rec: Recommendation) -> Iterator[tuple[str, int]]:
     """Each statement kind's lower-cased name and count, in ``QueryKind`` order."""
     for kind in QueryKind:
-        name = kind.value.lower()
-        yield name, rec.workload_summary.get(name, 0)
+        yield kind.value.lower(), rec.workload_summary.get(kind, 0)
 
 
 def _text_report(rec: Recommendation) -> str:
@@ -160,7 +167,7 @@ def _text_report(rec: Recommendation) -> str:
         "",
         f"totals: {len(config.candidates)} candidates on "
         f"{len({c.table for c in config.candidates})} tables, "
-        f"~{sum(config.est_bytes)} bytes estimated",
+        f"~{sum(size for _, _, size in config.rows)} bytes estimated",
         f"diagnostics: {len(rec.diagnostics)}",
     ]
     lines.extend(f"  {d}" for d in rec.diagnostics)
@@ -180,7 +187,7 @@ def _structured_report(rec: Recommendation) -> str:
         f"diagnostics: {len(rec.diagnostics)}",
         f"candidates: {len(config.candidates)}",
         f"tables_touched: {len({c.table for c in config.candidates})}",
-        f"total_estimated_bytes: {sum(config.est_bytes)}",
+        f"total_estimated_bytes: {sum(size for _, _, size in config.rows)}",
     ]
     lines += ["\t".join(("candidate", *cells)) for cells in _cells(rec)]
     return "".join(line + "\n" for line in lines)
@@ -199,10 +206,13 @@ def parse_structured_report(
             fields = line.split("\t")
             if len(fields) != 7:
                 raise ValueError(f"line {lineno}: malformed candidate row")
-            rows.append((fields[1], tuple(fields[2].split(",")), int(fields[3])))
+            columns = tuple(quoted.replace('""', '"') + bare
+                            for quoted, bare in _DAT_COLUMN_RE.findall(fields[2]))
+            rows.append((fields[1], columns, int(fields[3])))
             continue
         key, sep, value = line.partition(": ")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key: value'")
         meta[key] = value
     return meta, rows
+

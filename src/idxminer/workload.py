@@ -416,9 +416,7 @@ class _Parser:
         word = self.words[self.i]
         if word[:1] in _NAME_LEADS:
             self.i += 1
-            if word[0] == '"':
-                return canonical_identifier(word[1:-1].replace('""', '"'), quoted=True)
-            return word
+            return canonical_name(word) if word[0] == '"' else word
         raise self.error("expected identifier, found {!r}")
 
     def expect_end(self) -> None:
@@ -627,10 +625,8 @@ class _Parser:
             return
         if word not in ("not", "between", "in", "like", "is"):
             return  # every predicate form below starts with one of these
-        negated = False
         if word == "not" and self.words[at + 1] in ("between", "in", "like"):
             self.advance()
-            negated = True
         if self.accept_kw("between"):
             self.parse_additive()
             self.expect_kw("and")
@@ -649,8 +645,6 @@ class _Parser:
         if self.accept_kw("like"):
             self.parse_additive()
             return
-        if negated:
-            raise self.error("dangling NOT in predicate", at)
         if self.accept_kw("is"):
             self.accept_kw("not")
             self.expect_kw("null")
@@ -822,39 +816,22 @@ class TransactionContext:
     items: frozenset[AttributeItem]
 
 
-@dataclass(frozen=True)
-class ExtractionPolicy:
-    """Which syntactic positions yield items.
-
-    Valid position names: where, join, group_by, order_by, having, select.
-    The default covers every position where an index can change the access
-    path and leaves projection-only columns out.
-    """
-
-    positions: frozenset[str]
-
-    VALID_POSITIONS = frozenset({"where", "join", "group_by", "order_by",
-                                 "having", "select"})
-
-    def __post_init__(self):
-        unknown = self.positions - self.VALID_POSITIONS
-        if unknown:
-            raise ValueError(f"unknown extraction positions: {sorted(unknown)}")
-
-    @classmethod
-    def from_names(cls, names: list[str]) -> "ExtractionPolicy":
-        cleaned = frozenset(n.strip().lower().replace("-", "_") for n in names if n.strip())
-        if not cleaned:
-            raise ValueError("the extraction policy names no position")
-        return cls(positions=cleaned)
-
-    def wants(self, position: str) -> bool:
-        return position in self.positions
+# Syntactic positions that can yield items. The default policy takes every one
+# where an index can change the access path, and leaves projection out.
+POSITIONS = frozenset({"where", "join", "group_by", "order_by", "having", "select"})
+DEFAULT_POLICY = POSITIONS - {"select"}
 
 
-DEFAULT_POLICY = ExtractionPolicy(
-    positions=frozenset({"where", "join", "group_by", "order_by", "having"})
-)
+def extraction_policy(names: list[str]) -> frozenset[str]:
+    """The positions ``names`` spell, in any case and with ``-`` for ``_``."""
+    policy = frozenset(n.strip().lower().replace("-", "_") for n in names if n.strip())
+    if not policy:
+        raise ValueError("the extraction policy names no position")
+    unknown = policy - POSITIONS
+    if unknown:
+        raise ValueError(f"unknown extraction positions: {sorted(unknown)}")
+    return policy
+
 
 # Positions where a bare name may be a select-list alias: the aliased
 # expression is projection, so such a name yields no item.
@@ -867,7 +844,7 @@ _Scope = tuple[dict[str, Union[str, Block]], list[str]]
 
 
 class _Extractor:
-    def __init__(self, schema: SchemaMap, policy: ExtractionPolicy,
+    def __init__(self, schema: SchemaMap, policy: frozenset[str],
                  ordinal: int, diagnostics: Optional[list[str]]):
         self.schema = schema
         self.policy = policy
@@ -930,7 +907,7 @@ class _Extractor:
         scopes = [self.block_scope(block)] + outer_scopes
         aliases = frozenset(block.select_aliases)
         for position, expr in block.clauses:
-            if self.policy.wants(position):
+            if position in self.policy:
                 shadowed = aliases if position in _ALIAS_POSITIONS else frozenset()
                 for ref in expr.refs:
                     self.resolve(ref, scopes, shadowed)
@@ -946,7 +923,7 @@ class _Extractor:
 def extract_items(
     query: WorkloadQuery,
     schema: SchemaMap,
-    policy: ExtractionPolicy = DEFAULT_POLICY,
+    policy: frozenset[str] = DEFAULT_POLICY,
     diagnostics: Optional[list[str]] = None,
 ) -> TransactionContext:
     """Extract the indexable attribute items of one parsed statement.
@@ -968,7 +945,7 @@ def extract_items(
 def extract_workload(
     queries: list[WorkloadQuery],
     schema: SchemaMap,
-    policy: ExtractionPolicy = DEFAULT_POLICY,
+    policy: frozenset[str] = DEFAULT_POLICY,
     diagnostics: Optional[list[str]] = None,
 ) -> list[TransactionContext]:
     """One transaction context per statement, in workload order.

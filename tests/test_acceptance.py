@@ -26,6 +26,7 @@ from conftest import (
     WORKLOAD_PATH,
     run_cli_process,
 )
+from bruteforce import mine_bruteforce
 
 from idxminer.advisor import (
     IndexCandidate,
@@ -37,7 +38,6 @@ from idxminer.cli import main
 from idxminer.miner import (
     MinSupport,
     TransactionDatabase,
-    mine_bruteforce,
     mine_closed,
 )
 from idxminer.report import parse_structured_report
@@ -345,11 +345,12 @@ def test_score_model_substitute_check():
     for _ in range(200):
         candidates, row_counts = random_pool(rng)
         config = select(candidates, Strategy.ALL, row_counts, workload_size=30)
-        for candidate, value in zip(config.candidates, config.scores):
+        for candidate, value, _ in config.rows:
             row_count = row_counts[candidate.table]
             if candidate.support > 0 and row_count > 0:
                 assert value > 0.0
-        assert list(config.scores) == sorted(config.scores, reverse=True)
+        scores = [value for _, value, _ in config.rows]
+        assert scores == sorted(scores, reverse=True)
     print("\n[PASS] score model substitute check (200 random configurations)")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from idxminer.advisor import (
     IndexCandidate,
+    MissingStatsError,
     Strategy,
     build_database,
     derive_candidates,
@@ -13,7 +14,6 @@ from idxminer.advisor import (
     score,
     select,
 )
-from idxminer.catalog import MissingStatsError
 from idxminer.miner import ClosedItemset, MinSupport, mine_closed
 from idxminer.workload import AttributeItem, TransactionContext
 
@@ -250,15 +250,15 @@ def test_select_orders_by_score_then_name():
     ]
     config = select(pool, Strategy.ALL, dict(t=1000, s=1000), workload_size=4)
     assert [c.columns[0] for c in config.candidates] == ["k", "b", "a"]
-    assert list(config.scores) == sorted(config.scores, reverse=True)
+    scores = [value for _, value, _ in config.rows]
+    assert scores == sorted(scores, reverse=True)
 
 
 def test_select_without_stats_scores_zero_with_diagnostic():
     diags = []
     config = select([candidate("t", ["a"], support=3)], Strategy.ALL, {},
                     workload_size=3, diagnostics=diags)
-    assert config.scores == (0.0,)
-    assert config.est_bytes == (0,)
+    assert [(value, size) for _, value, size in config.rows] == [(0.0, 0)]
     assert diags == ["no statistics for table 't'; score set to 0"]
 
 

@@ -168,8 +168,10 @@ def test_two_runs_are_byte_identical(fixture_args, tmp_path, capsys):
 
 def test_mine_only_dump_matches_bruteforce_oracle(fixture_args, capsys, tpcr_schema,
                                                   tpcr_workload_text):
+    from bruteforce import mine_bruteforce
+
     from idxminer.advisor import build_database
-    from idxminer.miner import MinSupport, TransactionDatabase, mine_bruteforce
+    from idxminer.miner import MinSupport, TransactionDatabase
     from idxminer.workload import extract_workload, parse_workload
 
     assert run(fixture_args("--mine-only")) == 0
@@ -332,6 +334,23 @@ def test_quoted_names_in_schema_and_stats_files(tmp_path, capsys):
         targets.append((names[4], tuple(names[5:])))
     _, rows = parse_structured_report((out / "report.dat").read_text(encoding="utf-8"))
     assert targets == [(table, columns) for table, columns, _ in rows]
+
+
+def test_report_dat_round_trips_a_column_name_holding_a_comma(tmp_path, capsys):
+    workload = tmp_path / "w.sql"
+    workload.write_text('SELECT c FROM t WHERE "a,b" = 1 AND c = 2;\n'
+                        'SELECT c FROM t WHERE "a,b" = 3;\n', encoding="utf-8")
+    schema = tmp_path / "s.txt"
+    schema.write_text('TABLE t\n "a,b"\n c\n', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--workload", str(workload), "--schema", str(schema),
+                "--minsup", "1", "--out", str(out)]) == 0
+    ddl = (out / "recommendation.sql").read_text(encoding="utf-8")
+    assert ddl == 'CREATE INDEX idx_t_a_b_c ON t ("a,b", c);\n'
+    dat = (out / "report.dat").read_text(encoding="utf-8")
+    assert 'candidate\tt\t"a,b",c\t1\t' in dat
+    _, rows = parse_structured_report(dat)
+    assert rows == [("t", ("a,b", "c"), 1)]
 
 
 DEEP_STATEMENTS = {

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from bruteforce import BRUTE_FORCE_MAX_ITEMS, mine_bruteforce
+
 from idxminer.miner import (
-    BRUTE_FORCE_MAX_ITEMS,
     ClosedItemset,
     MinSupport,
     TransactionDatabase,
     canonical_order,
-    mine_bruteforce,
     mine_closed,
 )
 

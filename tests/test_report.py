@@ -21,21 +21,16 @@ def make_candidate(table="t", columns=("a", "b"), support=4):
     return IndexCandidate(table=table, columns=tuple(columns), support=support)
 
 
-def make_configuration(candidates, scores=None, est_bytes=None,
-                       strategy=Strategy.ALL):
-    scores = tuple(scores or [float(len(candidates) - i) for i in range(len(candidates))])
-    est_bytes = tuple(est_bytes or [1000] * len(candidates))
-    return IndexConfiguration(
-        strategy=strategy,
-        candidates=tuple(candidates),
-        scores=scores,
-        est_bytes=est_bytes,
-    )
+def make_configuration(candidates, scores=None, sizes=None, strategy=Strategy.ALL):
+    scores = scores or [float(len(candidates) - i) for i in range(len(candidates))]
+    sizes = sizes or [1000] * len(candidates)
+    return IndexConfiguration(strategy=strategy,
+                              rows=tuple(zip(candidates, scores, sizes)))
 
 
 def make_recommendation(candidates, **kwargs):
     config = make_configuration(candidates, **kwargs)
-    summary = {"select": 3, "update": 1, "delete": 0, "insert": 0, "other": 0}
+    summary = {QueryKind.SELECT: 3, QueryKind.UPDATE: 1}
     return Recommendation(configuration=config, minsup_used=2,
                           workload_summary=summary, diagnostics=())
 

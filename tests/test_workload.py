@@ -9,7 +9,7 @@ from idxminer.workload import (
     MAX_NESTING,
     AttributeItem,
     DEFAULT_POLICY,
-    ExtractionPolicy,
+    POSITIONS,
     QueryKind,
     SchemaError,
     SqlParseError,
@@ -17,6 +17,7 @@ from idxminer.workload import (
     canonical_identifier,
     extract_items,
     extract_workload,
+    extraction_policy,
     parse_schema,
     parse_statement,
     parse_workload,
@@ -202,7 +203,7 @@ def test_diagnostics_follow_expression_pre_order():
     items(
         "SELECT a FROM t WHERE (SELECT g1 FROM s WHERE g2 = 1) "
         "IN (SELECT g3 FROM s WHERE g4 = 1)",
-        policy=ExtractionPolicy(ExtractionPolicy.VALID_POSITIONS),
+        policy=POSITIONS,
         diagnostics=diags,
     )
     order = [3, 4, 1, 2]
@@ -237,8 +238,7 @@ def test_nesting_limit_is_exact(name):
 
     (deepest,) = parse_workload(statement(MAX_NESTING))
     assert deepest.kind is QueryKind.SELECT
-    every_position = ExtractionPolicy(ExtractionPolicy.VALID_POSITIONS)
-    assert ("t", "b") in items(deepest.raw_text, policy=every_position)
+    assert ("t", "b") in items(deepest.raw_text, policy=POSITIONS)
     (too_deep,) = parse_workload(statement(MAX_NESTING + 1))
     assert too_deep.kind is QueryKind.OTHER
     assert too_deep.parse_error == "nesting too deep"
@@ -301,19 +301,19 @@ def test_from_entries_bind_before_join_entries():
 
 def test_policy_restricts_positions():
     sql = "SELECT x FROM t WHERE t.a = 1 GROUP BY t.b ORDER BY t.k"
-    where_only = ExtractionPolicy.from_names(["where"])
+    where_only = extraction_policy(["where"])
     assert items(sql, policy=where_only) == {("t", "a")}
 
 
 def test_policy_select_position_opt_in():
-    policy = ExtractionPolicy.from_names(["select", "where"])
+    policy = extraction_policy(["select", "where"])
     got = items("SELECT t.x FROM t WHERE t.a = 1", policy=policy)
     assert got == {("t", "x"), ("t", "a")}
 
 
 def test_policy_rejects_unknown_position():
     with pytest.raises(ValueError):
-        ExtractionPolicy.from_names(["sideways"])
+        extraction_policy(["sideways"])
 
 
 def test_extraction_is_deterministic():
@@ -554,6 +554,8 @@ def test_failing_statements_of_one_shape_report_their_own_token(cold_memo):
     ('SELECT a FROM t LIMIT "A""b"', "expected a number after LIMIT, found 'A\"b'", 22),
     ("UPDATE t SET a 1", "expected '=' in SET clause, found '1'", 15),
     ("SELECT a FROM t WHERE t.a = 1 b", "unexpected trailing input 'b'", 30),
+    ("SELECT a FROM t WHERE a NOT b", "unexpected trailing input 'NOT'", 24),
+    ("SELECT a FROM t WHERE a NOT IS NULL", "unexpected trailing input 'NOT'", 24),
     ("VACUUM t", "unsupported statement start 'VACUUM'", 0),
     ("DELETE t", "expected FROM, found 't'", 7),
     ("SELECT a FROM 7", "expected identifier, found '7'", 14),
