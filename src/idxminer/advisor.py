@@ -160,8 +160,8 @@ def select(
     requires a count for every candidate table, raising MissingStatsError
     naming those without one, and keeps only candidates on tables of at
     least ``threshold_rows`` rows. ALL keeps everything; a candidate
-    without a count then scores 0 with a diagnostic instead of failing
-    the run.
+    without a count then scores 0 instead of failing the run, with one
+    diagnostic per such table, at its first candidate.
     """
     large_only = strategy is Strategy.LARGE_TABLES
     seen = set()
@@ -174,10 +174,11 @@ def select(
         seen.add(key)
         n_rows = rows.get(candidate.table)
         if n_rows is None:
+            first = candidate.table not in missing
+            missing.add(candidate.table)
             if large_only:
-                missing.add(candidate.table)
                 continue
-            if diagnostics is not None:
+            if first and diagnostics is not None:
                 diagnostics.append(
                     f"no statistics for table '{candidate.table}'; score set to 0"
                 )
@@ -185,7 +186,7 @@ def select(
         elif not large_only or n_rows >= threshold_rows:
             scored.append((candidate, score(candidate, n_rows, workload_size),
                            estimated_index_bytes(candidate, n_rows)))
-    if missing:
+    if large_only and missing:
         raise MissingStatsError(
             "no statistics for table(s): " + ", ".join(sorted(missing))
         )

@@ -14,8 +14,18 @@ replaces recursion, so a chain of thousands of nested closed sets is fine.
 The result is exactly the set of closed itemsets whose support meets the
 threshold, each with its exact support.
 
+Each node scans only a tail of candidate items, as in Eclat's equivalence
+classes (Zaki, "Scalable Algorithms for Association Mining", TKDE 2000).
+The root's tail is every frequent item. A node keeps, in item order, its
+frequent extensions: the tail items outside its closure whose rows with it
+meet the threshold. The child born from extension e gets as its tail the
+extensions that follow e. This loses nothing: a child's rows are a subset of
+its parent's, so an item infrequent with the parent is infrequent with every
+descendant, and the items before e are below the child's core.
+
 Transaction ids and item positions are packed into integer bitmasks, which
 keeps support counting and closure tests cheap for workload-sized inputs.
+A closed set's items are read off its mask one set bit at a time.
 """
 
 from __future__ import annotations
@@ -117,23 +127,30 @@ def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItems
     all_rows = (1 << n) - 1
     root = extend(all_rows, 0, 0)
     closed = [(root, n)] if root else []  # (item mask, support)
-    stack = [(root, all_rows, -1)]  # (closed item mask, its rows, core item)
+    stack = [(root, all_rows, frequent)]  # (closed item mask, its rows, candidates)
     while stack:
-        cmask, tids, core = stack.pop()
-        for e in frequent:
-            if e <= core or cmask >> e & 1:
+        cmask, tids, candidates = stack.pop()
+        tail = []  # frequent extensions: (item position, rows, support)
+        for e in candidates:
+            if cmask >> e & 1:
                 continue
             sub = tids & item_tids[e]
             support = sub.bit_count()
-            if support < threshold:
-                continue
+            if support >= threshold:
+                tail.append((e, sub, support))
+        positions = [e for e, _, _ in tail]
+        for i, (e, sub, support) in enumerate(tail, 1):
             child = extend(sub, cmask | 1 << e, e)
             if child is not None:
                 closed.append((child, support))
-                stack.append((child, sub, e))
+                stack.append((child, sub, positions[i:]))
 
     results = []
     for cmask, support in closed:
-        items = tuple(db.universe[p] for p in range(m) if cmask >> p & 1)
-        results.append(ClosedItemset(items=items, support=support))
+        items = []
+        while cmask:
+            low = cmask & -cmask
+            items.append(db.universe[low.bit_length() - 1])
+            cmask ^= low
+        results.append(ClosedItemset(items=tuple(items), support=support))
     return canonical_order(results)

@@ -262,6 +262,16 @@ def test_select_without_stats_scores_zero_with_diagnostic():
     assert diags == ["no statistics for table 't'; score set to 0"]
 
 
+def test_select_without_stats_reports_each_table_once():
+    diags = []
+    pool = [candidate("t", ["a"]), candidate("s", ["k"]), candidate("t", ["a", "b"]),
+            candidate("s", ["d"]), candidate("t", ["b"])]
+    config = select(pool, Strategy.ALL, {}, workload_size=3, diagnostics=diags)
+    assert len(config.rows) == 5
+    assert diags == ["no statistics for table 't'; score set to 0",
+                     "no statistics for table 's'; score set to 0"]
+
+
 def test_select_rejects_duplicate_candidates():
     dupe = [candidate("t", ["a"]), candidate("t", ["a"])]
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import BRUTE_FORCE_MAX_ITEMS, mine_bruteforce
+from bruteforce import BRUTE_FORCE_MAX_ITEMS, mine_bruteforce, mine_by_intersection
 
 from idxminer.miner import (
     ClosedItemset,
@@ -149,6 +149,38 @@ def test_differential_on_wider_universes():
             for threshold in range(1, len(db.transactions) + 1):
                 expected = [c for c in everything if c.support >= threshold]
                 assert mine_closed(db, MinSupport(threshold)) == expected
+
+
+def test_bruteforce_references_agree():
+    rng = random.Random(7)
+    for _ in range(40):
+        db = random_database(rng)
+        for threshold in (1, 2, 3):
+            assert mine_by_intersection(db, MinSupport(threshold)) == \
+                mine_bruteforce(db, MinSupport(threshold))
+
+
+def test_differential_on_wide_sparse_universes():
+    # Far beyond brute force: 64-160 items, rows of 2-8 items drawn with a
+    # skew, so long tails of infrequent items sit beside frequent ones.
+    rng = random.Random(1313)
+    for _ in range(12):
+        n_items = rng.randint(64, 160)
+        weights = [1 / (i + 1) for i in range(n_items)]
+        db = TransactionDatabase.from_transactions([])
+        while len(db.universe) < 64:
+            rows = []
+            for _ in range(rng.randint(100, 300)):
+                size = rng.randint(2, 8)
+                row = set()
+                while len(row) < size:
+                    row.update(rng.choices(range(n_items), weights, k=size - len(row)))
+                rows.append(row)
+            db = TransactionDatabase.from_transactions(rows)
+        everything = mine_by_intersection(db, MinSupport(1))
+        for threshold in (1, 2, 3):
+            expected = [c for c in everything if c.support >= threshold]
+            assert mine_closed(db, MinSupport(threshold)) == expected
 
 
 def test_staircase_chain_of_closed_sets():
