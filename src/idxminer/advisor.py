@@ -28,9 +28,8 @@ with an estimated index size of row_count * (8 + 16 per key column) bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .miner import ClosedItemset, TransactionDatabase, canonical_order
 from .workload import AttributeItem, TransactionContext
@@ -49,8 +48,7 @@ class Strategy(str, Enum):
     LARGE_TABLES = "LARGE_TABLES"
 
 
-@dataclass(frozen=True)
-class IndexCandidate:
+class IndexCandidate(NamedTuple):
     table: str
     columns: tuple[str, ...]
     support: int
@@ -59,8 +57,7 @@ class IndexCandidate:
         return (self.table, self.columns)
 
 
-@dataclass(frozen=True)
-class IndexConfiguration:
+class IndexConfiguration(NamedTuple):
     strategy: Strategy
     # (candidate, score, bytes) per selected index, best first.
     rows: tuple[tuple[IndexCandidate, float, int], ...]
@@ -76,14 +73,14 @@ def build_database(
     """Encode transaction contexts into an integer-item database.
 
     Item ids are assigned by sorted attribute order, so the encoding is
-    deterministic for a given workload.
+    deterministic for a given workload. Each distinct row is encoded once.
     """
     rows = [ctx.items for ctx in contexts]
-    attrs = sorted(set().union(*rows)) if rows else []
-    id_of = {attr: i for i, attr in enumerate(attrs)}
-    db = TransactionDatabase.from_transactions(
-        [{id_of[a] for a in row} for row in rows]
-    )
+    encoded = dict.fromkeys(rows)
+    id_of = {attr: i for i, attr in enumerate(sorted(set().union(*encoded)))}
+    for row in encoded:
+        encoded[row] = frozenset(id_of[a] for a in row)
+    db = TransactionDatabase.from_transactions([encoded[row] for row in rows])
     return db, {i: attr for attr, i in id_of.items()}
 
 

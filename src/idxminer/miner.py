@@ -26,26 +26,27 @@ descendant, and the items before e are below the child's core.
 Transaction ids and item positions are packed into integer bitmasks, which
 keeps support counting and closure tests cheap for workload-sized inputs.
 A closed set's items are read off its mask one set bit at a time.
+
+``MinSupport`` checks its value when built, so an invalid threshold fails
+before any mining; ``resolve`` turns a fraction into a count for a given
+number of transactions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
-@dataclass(frozen=True)
-class ClosedItemset:
+class ClosedItemset(NamedTuple):
     """A closed itemset with its absolute support count."""
 
     items: tuple[int, ...]
     support: int
 
 
-@dataclass(frozen=True)
-class TransactionDatabase:
+class TransactionDatabase(NamedTuple):
     transactions: tuple[frozenset[int], ...]
     universe: tuple[int, ...]
 
@@ -58,23 +59,23 @@ class TransactionDatabase:
         return cls(transactions=rows, universe=universe)
 
 
-@dataclass(frozen=True)
 class MinSupport:
     """Minimum support: an absolute count (int >= 1) or a fraction in (0, 1]."""
 
-    value: Union[int, Fraction]
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if isinstance(self.value, bool):
+    def __init__(self, value: Union[int, Fraction]):
+        if isinstance(value, bool):
             raise ValueError("minimum support must be a count or a fraction")
-        if isinstance(self.value, int):
-            if self.value < 1:
+        if isinstance(value, int):
+            if value < 1:
                 raise ValueError("absolute minimum support must be >= 1")
-        elif isinstance(self.value, Fraction):
-            if not 0 < self.value <= 1:
+        elif isinstance(value, Fraction):
+            if not 0 < value <= 1:
                 raise ValueError("fractional minimum support must be in (0, 1]")
         else:
-            raise ValueError(f"unsupported minimum support value {self.value!r}")
+            raise ValueError(f"unsupported minimum support value {value!r}")
+        self.value = value
 
     def resolve(self, n_transactions: int) -> int:
         """Absolute threshold over ``n_transactions``; a fraction f gives ceil(f * n)."""

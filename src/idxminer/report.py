@@ -22,8 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .advisor import IndexCandidate, IndexConfiguration
 from .workload import QueryKind
@@ -49,8 +48,7 @@ _RESERVED_WORDS = frozenset("""
 """.split())
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     configuration: IndexConfiguration
     minsup_used: int
     workload_summary: Mapping[QueryKind, int]

@@ -48,6 +48,16 @@ shape parse alike. A parse is kept once two different texts show its shape,
 a failing one never, as its message quotes its own token. The memo lives
 for the process.
 
+Every record here is a ``typing.NamedTuple``, so hashing and comparing a
+whole ``Block`` run in C. ``extract_workload`` uses that to walk each
+distinct block once per call, for one schema and one policy: a block that
+equals one extracted before replays its item set and its diagnostic
+messages, and each message goes out under the replaying statement's own
+ordinal. The memo is keyed by the block's value, never its ``id``. As with
+shapes, a first sight keeps only ``hash(block)`` and a second sight keeps
+the entry, so a workload of distinct blocks holds none of them and a hash
+collision can change only what is kept.
+
 A schema file declares tables in blank-line-separated stanzas; ``#``
 outside double quotes starts a comment::
 
@@ -68,9 +78,8 @@ name cannot hold whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -289,14 +298,12 @@ def _new_word(raw: str, text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnRef:
+class ColumnRef(NamedTuple):
     qualifier: Optional[str]
     column: str
 
 
-@dataclass(frozen=True, slots=True)
-class Expr:
+class Expr(NamedTuple):
     """What extraction reads of one clause-level expression.
 
     ``refs`` are its column references in text order. ``blocks`` are its
@@ -308,8 +315,7 @@ class Expr:
     blocks: tuple["Block", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+class Block(NamedTuple):
     """One SELECT block, or the target and WHERE clause of an UPDATE or DELETE.
 
     ``sources`` pairs each bound name (the alias, else the table) with its
@@ -759,8 +765,7 @@ _LEAD_KINDS = {kind.value.lower(): kind for kind in QueryKind
                if kind is not QueryKind.OTHER}
 
 
-@dataclass(frozen=True, slots=True)
-class WorkloadQuery:
+class WorkloadQuery(NamedTuple):
     ordinal: int
     raw_text: str
     kind: QueryKind
@@ -799,8 +804,7 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class AttributeItem:
+class AttributeItem(NamedTuple):
     """A (table, column) pair; ordering is lexicographic by both fields."""
 
     table: str
@@ -810,8 +814,7 @@ class AttributeItem:
         return f"{self.table}.{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionContext:
+class TransactionContext(NamedTuple):
     query_ordinal: int
     items: frozenset[AttributeItem]
 
@@ -844,23 +847,22 @@ _Scope = tuple[dict[str, Union[str, Block]], list[str]]
 
 
 class _Extractor:
-    def __init__(self, schema: SchemaMap, policy: frozenset[str],
-                 ordinal: int, diagnostics: Optional[list[str]]):
+    """Walks one block, collecting its items and its bare diagnostic messages.
+
+    The caller prefixes each message with its statement's ordinal."""
+
+    def __init__(self, schema: SchemaMap, policy: frozenset[str]):
         self.schema = schema
         self.policy = policy
-        self.ordinal = ordinal
-        self.diagnostics = diagnostics
         self.items: set[AttributeItem] = set()
-
-    def diag(self, message: str) -> None:
-        if self.diagnostics is not None:
-            self.diagnostics.append(f"statement {self.ordinal}: {message}")
+        self.messages: list[str] = []
 
     def block_scope(self, block: Block) -> _Scope:
         scope: dict[str, Union[str, Block]] = {}
         for name, source in block.sources:
             if name in scope:
-                self.diag(f"duplicate alias '{name}' in FROM; first binding kept")
+                self.messages.append(
+                    f"duplicate alias '{name}' in FROM; first binding kept")
                 continue
             scope[name] = source
         return scope, sorted({t for t in scope.values() if isinstance(t, str)})
@@ -874,20 +876,20 @@ class _Extractor:
                 if ref.qualifier in scope:
                     table = scope[ref.qualifier]
                     if not isinstance(table, str):
-                        self.diag(
+                        self.messages.append(
                             f"column '{ref.qualifier}.{ref.column}' belongs to a "
                             "derived table; skipped"
                         )
                         return
                     if ref.column not in self.schema.get(table, ()):
-                        self.diag(
+                        self.messages.append(
                             f"column '{ref.qualifier}.{ref.column}' not found in "
                             f"table '{table}'; skipped"
                         )
                         return
                     self.items.add(AttributeItem(table=table, column=ref.column))
                     return
-            self.diag(f"unknown table or alias '{ref.qualifier}'; skipped")
+            self.messages.append(f"unknown table or alias '{ref.qualifier}'; skipped")
             return
         for _, tables in scopes:
             matches = [t for t in tables if ref.column in self.schema.get(t, ())]
@@ -895,12 +897,12 @@ class _Extractor:
                 self.items.add(AttributeItem(table=matches[0], column=ref.column))
                 return
             if len(matches) > 1:
-                self.diag(
+                self.messages.append(
                     f"ambiguous column '{ref.column}' (in tables "
                     f"{', '.join(matches)}); skipped"
                 )
                 return
-        self.diag(f"unresolvable column '{ref.column}'; skipped")
+        self.messages.append(f"unresolvable column '{ref.column}'; skipped")
 
     def walk_block(self, block: Block, outer_scopes: list[_Scope]) -> None:
         """Resolve each wanted clause's columns, then its subqueries, in text order."""
@@ -934,12 +936,7 @@ def extract_items(
     """
     if query.kind is QueryKind.OTHER:
         raise ValueError("cannot extract items from an unparsed (OTHER) statement")
-    if query.kind is QueryKind.INSERT:
-        return TransactionContext(query_ordinal=query.ordinal, items=frozenset())
-    extractor = _Extractor(schema, policy, query.ordinal, diagnostics)
-    extractor.walk_block(parse_statement(query.raw_text), [])
-    return TransactionContext(query_ordinal=query.ordinal,
-                              items=frozenset(extractor.items))
+    return extract_workload([query], schema, policy, diagnostics)[0]
 
 
 def extract_workload(
@@ -954,15 +951,30 @@ def extract_workload(
     empty item sets, which keeps support denominators equal to the workload
     size. Given a sink, each statement's diagnostics go to ``diagnostics``
     in statement order: an OTHER statement's ``parse_error``, or the
-    extraction diagnostics of the others.
+    extraction diagnostics of the others. A block seen before in this call
+    replays its items and messages (see the module docstring).
     """
+    seen: set[int] = set()  # the hash of every block extracted
+    replays: dict[Block, tuple[frozenset[AttributeItem], tuple[str, ...]]] = {}
     contexts: list[TransactionContext] = []
     for query in queries:
-        if query.kind is QueryKind.OTHER:
+        if query.kind is QueryKind.OTHER or query.kind is QueryKind.INSERT:
             if query.parse_error and diagnostics is not None:
                 diagnostics.append(f"statement {query.ordinal}: {query.parse_error}")
-            contexts.append(TransactionContext(query_ordinal=query.ordinal,
-                                               items=frozenset()))
+            contexts.append(TransactionContext(query.ordinal, frozenset()))
             continue
-        contexts.append(extract_items(query, schema, policy, diagnostics))
+        block = parse_statement(query.raw_text)
+        extraction = replays.get(block)
+        if extraction is None:
+            extractor = _Extractor(schema, policy)
+            extractor.walk_block(block, [])
+            extraction = frozenset(extractor.items), tuple(extractor.messages)
+            key = hash(block)
+            if key in seen:
+                replays[block] = extraction
+            seen.add(key)
+        items, messages = extraction
+        if diagnostics is not None:
+            diagnostics.extend(f"statement {query.ordinal}: {m}" for m in messages)
+        contexts.append(TransactionContext(query.ordinal, items))
     return contexts

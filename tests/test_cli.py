@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import io
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import SCHEMA_PATH, WORKLOAD_PATH, run_cli_process
+from conftest import (SCHEMA_PATH, SQL_WORDS, SRC, STATS_PATH, WORKLOAD_PATH,
+                      run_cli_process)
 
 from idxminer.cli import main
 from idxminer.report import parse_structured_report
@@ -406,3 +414,37 @@ def test_unwritable_out_exits_2(fixture_args, tmp_path, capsys, under):
     assert captured.err.startswith("error: cannot write output")
     assert captured.out == ""
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_importing_the_cli_builds_no_dataclass():
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import idxminer.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+# Arbitrary text, SQL words and fragments that resolve against the TPC-R schema.
+TPCR_FRAGMENTS = ["SELECT * FROM lineitem l, orders WHERE ", "l.l_orderkey = o_orderkey",
+                  " l_shipdate < date '1998-09-02'", " GROUP BY l_returnflag", ";"]
+any_workload = st.lists(st.one_of(st.text(max_size=8),
+                                  st.sampled_from(SQL_WORDS + TPCR_FRAGMENTS)),
+                        max_size=40).map("".join)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(any_workload)
+def test_any_workload_text_runs_to_a_recommendation(text):
+    with tempfile.TemporaryDirectory() as work:
+        workload = Path(work) / "w.sql"
+        workload.write_bytes(text.encode("utf-8"))
+        out = Path(work) / "out"
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = main(["--workload", str(workload), "--schema", str(SCHEMA_PATH),
+                         "--stats", str(STATS_PATH), "--minsup", "1", "--out", str(out)])
+        assert code == 0
+        assert stdout.getvalue() == (out / "report.txt").read_text(encoding="utf-8")
+        parse_structured_report((out / "report.dat").read_text(encoding="utf-8"))
+        assert (out / "recommendation.sql").is_file()

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sql_text
+from conftest import FIXTURES, sql_text
 from idxminer import workload
 from idxminer.workload import (
     MAX_NESTING,
@@ -13,6 +15,7 @@ from idxminer.workload import (
     QueryKind,
     SchemaError,
     SqlParseError,
+    TransactionContext,
     _Parser,
     canonical_identifier,
     extract_items,
@@ -340,6 +343,65 @@ def test_extract_workload_emits_diagnostics_in_statement_order():
         "statement 1: expected FROM, found ''",
         "statement 2: unresolvable column 'zzz'; skipped",
     ]
+
+
+def each_statement_alone(queries, schema, policy, diagnostics):
+    """``extract_workload``'s contexts and diagnostics, one statement at a time."""
+    contexts = []
+    for query in queries:
+        if query.kind is QueryKind.OTHER:
+            diagnostics.append(f"statement {query.ordinal}: {query.parse_error}")
+            contexts.append(TransactionContext(query.ordinal, frozenset()))
+        else:
+            contexts.append(extract_items(query, schema, policy, diagnostics))
+    return contexts
+
+
+def redrawn(text, copy):
+    """``text`` with every string and number literal drawn anew for ``copy``."""
+    text = re.sub(r"'[^']*'", f"'v{copy}'", text)
+    return re.sub(r"\b[0-9]+\b", lambda m: str(int(m.group()) * 7 + copy), text)
+
+
+def fixture_text(name):
+    return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+REPLAY_CASES = {
+    "tpcr-redrawn": (
+        "".join(redrawn(fixture_text("tpcr_workload.sql"), i) for i in range(4)),
+        parse_schema(fixture_text("tpcr_schema.txt"))),
+    "diagnostics-thrice": (fixture_text("diagnostics_workload.sql") * 3,
+                           parse_schema(fixture_text("diagnostics_schema.txt"))),
+    # Each IN list length is a shape of its own; the three parse to one block.
+    "equal-blocks-of-three-shapes": (
+        "".join(f"SELECT t.x FROM t WHERE t.a IN ({items}) AND ghost = 1;"
+                f"DELETE FROM t WHERE t.a IN ({items}) OR t.zz = 0;"
+                for items in ("1", "1, 2", "1, 2, 3")), SCHEMA),
+}
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, extraction_policy(["select", "where"])])
+@pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+def test_replayed_blocks_extract_as_each_statement_alone(name, policy, monkeypatch):
+    text, schema = REPLAY_CASES[name]
+    queries = parse_workload(text)
+    walks = []
+
+    class CountingExtractor(workload._Extractor):
+        def __init__(self, *args):
+            walks.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(workload, "_Extractor", CountingExtractor)
+    replayed: list[str] = []
+    contexts = extract_workload(queries, schema, policy, replayed)
+    extracted = sum(q.kind in (QueryKind.SELECT, QueryKind.UPDATE, QueryKind.DELETE)
+                    for q in queries)
+    assert len(walks) < extracted  # some statements replayed
+    alone: list[str] = []
+    assert contexts == each_statement_alone(queries, schema, policy, alone)
+    assert replayed == alone
 
 
 @pytest.mark.parametrize("sql, kind", [
