@@ -44,19 +44,19 @@ scanned again in full (``scan``).
 Query logs repeat a few templates with new literals, so ``parse_statement``
 memoizes parses by *shape*: the join of its words, in which each literal
 reads ``0`` or ``''``. The records hold no literal, so statements of one
-shape parse alike. A parse is kept once two different texts show its shape,
-a failing one never, as its message quotes its own token. The memo lives
-for the process.
+shape parse alike. Every successful parse is kept, a failing one never, as
+its message quotes its own token. The memo holds the workload being read:
+``parse_workload`` empties it on entry and ``extract_workload`` before it
+returns, so no workload sees another's shapes and no block outlives
+extraction.
 
 Every record here is a ``typing.NamedTuple``, so hashing and comparing a
 whole ``Block`` run in C. ``extract_workload`` uses that to walk each
 distinct block once per call, for one schema and one policy: a block that
 equals one extracted before replays its item set and its diagnostic
 messages, and each message goes out under the replaying statement's own
-ordinal. The memo is keyed by the block's value, never its ``id``. As with
-shapes, a first sight keeps only ``hash(block)`` and a second sight keeps
-the entry, so a workload of distinct blocks holds none of them and a hash
-collision can change only what is kept.
+ordinal. The replays are keyed by the block's value, never its ``id`` or
+its shape, so equal blocks of different shapes share one walk.
 
 A schema file declares tables in blank-line-separated stanzas; ``#``
 outside double quotes starts a comment::
@@ -720,9 +720,7 @@ class _Parser:
         self.expect_kw(")")
 
 
-# The memo of ``parse_statement``: hash(shape) -> hash(the first text seen
-# with it), and a shape that two different texts have shown -> its parse.
-_shape_texts: dict[int, int] = {}
+# The memo of ``parse_statement``: shape -> parse, for the workload being read.
 _shape_parses: dict[str, Statement] = {}
 
 
@@ -730,21 +728,16 @@ def parse_statement(text: str) -> Statement:
     """Parse one semicolon-free statement; raises SqlParseError outside the subset.
 
     The shape is the statement's words joined by spaces. It is literal-free
-    and safe to share: the parser reads nothing but the words on success,
-    and a failing parse is never kept, as its error rescans its own text.
-    A successful parse is kept under its shape once a second, different
-    text has shown that shape; a shape seen with one text keeps only two
-    ints, so a log of unique statements holds no parse. A hash collision
-    can change only what is kept, never a result. The memo lives for the
-    process.
+    and safe to share: the parser reads nothing but the words on success.
+    Every successful parse is kept under its shape; a failing one raises
+    before it is kept, as its error rescans its own text. The memo holds
+    the workload being read (see the module docstring).
     """
     words = tokenize(text)
     shape = " ".join(words)
     if shape in _shape_parses:
         return _shape_parses[shape]
-    stmt = _Parser(words, text).parse_statement()
-    if _shape_texts.setdefault(hash(shape), hash(text)) != hash(text):
-        _shape_parses[shape] = stmt
+    stmt = _shape_parses[shape] = _Parser(words, text).parse_statement()
     return stmt
 
 
@@ -778,8 +771,10 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     Statements come back in file order with contiguous ordinals. A statement
     outside the supported subset is kept with kind OTHER and a diagnostic in
     ``parse_error`` rather than dropped, so downstream frequency denominators
-    stay stable. Name resolution happens later, at extraction.
+    stay stable. Name resolution happens later, at extraction. Empties the
+    memo of ``parse_statement`` first, so each workload parses afresh.
     """
+    _shape_parses.clear()
     queries: list[WorkloadQuery] = []
     for ordinal, text in enumerate(split_statements(workload_text)):
         lead = _IDENT_RE.match(text)
@@ -840,10 +835,14 @@ def extraction_policy(names: list[str]) -> frozenset[str]:
 # expression is projection, so such a name yields no item.
 _ALIAS_POSITIONS = frozenset({"group_by", "having", "order_by"})
 
+# Table name -> column name -> its one item, for the schema of one call.
+_Columns = dict[str, dict[str, AttributeItem]]
+
 # A scope maps each bound name to its base table's name, or to the block of
-# the derived table it names. It comes with its base tables sorted once: the
-# order in which an unqualified column is looked up.
-_Scope = tuple[dict[str, Union[str, Block]], list[str]]
+# the derived table it names. It comes with the columns of its base tables in
+# table-name order, sorted once: the order in which an unqualified column is
+# looked up.
+_Scope = tuple[dict[str, Union[str, Block]], list[dict[str, AttributeItem]]]
 
 
 class _Extractor:
@@ -851,8 +850,8 @@ class _Extractor:
 
     The caller prefixes each message with its statement's ordinal."""
 
-    def __init__(self, schema: SchemaMap, policy: frozenset[str]):
-        self.schema = schema
+    def __init__(self, columns: _Columns, policy: frozenset[str]):
+        self.columns = columns
         self.policy = policy
         self.items: set[AttributeItem] = set()
         self.messages: list[str] = []
@@ -865,7 +864,8 @@ class _Extractor:
                     f"duplicate alias '{name}' in FROM; first binding kept")
                 continue
             scope[name] = source
-        return scope, sorted({t for t in scope.values() if isinstance(t, str)})
+        tables = sorted({t for t in scope.values() if isinstance(t, str)})
+        return scope, [self.columns[t] for t in tables if t in self.columns]
 
     def resolve(self, ref: ColumnRef, scopes: list[_Scope],
                 select_aliases: frozenset[str]) -> None:
@@ -881,25 +881,26 @@ class _Extractor:
                             "derived table; skipped"
                         )
                         return
-                    if ref.column not in self.schema.get(table, ()):
+                    item = self.columns.get(table, {}).get(ref.column)
+                    if item is None:
                         self.messages.append(
                             f"column '{ref.qualifier}.{ref.column}' not found in "
                             f"table '{table}'; skipped"
                         )
                         return
-                    self.items.add(AttributeItem(table=table, column=ref.column))
+                    self.items.add(item)
                     return
             self.messages.append(f"unknown table or alias '{ref.qualifier}'; skipped")
             return
         for _, tables in scopes:
-            matches = [t for t in tables if ref.column in self.schema.get(t, ())]
+            matches = [columns[ref.column] for columns in tables if ref.column in columns]
             if len(matches) == 1:
-                self.items.add(AttributeItem(table=matches[0], column=ref.column))
+                self.items.add(matches[0])
                 return
             if len(matches) > 1:
                 self.messages.append(
                     f"ambiguous column '{ref.column}' (in tables "
-                    f"{', '.join(matches)}); skipped"
+                    f"{', '.join(item.table for item in matches)}); skipped"
                 )
                 return
         self.messages.append(f"unresolvable column '{ref.column}'; skipped")
@@ -922,23 +923,6 @@ class _Extractor:
                 self.walk_block(source, outer_scopes)
 
 
-def extract_items(
-    query: WorkloadQuery,
-    schema: SchemaMap,
-    policy: frozenset[str] = DEFAULT_POLICY,
-    diagnostics: Optional[list[str]] = None,
-) -> TransactionContext:
-    """Extract the indexable attribute items of one parsed statement.
-
-    INSERT statements yield an empty item set. Unresolvable or ambiguous
-    columns are skipped with a diagnostic appended to ``diagnostics`` when a
-    sink list is given; they never abort extraction.
-    """
-    if query.kind is QueryKind.OTHER:
-        raise ValueError("cannot extract items from an unparsed (OTHER) statement")
-    return extract_workload([query], schema, policy, diagnostics)[0]
-
-
 def extract_workload(
     queries: list[WorkloadQuery],
     schema: SchemaMap,
@@ -949,12 +933,15 @@ def extract_workload(
 
     Every statement becomes a transaction: OTHER and INSERT statements get
     empty item sets, which keeps support denominators equal to the workload
-    size. Given a sink, each statement's diagnostics go to ``diagnostics``
-    in statement order: an OTHER statement's ``parse_error``, or the
-    extraction diagnostics of the others. A block seen before in this call
-    replays its items and messages (see the module docstring).
+    size. Unresolvable or ambiguous columns are skipped with a diagnostic;
+    they never abort extraction. Given a sink, each statement's diagnostics
+    go to ``diagnostics`` in statement order: an OTHER statement's
+    ``parse_error``, or the extraction diagnostics of the others. Every
+    block walked is kept for replay (see the module docstring), and the
+    memo of ``parse_statement`` is emptied before returning.
     """
-    seen: set[int] = set()  # the hash of every block extracted
+    columns: _Columns = {table: {c: AttributeItem(table, c) for c in cols}
+                         for table, cols in schema.items()}
     replays: dict[Block, tuple[frozenset[AttributeItem], tuple[str, ...]]] = {}
     contexts: list[TransactionContext] = []
     for query in queries:
@@ -966,15 +953,13 @@ def extract_workload(
         block = parse_statement(query.raw_text)
         extraction = replays.get(block)
         if extraction is None:
-            extractor = _Extractor(schema, policy)
+            extractor = _Extractor(columns, policy)
             extractor.walk_block(block, [])
             extraction = frozenset(extractor.items), tuple(extractor.messages)
-            key = hash(block)
-            if key in seen:
-                replays[block] = extraction
-            seen.add(key)
+            replays[block] = extraction
         items, messages = extraction
         if diagnostics is not None:
             diagnostics.extend(f"statement {query.ordinal}: {m}" for m in messages)
         contexts.append(TransactionContext(query.ordinal, items))
+    _shape_parses.clear()
     return contexts

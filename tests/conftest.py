@@ -42,6 +42,13 @@ def run_cli_process(args: list[str], *, python_flags: tuple[str, ...] = (),
     )
 
 
+def extract_one(query: workload.WorkloadQuery, schema: workload.SchemaMap,
+                policy: frozenset[str] = workload.DEFAULT_POLICY,
+                diagnostics: list[str] | None = None) -> workload.TransactionContext:
+    """The transaction context of one parsed statement."""
+    return workload.extract_workload([query], schema, policy, diagnostics)[0]
+
+
 @pytest.fixture(scope="session")
 def tpcr_schema() -> workload.SchemaMap:
     return workload.parse_schema(SCHEMA_PATH.read_text(encoding="utf-8"))

@@ -24,6 +24,7 @@ from conftest import (
     SCHEMA_PATH,
     STATS_PATH,
     WORKLOAD_PATH,
+    extract_one,
     run_cli_process,
 )
 from bruteforce import mine_bruteforce
@@ -42,7 +43,6 @@ from idxminer.miner import (
 )
 from idxminer.report import parse_structured_report
 from idxminer.workload import (
-    extract_items,
     extract_workload,
     parse_schema,
     parse_workload,
@@ -192,7 +192,7 @@ def test_outputs_ignore_hash_seed_and_warm_memo(name, tmp_path, capsys):
                                PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
         assert done.returncode == 0, done.stderr
         runs.append((out, done.stdout, done.stderr))
-    for again in ("first", "second"):  # the second starts with a warm memo
+    for again in ("first", "second"):  # the second meets the first's vocabulary
         out = tmp_path / f"in-process-{again}"
         assert main([*args, "--out", str(out), "-v"]) == 0
         captured = capsys.readouterr()
@@ -328,8 +328,8 @@ def test_extraction_properties():
         (query_b,) = parse_workload(sql_b)
         assert query_a.parse_error is None, (sql_a, query_a.parse_error)
         diagnostics: list[str] = []
-        items_a = extract_items(query_a, schema, diagnostics=diagnostics).items
-        items_b = extract_items(query_b, schema, diagnostics=diagnostics).items
+        items_a = extract_one(query_a, schema, diagnostics=diagnostics).items
+        items_b = extract_one(query_b, schema, diagnostics=diagnostics).items
         assert items_a == items_b, sql_a
         assert diagnostics == [], sql_a
         assert items_a, sql_a

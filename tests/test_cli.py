@@ -419,7 +419,7 @@ def test_unwritable_out_exits_2(fixture_args, tmp_path, capsys, under):
 def test_importing_the_cli_builds_no_dataclass():
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import idxminer.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+    done = subprocess.run([sys.executable, "-B", "-S", "-E", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

@@ -3,18 +3,21 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
 from idxminer.report import (
     MAX_INDEX_NAME_LENGTH,
     Recommendation,
+    _RESERVED_WORDS,
     _sql_name,
     emit_ddl,
     emit_report,
     index_name,
     parse_structured_report,
 )
-from idxminer.workload import QueryKind, parse_workload
+from idxminer.workload import (
+    QueryKind, canonical_identifier, canonical_name, parse_workload, scan)
 
 
 def make_candidate(table="t", columns=("a", "b"), support=4):
@@ -101,6 +104,44 @@ def test_ddl_reparses_under_subset_grammar():
     for query in queries:
         assert query.kind is QueryKind.OTHER
         assert query.parse_error is None
+
+
+# Schema-file words: reserved words in any case or quoted, and bare or quoted
+# words over odd and non-ASCII characters. ``canonical_name`` turns each into
+# a table or column name.
+NAME_CHARS = "abkzAKZ_09\"#,;.()-'é߲İΩ中"
+schema_word = st.one_of(
+    st.sampled_from(sorted(_RESERVED_WORDS)).flatmap(
+        lambda w: st.sampled_from([w, w.upper(), w.title(), f'"{w}"', f'"{w.upper()}"'])),
+    st.text(NAME_CHARS, min_size=1, max_size=8),
+    st.text(NAME_CHARS, max_size=8).map(lambda t: '"' + t.replace('"', '""') + '"'),
+)
+schema_name = schema_word.map(canonical_name)
+candidates = st.lists(
+    st.builds(make_candidate, schema_name,
+              st.lists(schema_name, min_size=1, max_size=4, unique=True)),
+    min_size=1, max_size=4)
+
+
+def name_read_back(kind, value):
+    """The canonical name one DDL token spells; a bare one is never reserved."""
+    assert kind in ("ident", "qident")
+    assert kind == "qident" or value.lower() not in _RESERVED_WORDS, value
+    return canonical_identifier(value, quoted=kind == "qident")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(candidates)
+def test_ddl_reparses_to_its_table_and_columns(generated):
+    queries = parse_workload(emit_ddl(make_configuration(generated)))
+    assert len(queries) == len(generated)
+    for query, candidate in zip(queries, generated):
+        assert query.parse_error is None, query.raw_text
+        tokens = scan(query.raw_text)  # CREATE INDEX name ON table ( col , .. ) end
+        names = [name_read_back(kind, value) for kind, value, _ in tokens[4:-1:2]]
+        assert names == [candidate.table, *candidate.columns], query.raw_text
+        marks = [value for _, value, _ in tokens[5:-1:2]]
+        assert marks == ["(", *[","] * (len(names) - 2), ")"], query.raw_text
 
 
 def test_colliding_index_names_are_made_unique():

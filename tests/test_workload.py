@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, sql_text
+from conftest import FIXTURES, extract_one, sql_text
 from idxminer import workload
 from idxminer.workload import (
     MAX_NESTING,
@@ -18,7 +18,6 @@ from idxminer.workload import (
     TransactionContext,
     _Parser,
     canonical_identifier,
-    extract_items,
     extract_workload,
     extraction_policy,
     parse_schema,
@@ -46,7 +45,7 @@ TABLE s
 
 def items(query_text, schema=SCHEMA, policy=DEFAULT_POLICY, diagnostics=None):
     (query,) = parse_workload(query_text)
-    ctx = extract_items(query, schema, policy, diagnostics)
+    ctx = extract_one(query, schema, policy, diagnostics)
     return {(i.table, i.column) for i in ctx.items}
 
 
@@ -129,14 +128,8 @@ def test_join_predicate_yields_both_sides():
 def test_insert_yields_empty_item_set():
     (query,) = parse_workload("INSERT INTO t (a, b) VALUES (1, 2)")
     assert query.kind is QueryKind.INSERT
-    ctx = extract_items(query, SCHEMA)
+    ctx = extract_one(query, SCHEMA)
     assert ctx.items == frozenset()
-
-
-def test_other_statement_rejected():
-    (query,) = parse_workload("VACUUM t")
-    with pytest.raises(ValueError):
-        extract_items(query, SCHEMA)
 
 
 def test_unqualified_column_resolved_via_schema():
@@ -353,7 +346,7 @@ def each_statement_alone(queries, schema, policy, diagnostics):
             diagnostics.append(f"statement {query.ordinal}: {query.parse_error}")
             contexts.append(TransactionContext(query.ordinal, frozenset()))
         else:
-            contexts.append(extract_items(query, schema, policy, diagnostics))
+            contexts.append(extract_one(query, schema, policy, diagnostics))
     return contexts
 
 
@@ -549,7 +542,6 @@ def test_extraction_finds_exactly_the_planted_columns(case):
 @pytest.fixture
 def cold_memo(monkeypatch):
     """An empty memo for the test; returns the list of parser runs behind it."""
-    monkeypatch.setattr(workload, "_shape_texts", {})
     monkeypatch.setattr(workload, "_shape_parses", {})
     runs = []
     real = _Parser.parse_statement
@@ -575,11 +567,11 @@ def fresh(text):
     return parsed(text, lambda t: _Parser(tokenize(t), t).parse_statement())
 
 
-def test_statements_differing_in_literals_run_the_parser_twice(cold_memo):
+def test_statements_differing_in_literals_run_the_parser_once(cold_memo):
     texts = [f"SELECT a FROM t WHERE t.a = {i} AND t.b LIKE 'v{i}%' LIMIT {i + 1}"
              for i in range(50)]
     got = [parse_statement(text) for text in texts]
-    assert len(cold_memo) <= 2
+    assert len(cold_memo) == 1
     assert got == [fresh(text) for text in texts]
 
 
@@ -627,11 +619,28 @@ def test_parse_errors_quote_and_place_their_token(cold_memo, text, message, pos)
     assert parsed(text) == (message, pos)
 
 
-def test_unique_statements_keep_no_parse(cold_memo):
-    texts = [f"SELECT c{i} FROM t WHERE t.a = {i}" for i in range(500)]
-    for text in texts + texts:
-        parse_statement(text)
-    assert len(cold_memo) == 1000
+def test_unique_statements_parse_once_and_leave_no_parse(cold_memo):
+    text = "".join(f"SELECT c{i} FROM t WHERE t.a = {i};" for i in range(500))
+    contexts = extract_workload(parse_workload(text), SCHEMA)
+    assert len(contexts) == 500
+    assert len(cold_memo) == 500
+    assert workload._shape_parses == {}
+
+
+def test_verbatim_copies_run_the_parser_once(cold_memo):
+    text = "SELECT a FROM t WHERE t.b = 1;" * 100
+    contexts = extract_workload(parse_workload(text), SCHEMA)
+    assert [c.items for c in contexts] == [frozenset({AttributeItem("t", "b")})] * 100
+    assert len(cold_memo) == 1
+
+
+def test_each_workload_parses_with_a_cold_memo(cold_memo):
+    first = parse_workload("SELECT a FROM t WHERE t.b = 1; SELECT a FROM t WHERE t.b = 2")
+    assert len(cold_memo) == 1
+    parse_workload("SELECT k FROM s")
+    assert list(workload._shape_parses) == [" ".join(tokenize("SELECT k FROM s"))]
+    extract_workload(first, SCHEMA)
+    assert len(cold_memo) == 3
     assert workload._shape_parses == {}
 
 
@@ -764,7 +773,7 @@ def test_schema_hash_inside_a_quoted_name_starts_no_comment():
     schema = parse_schema('TABLE t\n"a#b"\n"#" # note\n')
     assert schema == {"t": ("a#b", "#")}
     (query,) = parse_workload('SELECT * FROM t WHERE t."a#b" = 1')
-    assert {str(item) for item in extract_items(query, schema).items} == {"t.a#b"}
+    assert {str(item) for item in extract_one(query, schema).items} == {"t.a#b"}
 
 
 def test_schema_quoted_names_read_as_quoted_identifiers():
@@ -775,6 +784,6 @@ def test_schema_quoted_names_read_as_quoted_identifiers():
     (query,) = parse_workload(
         'SELECT * FROM t WHERE t."Odd-Name" = 1 AND t."order" = 2 AND t."A""b" = 3')
     diagnostics: list[str] = []
-    items = extract_items(query, schema, diagnostics=diagnostics).items
+    items = extract_one(query, schema, diagnostics=diagnostics).items
     assert sorted(map(str, items)) == ['t.A"b', "t.Odd-Name", "t.order"]
     assert diagnostics == []
