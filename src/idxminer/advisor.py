@@ -1,21 +1,8 @@
-"""Turn mined itemsets into per-table index candidates and score them.
+"""Mine a workload table by table into index candidates and score them.
 
-A closed itemset may span several tables (join predicates routinely do);
-since the emitted indexes are single-table, each itemset is partitioned by
-table and every per-table fragment becomes a candidate. Fragments that
-coincide across itemsets merge, keeping the highest support seen. Columns
-inside a composite candidate are ordered by descending single-column
-support so the most frequent attribute leads the key.
-
-Derivation is one pass over the closed sets in canonical order, which is
-descending support. The first set that holds a column, or yields a
-fragment, therefore already carries its highest support: for a column
-that is its singleton support, since the column's own closure is one of
-the sets holding it. The maximal-only filter visits fragments widest
-first and checks each only against the fragments already kept on its
-table. That is exact because strict inclusion is transitive: a dropped
-fragment lies inside some maximal fragment, which is wider and so was
-kept before it.
+Indexes are single-table, so ``mine_tables`` mines each table's projection
+of the workload apart: the closed sets of the whole workload would combine
+the tables' own, a product where the candidates are a sum.
 
 The score is an explicit heuristic, reported as an estimate and never as a
 measured benefit:
@@ -28,10 +15,12 @@ with an estimated index size of row_count * (8 + 16 per key column) bytes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .miner import ClosedItemset, TransactionDatabase, canonical_order
+from . import miner
+from .miner import ClosedItemset, MinSupport, TransactionDatabase, canonical_order
 from .workload import AttributeItem, TransactionContext
 
 DEFAULT_THRESHOLD_ROWS = 100_000
@@ -53,9 +42,6 @@ class IndexCandidate(NamedTuple):
     columns: tuple[str, ...]
     support: int
 
-    def sort_key(self) -> tuple:
-        return (self.table, self.columns)
-
 
 class IndexConfiguration(NamedTuple):
     strategy: Strategy
@@ -70,18 +56,34 @@ class IndexConfiguration(NamedTuple):
 def build_database(
     contexts: Iterable[TransactionContext],
 ) -> tuple[TransactionDatabase, dict[int, AttributeItem]]:
-    """Encode transaction contexts into an integer-item database.
+    """Encode transaction contexts as distinct integer-item rows with counts.
 
-    Item ids are assigned by sorted attribute order, so the encoding is
-    deterministic for a given workload. Each distinct row is encoded once.
+    Rows keep the order of first occurrence. Item ids follow sorted attribute
+    order, so the encoding is deterministic for a given workload.
     """
-    rows = [ctx.items for ctx in contexts]
-    encoded = dict.fromkeys(rows)
-    id_of = {attr: i for i, attr in enumerate(sorted(set().union(*encoded)))}
-    for row in encoded:
-        encoded[row] = frozenset(id_of[a] for a in row)
-    db = TransactionDatabase.from_transactions([encoded[row] for row in rows])
+    counts = Counter(ctx.items for ctx in contexts)
+    id_of = {attr: i for i, attr in enumerate(sorted(set().union(*counts)))}
+    db = TransactionDatabase.from_transactions(
+        (frozenset(id_of[a] for a in row) for row in counts), counts.values())
     return db, {i: attr for attr, i in id_of.items()}
+
+
+def mine_tables(db: TransactionDatabase, items_by_id: Mapping[int, AttributeItem],
+                threshold: int) -> list[ClosedItemset]:
+    """Closed sets of each table's projection of ``db``, equal projections
+    merged by summing their counts, at the whole workload's ``threshold``."""
+    ids_of: dict[str, set[int]] = {}
+    for i, attr in items_by_id.items():
+        ids_of.setdefault(attr.table, set()).add(i)
+    projections: dict[str, Counter[frozenset[int]]] = {t: Counter() for t in sorted(ids_of)}
+    for row, count in zip(db.transactions, db.counts):
+        for table in {items_by_id[i].table for i in row}:
+            projections[table][row & ids_of[table]] += count
+    closed: list[ClosedItemset] = []
+    for weights in projections.values():
+        projected = TransactionDatabase.from_transactions(weights, weights.values())
+        closed += miner.mine_closed(projected, MinSupport(threshold))
+    return closed
 
 
 def derive_candidates(
@@ -89,24 +91,27 @@ def derive_candidates(
     items_by_id: Mapping[int, AttributeItem],
     maximal_only: bool = True,
 ) -> list[IndexCandidate]:
-    """Partition closed itemsets by table into merged index candidates.
+    """One index candidate per closed itemset of ``mine_tables``.
 
-    Every item names a schema column, since extraction emits no other, so
-    the schema is not consulted here.
-    With ``maximal_only`` a candidate whose column set is a strict subset of
-    another candidate on the same table is dropped; the composite's
-    leading-prefix ordering can serve the subset.
+    These are the fragments F = C ∩ T of the workload's frequent closed sets
+    C on each table T, with the highest support among the C that yield F.
+    Such an F is T-closed: if every row holding F held a T-column b outside
+    F, so would the rows of C, and b would be in C and so in F. Conversely,
+    F's closure is a frequent closed set yielding F with support supp(F).
+
+    Columns go by descending singleton support: in canonical order the first
+    set holding a column is its closure. With ``maximal_only`` a candidate
+    inside another on its table is dropped, since the wider one's leading
+    prefix serves it; inclusion is transitive, so the widest go first and
+    each is checked only against those kept.
     """
     singles: dict[tuple[str, str], int] = {}
     fragments: dict[tuple[str, frozenset[str]], int] = {}
     for itemset in canonical_order(closed):
-        by_table: dict[str, list[str]] = {}
-        for item_id in itemset.items:
-            attr = items_by_id[item_id]
-            singles.setdefault((attr.table, attr.column), itemset.support)
-            by_table.setdefault(attr.table, []).append(attr.column)
-        for table, columns in by_table.items():
-            fragments.setdefault((table, frozenset(columns)), itemset.support)
+        attrs = [items_by_id[item_id] for item_id in itemset.items]
+        for attr in attrs:
+            singles.setdefault(attr, itemset.support)
+        fragments[attrs[0].table, frozenset(attr.column for attr in attrs)] = itemset.support
 
     if maximal_only:
         kept: dict[str, list[frozenset[str]]] = {}
@@ -118,14 +123,11 @@ def derive_candidates(
                 wider.append(columns)
 
     candidates = [
-        IndexCandidate(
-            table=table,
-            columns=tuple(sorted(columns, key=lambda c: (-singles[table, c], c))),
-            support=support,
-        )
+        IndexCandidate(table, tuple(sorted(columns, key=lambda c: (-singles[table, c], c))),
+                       support)
         for (table, columns), support in fragments.items()
     ]
-    candidates.sort(key=lambda c: (-c.support,) + c.sort_key())
+    candidates.sort(key=lambda c: (-c.support, c.table, c.columns))
     return candidates
 
 
@@ -187,5 +189,5 @@ def select(
         raise MissingStatsError(
             "no statistics for table(s): " + ", ".join(sorted(missing))
         )
-    scored.sort(key=lambda row: (-row[1],) + row[0].sort_key())
+    scored.sort(key=lambda row: (-row[1], row[0].table, row[0].columns))
     return IndexConfiguration(strategy=strategy, rows=tuple(scored))

@@ -166,15 +166,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     contexts = workload.extract_workload(queries, schema, policy, diagnostics)
 
     db, items_by_id = advisor.build_database(contexts)
-    closed = miner.mine_closed(db, minsup)
-
     if args.mine_only:
-        for itemset in closed:
+        for itemset in miner.mine_closed(db, minsup):
             rendered = ",".join(str(items_by_id[i]) for i in itemset.items)
             _write_stdout(f"{itemset.support}\t{rendered}\n")
         _print_diagnostics(diagnostics, args.verbose)
         return 0
 
+    minsup_used = minsup.resolve(len(queries)) if queries else 0
+    closed = advisor.mine_tables(db, items_by_id, minsup_used)
     candidates = advisor.derive_candidates(closed, items_by_id,
                                            maximal_only=not args.no_maximal_only)
     try:
@@ -190,7 +190,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    minsup_used = minsup.resolve(len(queries)) if queries else 0
     recommendation = report.Recommendation(
         configuration=configuration,
         minsup_used=minsup_used,

@@ -1,6 +1,6 @@
 """Closed frequent itemset mining over transaction databases.
 
-Items are opaque integer ids. ``mine_closed`` enumerates the closed sets
+Items are non-negative integer ids. ``mine_closed`` enumerates the closed sets
 depth-first by prefix-preserving closure extension (LCM: Uno, Kiyomi and
 Arimura, "LCM ver.2", FIMI'04). The root is the closure of the empty set.
 Each closed set P remembers its core item, the item whose addition produced
@@ -23,9 +23,9 @@ extensions that follow e. This loses nothing: a child's rows are a subset of
 its parent's, so an item infrequent with the parent is infrequent with every
 descendant, and the items before e are below the child's core.
 
-Transaction ids and item positions are packed into integer bitmasks, which
-keeps support counting and closure tests cheap for workload-sized inputs.
-A closed set's items are read off its mask one set bit at a time.
+Rows carry counts (LCM ver.2's database reduction), and support sums them.
+Row t owns ``counts[t]`` consecutive bits of a row mask, so support stays a
+popcount; an item id is its own bit in an item mask.
 
 ``MinSupport`` checks its value when built, so an invalid threshold fails
 before any mining; ``resolve`` turns a fraction into a count for a given
@@ -49,14 +49,15 @@ class ClosedItemset(NamedTuple):
 class TransactionDatabase(NamedTuple):
     transactions: tuple[frozenset[int], ...]
     universe: tuple[int, ...]
+    counts: tuple[int, ...]  # occurrences of each row; support sums them
 
     @classmethod
-    def from_transactions(
-        cls, transactions: Iterable[Iterable[int]]
-    ) -> "TransactionDatabase":
+    def from_transactions(cls, transactions: Iterable[Iterable[int]],
+                          counts: Iterable[int] | None = None) -> "TransactionDatabase":
         rows = tuple(frozenset(t) for t in transactions)
-        universe = tuple(sorted(set().union(*rows))) if rows else ()
-        return cls(transactions=rows, universe=universe)
+        universe = tuple(sorted(set().union(*rows)))
+        counts = (1,) * len(rows) if counts is None else tuple(counts)
+        return cls(transactions=rows, universe=universe, counts=counts)
 
 
 class MinSupport:
@@ -91,30 +92,28 @@ def canonical_order(itemsets: Iterable[ClosedItemset]) -> list[ClosedItemset]:
 
 def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItemset]:
     """All closed itemsets with support >= minsup, in canonical order."""
-    n = len(db.transactions)
-    if n == 0:
-        return []
+    n = sum(db.counts)
     threshold = minsup.resolve(n)
-    m = len(db.universe)
-    if m == 0 or threshold > n:
+    if not db.universe or threshold > n:
         return []
 
-    position = {item: p for p, item in enumerate(db.universe)}
-    item_tids = [0] * m
-    row_masks = []
-    for t, row in enumerate(db.transactions):
+    item_tids = [0] * (db.universe[-1] + 1)
+    row_at = {}  # first bit of a row's run -> the row's item mask
+    offset = 0
+    for row, count in zip(db.transactions, db.counts, strict=True):
+        bits = ((1 << count) - 1) << offset
         mask = 0
         for item in row:
-            p = position[item]
-            mask |= 1 << p
-            item_tids[p] |= 1 << t
-        row_masks.append(mask)
-    frequent = [p for p in range(m) if item_tids[p].bit_count() >= threshold]
+            mask |= 1 << item
+            item_tids[item] |= bits
+        row_at[offset] = mask
+        offset += count
+    frequent = [p for p in db.universe if item_tids[p].bit_count() >= threshold]
 
     def extend(tids: int, cmask: int, start: int) -> int | None:
         """Closure of ``cmask`` over the rows ``tids``, or None once it would
         add an item below ``start`` (not prefix-preserving)."""
-        rest = row_masks[(tids & -tids).bit_length() - 1] & ~cmask
+        rest = row_at[(tids & -tids).bit_length() - 1] & ~cmask
         while rest:
             low = rest & -rest
             p = low.bit_length() - 1
@@ -131,7 +130,7 @@ def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItems
     stack = [(root, all_rows, frequent)]  # (closed item mask, its rows, candidates)
     while stack:
         cmask, tids, candidates = stack.pop()
-        tail = []  # frequent extensions: (item position, rows, support)
+        tail = []  # frequent extensions: (item, rows, support)
         for e in candidates:
             if cmask >> e & 1:
                 continue
@@ -139,19 +138,19 @@ def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItems
             support = sub.bit_count()
             if support >= threshold:
                 tail.append((e, sub, support))
-        positions = [e for e, _, _ in tail]
+        extensions = [e for e, _, _ in tail]
         for i, (e, sub, support) in enumerate(tail, 1):
             child = extend(sub, cmask | 1 << e, e)
             if child is not None:
                 closed.append((child, support))
-                stack.append((child, sub, positions[i:]))
+                stack.append((child, sub, extensions[i:]))
 
     results = []
     for cmask, support in closed:
         items = []
         while cmask:
             low = cmask & -cmask
-            items.append(db.universe[low.bit_length() - 1])
+            items.append(low.bit_length() - 1)
             cmask ^= low
         results.append(ClosedItemset(items=tuple(items), support=support))
     return canonical_order(results)

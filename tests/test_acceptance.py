@@ -70,7 +70,7 @@ def random_databases() -> tuple[TransactionDatabase, ...]:
 
 def scan_support(db: TransactionDatabase, itemset) -> int:
     wanted = frozenset(itemset)
-    return sum(1 for row in db.transactions if wanted <= row)
+    return sum(count for row, count in zip(db.transactions, db.counts) if wanted <= row)
 
 
 def test_miner_oracle_equivalence():
@@ -95,6 +95,22 @@ def test_miner_oracle_equivalence():
     print(f"\n[PASS] miner oracle equivalence "
           f"({len(random_databases())} databases, {comparisons} thresholds, "
           f"{elapsed:.1f}s)")
+
+
+def test_miner_oracle_equivalence_on_counted_rows():
+    """The same 500 databases, each row given a count: mine_closed sums them."""
+    rng = random.Random(SEED + 2)
+    comparisons = 0
+    for db in random_databases():
+        counted = TransactionDatabase.from_transactions(
+            db.transactions, [rng.randint(1, 4) for _ in db.transactions])
+        oracle_all = mine_bruteforce(counted, MinSupport(1))
+        for threshold in range(1, sum(counted.counts) + 1):
+            expected = [c for c in oracle_all if c.support >= threshold]
+            assert mine_closed(counted, MinSupport(threshold)) == expected
+            comparisons += 1
+    print(f"\n[PASS] miner oracle equivalence on counted rows "
+          f"({len(random_databases())} databases, {comparisons} thresholds)")
 
 
 def test_miner_structural_properties():
@@ -156,11 +172,11 @@ def test_pipeline_golden(fixture_args, tmp_path):
     queries = parse_workload(WORKLOAD_PATH.read_text(encoding="utf-8"))
     contexts = extract_workload(queries, schema)
     db, _ = build_database(contexts)
-    threshold = MinSupport(Fraction(1, 4)).resolve(len(db.transactions))
+    threshold = MinSupport(Fraction(1, 4)).resolve(len(queries))
     frequent = {i for i in db.universe if scan_support(db, {i}) >= threshold}
     assert len(frequent) <= 20
     projected = TransactionDatabase.from_transactions(
-        [row & frequent for row in db.transactions]
+        [row & frequent for row in db.transactions], db.counts
     )
     assert mine_closed(db, MinSupport(Fraction(1, 4))) == mine_bruteforce(
         projected, MinSupport(threshold)

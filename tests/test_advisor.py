@@ -11,10 +11,11 @@ from idxminer.advisor import (
     build_database,
     derive_candidates,
     estimated_index_bytes,
+    mine_tables,
     score,
     select,
 )
-from idxminer.miner import ClosedItemset, MinSupport, mine_closed
+from idxminer.miner import ClosedItemset
 from idxminer.workload import AttributeItem, TransactionContext
 
 # Item ids follow sorted AttributeItem order: s.d=0, s.k=1, t.a=2, t.b=3, t.x=4
@@ -38,24 +39,38 @@ def test_build_database_assigns_ids_by_sorted_attribute_order():
     contexts = [
         TransactionContext(0, frozenset({AttributeItem("t", "a"), AttributeItem("s", "k")})),
         TransactionContext(1, frozenset({AttributeItem("s", "d")})),
+        TransactionContext(2, frozenset({AttributeItem("s", "k"), AttributeItem("t", "a")})),
     ]
     db, items_by_id = build_database(contexts)
     assert [str(items_by_id[i]) for i in db.universe] == ["s.d", "s.k", "t.a"]
+    # Distinct rows in order of first occurrence, each with its count.
     assert db.transactions == (frozenset({1, 2}), frozenset({0}))
+    assert db.counts == (2, 1)
 
 
 def test_build_database_empty():
     db, items_by_id = build_database([])
-    assert db.transactions == ()
+    assert db.transactions == () and db.counts == ()
     assert items_by_id == {}
+    assert mine_tables(db, items_by_id, 0) == []
+
+
+def database(*rows: tuple[int, set[str]]):
+    """``build_database`` over ``count`` copies of each set of "table.column" names."""
+    return build_database([
+        TransactionContext(0, frozenset(AttributeItem(*name.split(".")) for name in names))
+        for count, names in rows for _ in range(count)
+    ])
 
 
 # -- derive_candidates ---------------------------------------------------------
 
 
 def test_cross_table_itemset_splits_per_table():
-    closed = [ClosedItemset(items=(1, 2, 3), support=4)]
-    got = derive_candidates(closed, ITEMS)
+    db, items_by_id = database((4, {"s.k", "t.a", "t.b"}))
+    closed = mine_tables(db, items_by_id, 1)
+    assert [c.support for c in closed] == [4, 4]
+    got = derive_candidates(closed, items_by_id)
     assert [(c.table, c.columns, c.support) for c in got] == [
         ("s", ("k",), 4),
         ("t", ("a", "b"), 4),
@@ -82,14 +97,19 @@ def test_maximal_only_toggle():
     }
 
 
-def test_identical_fragments_merge_keeping_max_support():
-    closed = [
-        ClosedItemset(items=(1, 2), support=6),
-        ClosedItemset(items=(2,), support=9),
+def test_equal_projections_merge_summing_counts():
+    # t.a is the whole t-projection of both rows, so it is mined from one
+    # row of count 9; s.k sits in the first row only.
+    db, items_by_id = database((6, {"s.k", "t.a"}), (3, {"t.a"}), (2, set()))
+    assert db.counts == (6, 3, 2)
+    closed = mine_tables(db, items_by_id, 1)
+    assert closed == [ClosedItemset(items=(0,), support=6),
+                      ClosedItemset(items=(1,), support=9)]
+    got = derive_candidates(closed, items_by_id)
+    assert [(c.table, c.columns, c.support) for c in got] == [
+        ("t", ("a",), 9),
+        ("s", ("k",), 6),
     ]
-    got = derive_candidates(closed, ITEMS)
-    by_table = {c.table: c for c in got}
-    assert by_table["t"].support == 9
 
 
 def test_column_order_follows_singleton_support_then_name():
@@ -118,9 +138,10 @@ def test_support_coherence_against_singletons():
         db, items_by_id = build_database(contexts)
         if not db.universe:
             continue
-        closed = mine_closed(db, MinSupport(1))
+        closed = mine_tables(db, items_by_id, 1)
         rows_with = {
-            (a.table, a.column): sum(i in row for row in db.transactions)
+            (a.table, a.column): sum(c for row, c in zip(db.transactions, db.counts)
+                                     if i in row)
             for i, a in items_by_id.items()
         }
         for cand in derive_candidates(closed, items_by_id, maximal_only=False):
@@ -147,7 +168,7 @@ def test_maximal_only_matches_strict_superset_definition():
         ])
         if not db.universe:
             continue
-        closed = mine_closed(db, MinSupport(1))
+        closed = mine_tables(db, items_by_id, 1)
         everything = derive_candidates(closed, items_by_id, maximal_only=False)
         expected = [
             cand for cand in everything
@@ -175,10 +196,10 @@ def test_raising_minsup_never_adds_candidates():
         ])
         if not db.universe:
             continue
-        n = len(db.transactions)
+        n = sum(db.counts)
         previous = None
         for threshold in range(1, n + 1):
-            closed = mine_closed(db, MinSupport(threshold))
+            closed = mine_tables(db, items_by_id, threshold)
             got = {
                 (c.table, c.columns, c.support)
                 for c in derive_candidates(closed, items_by_id,

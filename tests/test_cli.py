@@ -193,13 +193,13 @@ def test_mine_only_dump_matches_bruteforce_oracle(fixture_args, capsys, tpcr_sch
 
     queries = parse_workload(tpcr_workload_text)
     db, items_by_id = build_database(extract_workload(queries, tpcr_schema))
-    threshold = MinSupport(Fraction(1, 4)).resolve(len(db.transactions))
+    threshold = MinSupport(Fraction(1, 4)).resolve(len(queries))
     frequent = {
         i for i in db.universe
-        if sum(1 for row in db.transactions if i in row) >= threshold
+        if sum(c for row, c in zip(db.transactions, db.counts) if i in row) >= threshold
     }
     projected = TransactionDatabase.from_transactions(
-        [row & frequent for row in db.transactions]
+        [row & frequent for row in db.transactions], db.counts
     )
     expected = [
         (c.support, tuple(str(items_by_id[i]) for i in c.items))

@@ -34,6 +34,17 @@ def scan_support(db: TransactionDatabase, itemset) -> int:
     return sum(1 for row in db.transactions if wanted <= row)
 
 
+def counted_and_expanded(rng: random.Random) -> tuple[TransactionDatabase, TransactionDatabase]:
+    """Distinct rows with counts, and the same rows each repeated count times."""
+    db = random_database(rng)
+    rows = list(dict.fromkeys(db.transactions))
+    counts = [rng.choice([1, 1, 2, 3, 7]) for _ in rows]
+    expanded = [row for row, count in zip(rows, counts) for _ in range(count)]
+    rng.shuffle(expanded)
+    return (TransactionDatabase.from_transactions(rows, counts),
+            TransactionDatabase.from_transactions(expanded))
+
+
 # -- mine_closed --------------------------------------------------------------
 
 
@@ -181,6 +192,28 @@ def test_differential_on_wide_sparse_universes():
         for threshold in (1, 2, 3):
             expected = [c for c in everything if c.support >= threshold]
             assert mine_closed(db, MinSupport(threshold)) == expected
+
+
+def test_counted_rows_mine_as_their_expansion():
+    rng = random.Random(1604)
+    for _ in range(150):
+        counted, expanded = counted_and_expanded(rng)
+        assert sum(counted.counts) == len(expanded.transactions)
+        minsups = [MinSupport(t) for t in range(1, sum(counted.counts) + 1)]
+        minsups += [MinSupport(Fraction(k, 7)) for k in range(1, 8)]
+        for minsup in minsups:
+            assert mine_closed(counted, minsup) == mine_closed(expanded, minsup)
+
+
+def test_bruteforce_references_sum_counts():
+    rng = random.Random(1605)
+    for _ in range(40):
+        counted, expanded = counted_and_expanded(rng)
+        for threshold in (1, 2, 5):
+            expected = mine_bruteforce(expanded, MinSupport(threshold))
+            assert mine_bruteforce(counted, MinSupport(threshold)) == expected
+            assert mine_by_intersection(counted, MinSupport(threshold)) == expected
+            assert mine_closed(counted, MinSupport(threshold)) == expected
 
 
 def test_staircase_chain_of_closed_sets():
