@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import miner
-from .miner import ClosedItemset, MinSupport, TransactionDatabase, canonical_order
+from .miner import ClosedItemset, TransactionDatabase
 from .workload import AttributeItem, TransactionContext
 
 DEFAULT_THRESHOLD_ROWS = 100_000
@@ -82,7 +82,7 @@ def mine_tables(db: TransactionDatabase, items_by_id: Mapping[int, AttributeItem
     closed: list[ClosedItemset] = []
     for weights in projections.values():
         projected = TransactionDatabase.from_transactions(weights, weights.values())
-        closed += miner.mine_closed(projected, MinSupport(threshold))
+        closed += miner.mine_closed(projected, threshold)
     return closed
 
 
@@ -93,40 +93,37 @@ def derive_candidates(
 ) -> list[IndexCandidate]:
     """One index candidate per closed itemset of ``mine_tables``.
 
-    These are the fragments F = C ∩ T of the workload's frequent closed sets
-    C on each table T, with the highest support among the C that yield F.
-    Such an F is T-closed: if every row holding F held a T-column b outside
-    F, so would the rows of C, and b would be in C and so in F. Conversely,
-    F's closure is a frequent closed set yielding F with support supp(F).
+    ``closed`` must be what ``mine_tables`` returns: distinct sets, each
+    inside one table T and T-closed (no other T-column lies in every row
+    holding the set).
 
-    Columns go by descending singleton support: in canonical order the first
-    set holding a column is its closure. With ``maximal_only`` a candidate
-    inside another on its table is dropped, since the wider one's leading
-    prefix serves it; inclusion is transitive, so the widest go first and
-    each is checked only against those kept.
+    Columns go by descending single-column support, then by name; a column's
+    support is the highest among the sets holding it, which its own closure
+    attains. With ``maximal_only`` a candidate inside another is dropped,
+    since the wider one's leading prefix serves it: a set is kept when no
+    other set holds all of its items. Item ids never cross tables, so such a
+    set is on the same table.
     """
-    singles: dict[tuple[str, str], int] = {}
-    fragments: dict[tuple[str, frozenset[str]], int] = {}
-    for itemset in canonical_order(closed):
-        attrs = [items_by_id[item_id] for item_id in itemset.items]
-        for attr in attrs:
-            singles.setdefault(attr, itemset.support)
-        fragments[attrs[0].table, frozenset(attr.column for attr in attrs)] = itemset.support
+    closed = list(closed)
+    single: dict[int, int] = {}
+    holders: dict[int, int] = {}  # item id -> bit k set when closed[k] holds it
+    for k, itemset in enumerate(closed):
+        for i in itemset.items:
+            single[i] = max(single.get(i, 0), itemset.support)
+            holders[i] = holders.get(i, 0) | 1 << k
 
-    if maximal_only:
-        kept: dict[str, list[frozenset[str]]] = {}
-        for table, columns in sorted(fragments, key=lambda key: -len(key[1])):
-            wider = kept.setdefault(table, [])
-            if any(columns < other for other in wider):
-                del fragments[(table, columns)]
-            else:
-                wider.append(columns)
-
-    candidates = [
-        IndexCandidate(table, tuple(sorted(columns, key=lambda c: (-singles[table, c], c))),
-                       support)
-        for (table, columns), support in fragments.items()
-    ]
+    candidates = []
+    for itemset in closed:
+        if maximal_only:
+            supersets = -1
+            for i in itemset.items:
+                supersets &= holders[i]
+            if supersets.bit_count() > 1:
+                continue
+        ordered = sorted(itemset.items, key=lambda i: (-single[i], items_by_id[i].column))
+        candidates.append(IndexCandidate(items_by_id[ordered[0]].table,
+                                         tuple(items_by_id[i].column for i in ordered),
+                                         itemset.support))
     candidates.sort(key=lambda c: (-c.support, c.table, c.columns))
     return candidates
 

@@ -11,6 +11,7 @@ diagnostics never change the exit code.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -92,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_minsup(text: str) -> miner.MinSupport:
+def _parse_minsup(text: str) -> int | Fraction:
+    """An absolute count >= 1, or a fraction in (0, 1]."""
     raw = text.strip()
     try:
         try:
@@ -101,13 +103,18 @@ def _parse_minsup(text: str) -> miner.MinSupport:
             value = Fraction(raw)
             if value > 1 and value.denominator == 1:
                 value = int(value)  # a count spelled "1e1", "2.0" or "10/1"
-        return miner.MinSupport(value)
+        if isinstance(value, int):
+            if value < 1:
+                raise ValueError("absolute minimum support must be >= 1")
+        elif not 0 < value <= 1:
+            raise ValueError("fractional minimum support must be in (0, 1]")
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid --minsup {text!r}: {exc}") from None
 
 
 def _build_config(args) -> tuple[
-    miner.MinSupport, advisor.Strategy, frozenset[str], Path
+    int | Fraction, advisor.Strategy, frozenset[str], Path
 ]:
     """The minimum support, strategy, extraction policy and output directory."""
     minsup = _parse_minsup(args.minsup)
@@ -166,14 +173,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     contexts = workload.extract_workload(queries, schema, policy, diagnostics)
 
     db, items_by_id = advisor.build_database(contexts)
+    # The one threshold of the run, a count over every statement; an empty
+    # workload has none and mines nothing.
+    minsup_used = 0
+    if queries:
+        minsup_used = minsup if isinstance(minsup, int) else math.ceil(minsup * len(queries))
     if args.mine_only:
-        for itemset in miner.mine_closed(db, minsup):
+        for itemset in miner.mine_closed(db, minsup_used) if queries else ():
             rendered = ",".join(str(items_by_id[i]) for i in itemset.items)
             _write_stdout(f"{itemset.support}\t{rendered}\n")
         _print_diagnostics(diagnostics, args.verbose)
         return 0
 
-    minsup_used = minsup.resolve(len(queries)) if queries else 0
     closed = advisor.mine_tables(db, items_by_id, minsup_used)
     candidates = advisor.derive_candidates(closed, items_by_id,
                                            maximal_only=not args.no_maximal_only)

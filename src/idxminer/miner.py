@@ -27,16 +27,14 @@ Rows carry counts (LCM ver.2's database reduction), and support sums them.
 Row t owns ``counts[t]`` consecutive bits of a row mask, so support stays a
 popcount; an item id is its own bit in an item mask.
 
-``MinSupport`` checks its value when built, so an invalid threshold fails
-before any mining; ``resolve`` turns a fraction into a count for a given
-number of transactions.
+The threshold is an absolute count of at least 1. The command line owns the
+minimum support: it resolves a fraction into a count once, over the whole
+workload, and hands that count to every call.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 
 class ClosedItemset(NamedTuple):
@@ -60,40 +58,16 @@ class TransactionDatabase(NamedTuple):
         return cls(transactions=rows, universe=universe, counts=counts)
 
 
-class MinSupport:
-    """Minimum support: an absolute count (int >= 1) or a fraction in (0, 1]."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Union[int, Fraction]):
-        if isinstance(value, bool):
-            raise ValueError("minimum support must be a count or a fraction")
-        if isinstance(value, int):
-            if value < 1:
-                raise ValueError("absolute minimum support must be >= 1")
-        elif isinstance(value, Fraction):
-            if not 0 < value <= 1:
-                raise ValueError("fractional minimum support must be in (0, 1]")
-        else:
-            raise ValueError(f"unsupported minimum support value {value!r}")
-        self.value = value
-
-    def resolve(self, n_transactions: int) -> int:
-        """Absolute threshold over ``n_transactions``; a fraction f gives ceil(f * n)."""
-        if isinstance(self.value, int):
-            return self.value
-        return math.ceil(self.value * n_transactions)
-
-
 def canonical_order(itemsets: Iterable[ClosedItemset]) -> list[ClosedItemset]:
     """Descending support, then lexicographic item tuples."""
     return sorted(itemsets, key=lambda c: (-c.support, c.items))
 
 
-def mine_closed(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItemset]:
-    """All closed itemsets with support >= minsup, in canonical order."""
+def mine_closed(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
+    """All closed itemsets with support >= threshold, in canonical order."""
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
     n = sum(db.counts)
-    threshold = minsup.resolve(n)
     if not db.universe or threshold > n:
         return []
 

@@ -41,10 +41,11 @@ _DAT_COLUMN_RE = re.compile(r'(?:^|(?<=,))(?:"((?:[^"]|"")*)"|([^,]*))')
 # them. A name spelled like one goes out quoted.
 _RESERVED_WORDS = frozenset("""
     all and any as asc between by case check column constraint create cross
-    default delete desc distinct drop else end exists foreign from full grant
-    group having in index inner insert into is join left like limit not null
-    on or order outer primary references right select set table then to union
-    unique update user values when where with
+    date day default delete desc distinct drop else end exists foreign from
+    full grant group having hour in index inner insert interval into is join
+    left like limit minute month not null on or order outer primary references
+    right second select set table then time timestamp to union unique update
+    user values when where with year
 """.split())
 
 

@@ -6,8 +6,8 @@ keeps the subsets no single-item extension of which preserves support.
 ``mine_by_intersection`` serves wide, sparse databases, where subsets are
 too many to enumerate: the closed sets are the non-empty intersections of
 row subsets. Both sum the counts of the rows a set lies in, as the miner
-does. Neither shares machinery with ``idxminer.miner.mine_closed``, so each
-can check it.
+does, and keep the sets whose support meets an absolute threshold. Neither
+shares machinery with ``idxminer.miner.mine_closed``, so each can check it.
 
 ``candidates_bruteforce`` reads index candidates straight off their
 definition, with no mining at all, so it checks ``advisor.mine_tables`` and
@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from idxminer.miner import ClosedItemset, MinSupport, TransactionDatabase, canonical_order
+from idxminer.miner import ClosedItemset, TransactionDatabase, canonical_order
 
 BRUTE_FORCE_MAX_ITEMS = 20
 
@@ -30,7 +30,7 @@ def weighted_support(db: TransactionDatabase, itemset: Iterable[int]) -> int:
     return sum(count for row, count in zip(db.transactions, db.counts) if wanted <= row)
 
 
-def mine_bruteforce(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItemset]:
+def mine_bruteforce(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
     """Exhaustive oracle: enumerate every subset, keep closed frequent ones.
 
     Refuses universes larger than BRUTE_FORCE_MAX_ITEMS items; enumeration
@@ -44,7 +44,6 @@ def mine_bruteforce(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedI
     n = sum(db.counts)
     if n == 0 or m == 0:
         return []
-    threshold = minsup.resolve(n)
 
     supports: dict[frozenset[int], int] = {}
     for size in range(1, m + 1):
@@ -65,7 +64,7 @@ def mine_bruteforce(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedI
     return canonical_order(results)
 
 
-def mine_by_intersection(db: TransactionDatabase, minsup: MinSupport) -> list[ClosedItemset]:
+def mine_by_intersection(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
     """Reference for any universe size: intersect rows until nothing new appears.
 
     Every closed set of support >= 1 is the intersection of the rows that
@@ -77,7 +76,6 @@ def mine_by_intersection(db: TransactionDatabase, minsup: MinSupport) -> list[Cl
     n = sum(db.counts)
     if n == 0:
         return []
-    threshold = minsup.resolve(n)
     found: set[frozenset[int]] = set()
     grown = True
     while grown:
@@ -96,16 +94,15 @@ def mine_by_intersection(db: TransactionDatabase, minsup: MinSupport) -> list[Cl
 
 
 def candidates_bruteforce(
-    rows: list[frozenset[tuple[str, str]]], minsup: MinSupport, maximal_only: bool = True
+    rows: list[frozenset[tuple[str, str]]], threshold: int, maximal_only: bool = True
 ) -> list[tuple[str, tuple[str, ...], int]]:
     """Index candidates as (table, columns, support), from their definition.
 
-    ``rows`` holds one set of (table, column) pairs per statement, and
-    ``minsup`` resolves against their number. On a table T a column set F is
-    a candidate when it is non-empty, its support (the number of rows holding
-    it) meets the threshold, and F equals the T-columns common to every row
-    that holds F. With ``maximal_only``, one strictly inside another
-    candidate on its table is dropped. As the README states, the columns go
+    ``rows`` holds one set of (table, column) pairs per statement. On a table
+    T a column set F is a candidate when it is non-empty, its support (the
+    number of rows holding it) meets ``threshold``, and F equals the
+    T-columns common to every row that holds F. With ``maximal_only``, one
+    strictly inside another candidate on its table is dropped. As the README states, the columns go
     by descending single-column support, then by name; candidates go by
     descending support, then table and columns.
     """
@@ -118,7 +115,7 @@ def candidates_bruteforce(
         for size in range(1, len(columns) + 1):
             for combo in map(frozenset, combinations(columns, size)):
                 holding = [part for part in parts if combo <= part]
-                if len(holding) >= minsup.resolve(len(rows)) and \
+                if len(holding) >= threshold and \
                         frozenset.intersection(*holding) == combo:
                     found.append((table, combo, len(holding)))
     if maximal_only:

@@ -8,6 +8,7 @@ seeded so every run checks the same inputs.
 from __future__ import annotations
 
 import ast
+import math
 import random
 import re
 import sys
@@ -37,7 +38,6 @@ from idxminer.advisor import (
 )
 from idxminer.cli import main
 from idxminer.miner import (
-    MinSupport,
     TransactionDatabase,
     mine_closed,
 )
@@ -80,15 +80,15 @@ def test_miner_oracle_equivalence():
     comparisons = 0
     for db in random_databases():
         n = len(db.transactions)
-        oracle_all = mine_bruteforce(db, MinSupport(1))
+        oracle_all = mine_bruteforce(db, 1)
         # Spot-check that filtering the minsup-1 oracle matches a direct
         # oracle run at an arbitrary threshold.
         probe = rng.randint(1, n)
-        direct = mine_bruteforce(db, MinSupport(probe))
+        direct = mine_bruteforce(db, probe)
         assert direct == [c for c in oracle_all if c.support >= probe]
         for threshold in range(1, n + 1):
             expected = [c for c in oracle_all if c.support >= threshold]
-            assert mine_closed(db, MinSupport(threshold)) == expected
+            assert mine_closed(db, threshold) == expected
             comparisons += 1
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"oracle equivalence exceeded budget: {elapsed:.1f}s"
@@ -104,10 +104,10 @@ def test_miner_oracle_equivalence_on_counted_rows():
     for db in random_databases():
         counted = TransactionDatabase.from_transactions(
             db.transactions, [rng.randint(1, 4) for _ in db.transactions])
-        oracle_all = mine_bruteforce(counted, MinSupport(1))
+        oracle_all = mine_bruteforce(counted, 1)
         for threshold in range(1, sum(counted.counts) + 1):
             expected = [c for c in oracle_all if c.support >= threshold]
-            assert mine_closed(counted, MinSupport(threshold)) == expected
+            assert mine_closed(counted, threshold) == expected
             comparisons += 1
     print(f"\n[PASS] miner oracle equivalence on counted rows "
           f"({len(random_databases())} databases, {comparisons} thresholds)")
@@ -119,7 +119,7 @@ def test_miner_structural_properties():
         n = len(db.transactions)
         previous = None
         for threshold in (1, max(1, n // 2), n):
-            results = mine_closed(db, MinSupport(threshold))
+            results = mine_closed(db, threshold)
             for closed in results:
                 base = set(closed.items)
                 assert scan_support(db, base) == closed.support
@@ -172,15 +172,13 @@ def test_pipeline_golden(fixture_args, tmp_path):
     queries = parse_workload(WORKLOAD_PATH.read_text(encoding="utf-8"))
     contexts = extract_workload(queries, schema)
     db, _ = build_database(contexts)
-    threshold = MinSupport(Fraction(1, 4)).resolve(len(queries))
+    threshold = math.ceil(Fraction(1, 4) * len(queries))
     frequent = {i for i in db.universe if scan_support(db, {i}) >= threshold}
     assert len(frequent) <= 20
     projected = TransactionDatabase.from_transactions(
         [row & frequent for row in db.transactions], db.counts
     )
-    assert mine_closed(db, MinSupport(Fraction(1, 4))) == mine_bruteforce(
-        projected, MinSupport(threshold)
-    )
+    assert mine_closed(db, threshold) == mine_bruteforce(projected, threshold)
     print("\n[PASS] pipeline golden (pinned candidates, byte-identical outputs)")
 
 

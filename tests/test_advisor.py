@@ -179,6 +179,36 @@ def test_maximal_only_matches_strict_superset_definition():
         assert derive_candidates(closed, items_by_id) == expected
 
 
+def test_maximal_only_matches_strict_superset_definition_at_scale():
+    """Three-table families, the first with over 2,000 closed sets on one table,
+    fed in shuffled order: the filter keeps exactly the sets no other set on
+    their table strictly contains."""
+    rng = random.Random(1818)
+    for n_columns, n_rows in ((12, 300), (6, 60), (8, 120)):
+        tables = {"big": [f"c{j:02d}" for j in range(n_columns)],
+                  "s": ["d", "e", "k"], "u": ["x", "y"]}
+        rows = [
+            frozenset(AttributeItem(table, column)
+                      for table, columns in tables.items()
+                      for column in columns if rng.random() < 0.5)
+            for _ in range(n_rows)
+        ]
+        db, items_by_id = build_database([
+            TransactionContext(i, row) for i, row in enumerate(rows)
+        ])
+        closed = mine_tables(db, items_by_id, 1)
+        rng.shuffle(closed)
+        everything = derive_candidates(closed, items_by_id, maximal_only=False)
+        if n_columns == 12:
+            assert sum(cand.table == "big" for cand in everything) >= 2000
+        on_table: dict[str, list[set[str]]] = {}
+        for cand in everything:
+            on_table.setdefault(cand.table, []).append(set(cand.columns))
+        expected = [cand for cand in everything
+                    if not any(set(cand.columns) < other for other in on_table[cand.table])]
+        assert derive_candidates(closed, items_by_id) == expected
+
+
 def test_raising_minsup_never_adds_candidates():
     rng = random.Random(17)
     for _ in range(20):
@@ -304,6 +334,11 @@ def test_select_rejects_duplicate_candidates():
 
 def test_score_zero_support_scores_zero():
     assert score(candidate("t", ["a"], support=0), 500, 20) == 0.0
+
+
+def test_score_rejects_an_empty_workload():
+    with pytest.raises(ValueError, match="workload_size must be >= 1"):
+        score(candidate("t", ["a"], support=0), 500, 0)
 
 
 def test_score_example_value():

@@ -51,6 +51,6 @@ def test_database_is_a_pair_of_rows_and_items():
 def test_mining_returns_a_list_of_closed_itemsets():
     """``miner.closed_sets`` reads ``len(mine_closed(...))``."""
     db = miner.TransactionDatabase.from_transactions([{0, 1}, {0}, {0, 1}])
-    closed = miner.mine_closed(db, miner.MinSupport(1))
+    closed = miner.mine_closed(db, 1)
     assert isinstance(closed, list) and len(closed) == 2
     assert all(isinstance(c, miner.ClosedItemset) for c in closed)

@@ -9,6 +9,7 @@ generated workloads run through the CLI, under both filter settings.
 from __future__ import annotations
 
 import io
+import math
 import random
 import tempfile
 from contextlib import redirect_stdout
@@ -22,16 +23,20 @@ from bruteforce import candidates_bruteforce
 from idxminer import miner
 from idxminer.advisor import build_database, derive_candidates, mine_tables
 from idxminer.cli import main
-from idxminer.miner import MinSupport
 from idxminer.report import parse_structured_report
 from idxminer.workload import AttributeItem, TransactionContext
 
 
-def program_candidates(rows, minsup: MinSupport, maximal_only: bool):
+def resolve(minsup: int | Fraction, n: int) -> int:
+    """A count stays; a fraction f of ``n`` statements is ceil(f * n)."""
+    return minsup if isinstance(minsup, int) else math.ceil(minsup * n)
+
+
+def program_candidates(rows, threshold: int, maximal_only: bool):
     db, items_by_id = build_database([
         TransactionContext(q, frozenset(AttributeItem(*pair) for pair in row))
         for q, row in enumerate(rows)])
-    closed = mine_tables(db, items_by_id, minsup.resolve(len(rows)))
+    closed = mine_tables(db, items_by_id, threshold)
     return [(c.table, c.columns, c.support)
             for c in derive_candidates(closed, items_by_id, maximal_only)]
 
@@ -45,11 +50,11 @@ def test_candidates_match_the_oracle_on_seeded_databases():
         rows = [frozenset((t, c) for t, columns in tables.items() for c in columns
                           if rng.random() < density)
                 for _ in range(rng.randint(1, 40))]
-        minsup = rng.choice([MinSupport(rng.randint(1, 3)),
-                             MinSupport(Fraction(rng.randint(1, 4), 10))])
+        minsup = rng.choice([rng.randint(1, 3), Fraction(rng.randint(1, 4), 10)])
+        threshold = resolve(minsup, len(rows))
         for maximal_only in (True, False):
-            assert program_candidates(rows, minsup, maximal_only) == \
-                candidates_bruteforce(rows, minsup, maximal_only)
+            assert program_candidates(rows, threshold, maximal_only) == \
+                candidates_bruteforce(rows, threshold, maximal_only)
 
 
 # Generated workloads: each SELECT plants a set of columns on three tables.
@@ -75,16 +80,16 @@ def planted_statement(draw):
             planted)
 
 
-MINSUPS = [("1", MinSupport(1)), ("2", MinSupport(2)), ("3", MinSupport(3)),
-           ("0.1", MinSupport(Fraction(1, 10))), ("0.25", MinSupport(Fraction(1, 4))),
-           ("1/3", MinSupport(Fraction(1, 3)))]
+MINSUPS = [("1", 1), ("2", 2), ("3", 3),
+           ("0.1", Fraction(1, 10)), ("0.25", Fraction(1, 4)), ("1/3", Fraction(1, 3))]
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(st.lists(planted_statement(), max_size=30), st.sampled_from(MINSUPS), st.booleans())
 def test_report_matches_the_oracle_on_generated_workloads(statements, minsup, maximal_only):
-    flag, threshold = minsup
+    flag, value = minsup
     rows = [planted for _, planted in statements]
+    threshold = resolve(value, len(rows)) if rows else 0
     with tempfile.TemporaryDirectory() as work:
         files = {"w.sql": "".join(f"{sql};\n" for sql, _ in statements),
                  "s.txt": SCHEMA, "st.txt": STATS}
@@ -98,7 +103,7 @@ def test_report_matches_the_oracle_on_generated_workloads(statements, minsup, ma
             (Path(work) / "out" / "report.dat").read_text(encoding="utf-8"))
     expected = candidates_bruteforce(rows, threshold, maximal_only)
     assert sorted(got) == sorted(expected)
-    assert header["minsup"] == str(threshold.resolve(len(rows)) if rows else 0)
+    assert header["minsup"] == str(threshold)
 
 
 def test_statements_off_a_table_count_in_a_fractional_threshold(tmp_path, capsys):
@@ -145,8 +150,8 @@ def test_joins_of_four_tables_mine_a_bounded_number_of_closed_sets(tmp_path, mon
     mined = []
     real = miner.mine_closed
 
-    def spy(db, minsup):
-        mined.append(len(result := real(db, minsup)))
+    def spy(db, threshold):
+        mined.append(len(result := real(db, threshold)))
         return result
 
     monkeypatch.setattr(miner, "mine_closed", spy)

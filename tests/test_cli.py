@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import subprocess
 import sys
 import tempfile
@@ -110,10 +111,15 @@ def test_policy_blank_entries_are_skipped(fixture_args, tmp_path, capsys):
 
 def test_malformed_schema_exits_2(fixture_args, tmp_path, capsys):
     bad = tmp_path / "schema.txt"
-    bad.write_text("not a stanza\n", encoding="utf-8")
     args = fixture_args()
     args[args.index("--schema") + 1] = str(bad)
-    assert run(args) == 2
+    for text, error in (("not a stanza\n", "line 1: column outside a TABLE stanza"),
+                        ("TABLE\n a\n", "line 1: expected 'TABLE <name>'"),
+                        ("TABLE t u\n a\n", "line 1: expected 'TABLE <name>'"),
+                        ("TABLE t\n a b\n", "line 2: expected a single column name")):
+        bad.write_text(text, encoding="utf-8")
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_malformed_stats_exits_2(fixture_args, tmp_path, capsys):
@@ -179,7 +185,7 @@ def test_mine_only_dump_matches_bruteforce_oracle(fixture_args, capsys, tpcr_sch
     from bruteforce import mine_bruteforce
 
     from idxminer.advisor import build_database
-    from idxminer.miner import MinSupport, TransactionDatabase
+    from idxminer.miner import TransactionDatabase
     from idxminer.workload import extract_workload, parse_workload
 
     assert run(fixture_args("--mine-only")) == 0
@@ -193,7 +199,7 @@ def test_mine_only_dump_matches_bruteforce_oracle(fixture_args, capsys, tpcr_sch
 
     queries = parse_workload(tpcr_workload_text)
     db, items_by_id = build_database(extract_workload(queries, tpcr_schema))
-    threshold = MinSupport(Fraction(1, 4)).resolve(len(queries))
+    threshold = math.ceil(Fraction(1, 4) * len(queries))
     frequent = {
         i for i in db.universe
         if sum(c for row, c in zip(db.transactions, db.counts) if i in row) >= threshold
@@ -203,7 +209,7 @@ def test_mine_only_dump_matches_bruteforce_oracle(fixture_args, capsys, tpcr_sch
     )
     expected = [
         (c.support, tuple(str(items_by_id[i]) for i in c.items))
-        for c in mine_bruteforce(projected, MinSupport(threshold))
+        for c in mine_bruteforce(projected, threshold)
     ]
     assert dumped == expected
 
@@ -342,6 +348,23 @@ def test_quoted_names_in_schema_and_stats_files(tmp_path, capsys):
         targets.append((names[4], tuple(names[5:])))
     _, rows = parse_structured_report((out / "report.dat").read_text(encoding="utf-8"))
     assert targets == [(table, columns) for table, columns, _ in rows]
+
+
+def test_column_named_like_a_datetime_word_is_quoted_in_ddl(tmp_path, capsys):
+    workload = tmp_path / "w.sql"
+    workload.write_text("SELECT k FROM t WHERE t.date = 1 AND k = 2;\n", encoding="utf-8")
+    schema = tmp_path / "s.txt"
+    schema.write_text("TABLE t\n date\n k\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--workload", str(workload), "--schema", str(schema),
+                "--minsup", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    ddl = (out / "recommendation.sql").read_text(encoding="utf-8")
+    assert ddl == 'CREATE INDEX idx_t_date_k ON t ("date", k);\n'
+    (statement,) = split_statements(ddl)
+    names = [canonical_identifier(value, quoted=kind == "qident")
+             for kind, value, _ in scan(statement) if kind in ("ident", "qident")]
+    assert names[4:] == ["t", "date", "k"]
 
 
 def test_report_dat_round_trips_a_column_name_holding_a_comma(tmp_path, capsys):

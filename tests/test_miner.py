@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 
 from bruteforce import BRUTE_FORCE_MAX_ITEMS, mine_bruteforce, mine_by_intersection
 
+from idxminer.cli import main
 from idxminer.miner import (
     ClosedItemset,
-    MinSupport,
     TransactionDatabase,
     canonical_order,
     mine_closed,
@@ -49,7 +50,7 @@ def counted_and_expanded(rng: random.Random) -> tuple[TransactionDatabase, Trans
 
 
 def test_three_row_example():
-    got = mine_closed(THREE_ROWS, MinSupport(2))
+    got = mine_closed(THREE_ROWS, 2)
     assert got == [
         ClosedItemset(items=(A,), support=3),
         ClosedItemset(items=(A, B), support=2),
@@ -59,24 +60,32 @@ def test_three_row_example():
 
 def test_empty_transaction_list():
     db = TransactionDatabase.from_transactions([])
-    assert mine_closed(db, MinSupport(1)) == []
-    assert mine_closed(db, MinSupport(Fraction(1, 2))) == []
+    assert mine_closed(db, 1) == []
+
+
+@pytest.mark.parametrize("threshold", [0, -1])
+def test_threshold_below_one_raises(threshold):
+    for db in (THREE_ROWS, TransactionDatabase.from_transactions([])):
+        with pytest.raises(ValueError, match="threshold must be >= 1"):
+            mine_closed(db, threshold)
 
 
 def test_threshold_above_every_support():
-    assert mine_closed(THREE_ROWS, MinSupport(4)) == []
+    assert mine_closed(THREE_ROWS, 4) == []
 
 
 def test_empty_rows_keep_counting_in_fraction_resolution():
     db = TransactionDatabase.from_transactions([{A}, set(), set(), set()])
     # 0.5 of 4 rows resolves to 2, which {A} does not reach.
-    assert mine_closed(db, MinSupport(Fraction(1, 2))) == []
-    assert mine_closed(db, MinSupport(Fraction(1, 4))) == [ClosedItemset(items=(A,), support=1)]
+    n = sum(db.counts)
+    assert mine_closed(db, math.ceil(Fraction(1, 2) * n)) == []
+    assert mine_closed(db, math.ceil(Fraction(1, 4) * n)) == [
+        ClosedItemset(items=(A,), support=1)]
 
 
 def test_canonical_output_order():
     db = TransactionDatabase.from_transactions([{A, B}, {A, B}, {C}, {C}, {A}])
-    got = mine_closed(db, MinSupport(2))
+    got = mine_closed(db, 2)
     assert got == canonical_order(got)
     assert [c.support for c in got] == sorted((c.support for c in got), reverse=True)
 
@@ -84,14 +93,27 @@ def test_canonical_output_order():
 def test_mining_is_repeatable():
     rng = random.Random(7)
     db = random_database(rng)
-    assert mine_closed(db, MinSupport(2)) == mine_closed(db, MinSupport(2))
+    assert mine_closed(db, 2) == mine_closed(db, 2)
 
 
-# -- MinSupport ---------------------------------------------------------------
+# -- minimum support: the one count the CLI hands the miner --------------------
 
 
-def test_minsup_absolute_passthrough():
-    assert MinSupport(3).resolve(100) == 3
+def run_minsup(tmp_path, capsys, text, statements):
+    """The CLI's exit code and stdout at ``--minsup text`` over a workload of
+    ``statements`` copies of one statement."""
+    (tmp_path / "w.sql").write_text("SELECT a FROM t WHERE a = 1;\n" * statements,
+                                    encoding="utf-8")
+    (tmp_path / "s.txt").write_text("TABLE t\n a\n", encoding="utf-8")
+    code = main(["--workload", str(tmp_path / "w.sql"), "--schema", str(tmp_path / "s.txt"),
+                 "--minsup", text, "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().out
+
+
+def test_minsup_absolute_passthrough(tmp_path, capsys):
+    code, out = run_minsup(tmp_path, capsys, "3", 100)
+    assert code == 0
+    assert "minimum support: 3 of 100 statements\n" in out
 
 
 @pytest.mark.parametrize(
@@ -105,25 +127,35 @@ def test_minsup_absolute_passthrough():
         ("0.0000000001", 100, 1),
     ],
 )
-def test_minsup_fraction_resolves_by_ceiling(value, n, expected):
-    assert MinSupport(Fraction(value)).resolve(n) == expected
+def test_minsup_fraction_resolves_by_ceiling(tmp_path, capsys, value, n, expected):
+    code, out = run_minsup(tmp_path, capsys, str(value), n)
+    assert code == 0
+    assert f"minimum support: {expected} of {n} statements\n" in out
+
+
+COUNT_ERROR = "absolute minimum support must be >= 1"
+FRACTION_ERROR = "fractional minimum support must be in (0, 1]"
 
 
 @pytest.mark.parametrize(
-    "bad", [0, -2, 0.0, 1.5, -0.1, 0.25, Fraction(0), Fraction(3, 2), True, "3"]
+    "bad", [0, -2, 0.0, 1.5, -0.1, "abc", Fraction(0), Fraction(3, 2), True]
 )
-def test_minsup_rejects_invalid_values(bad):
-    with pytest.raises(ValueError):
-        MinSupport(bad)
+def test_minsup_rejects_invalid_values(fixture_args, capsys, bad):
+    text = str(bad)
+    reason = {"0": COUNT_ERROR, "-2": COUNT_ERROR, "0.0": FRACTION_ERROR,
+              "1.5": FRACTION_ERROR, "-0.1": FRACTION_ERROR, "3/2": FRACTION_ERROR,
+              }.get(text, f"Invalid literal for Fraction: {text!r}")
+    assert main(fixture_args("--minsup", text)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid --minsup {text!r}: {reason}\n"
 
 
 # -- brute-force oracle ---------------------------------------------------------
 
 
 def test_bruteforce_three_row_example():
-    assert mine_bruteforce(THREE_ROWS, MinSupport(2)) == mine_closed(
-        THREE_ROWS, MinSupport(2)
-    )
+    assert mine_bruteforce(THREE_ROWS, 2) == mine_closed(THREE_ROWS, 2)
 
 
 def test_bruteforce_refuses_large_universe():
@@ -131,17 +163,17 @@ def test_bruteforce_refuses_large_universe():
         [set(range(BRUTE_FORCE_MAX_ITEMS + 1))]
     )
     with pytest.raises(ValueError):
-        mine_bruteforce(db, MinSupport(1))
+        mine_bruteforce(db, 1)
 
 
 def test_oracle_equivalence_smoke():
     rng = random.Random(2024)
     for _ in range(60):
         db = random_database(rng)
-        everything = mine_bruteforce(db, MinSupport(1))
+        everything = mine_bruteforce(db, 1)
         for threshold in range(1, len(db.transactions) + 1):
             expected = [c for c in everything if c.support >= threshold]
-            assert mine_closed(db, MinSupport(threshold)) == expected
+            assert mine_closed(db, threshold) == expected
 
 
 def test_differential_on_wider_universes():
@@ -156,10 +188,10 @@ def test_differential_on_wider_universes():
                     {i for i in range(n_items) if rng.random() < density}
                     for _ in range(rng.randint(10, 30))
                 )
-            everything = mine_bruteforce(db, MinSupport(1))
+            everything = mine_bruteforce(db, 1)
             for threshold in range(1, len(db.transactions) + 1):
                 expected = [c for c in everything if c.support >= threshold]
-                assert mine_closed(db, MinSupport(threshold)) == expected
+                assert mine_closed(db, threshold) == expected
 
 
 def test_bruteforce_references_agree():
@@ -167,8 +199,8 @@ def test_bruteforce_references_agree():
     for _ in range(40):
         db = random_database(rng)
         for threshold in (1, 2, 3):
-            assert mine_by_intersection(db, MinSupport(threshold)) == \
-                mine_bruteforce(db, MinSupport(threshold))
+            assert mine_by_intersection(db, threshold) == \
+                mine_bruteforce(db, threshold)
 
 
 def test_differential_on_wide_sparse_universes():
@@ -188,10 +220,10 @@ def test_differential_on_wide_sparse_universes():
                     row.update(rng.choices(range(n_items), weights, k=size - len(row)))
                 rows.append(row)
             db = TransactionDatabase.from_transactions(rows)
-        everything = mine_by_intersection(db, MinSupport(1))
+        everything = mine_by_intersection(db, 1)
         for threshold in (1, 2, 3):
             expected = [c for c in everything if c.support >= threshold]
-            assert mine_closed(db, MinSupport(threshold)) == expected
+            assert mine_closed(db, threshold) == expected
 
 
 def test_counted_rows_mine_as_their_expansion():
@@ -199,10 +231,9 @@ def test_counted_rows_mine_as_their_expansion():
     for _ in range(150):
         counted, expanded = counted_and_expanded(rng)
         assert sum(counted.counts) == len(expanded.transactions)
-        minsups = [MinSupport(t) for t in range(1, sum(counted.counts) + 1)]
-        minsups += [MinSupport(Fraction(k, 7)) for k in range(1, 8)]
-        for minsup in minsups:
-            assert mine_closed(counted, minsup) == mine_closed(expanded, minsup)
+        # Every threshold from 1 to one above the total count.
+        for threshold in range(1, sum(counted.counts) + 2):
+            assert mine_closed(counted, threshold) == mine_closed(expanded, threshold)
 
 
 def test_bruteforce_references_sum_counts():
@@ -210,17 +241,17 @@ def test_bruteforce_references_sum_counts():
     for _ in range(40):
         counted, expanded = counted_and_expanded(rng)
         for threshold in (1, 2, 5):
-            expected = mine_bruteforce(expanded, MinSupport(threshold))
-            assert mine_bruteforce(counted, MinSupport(threshold)) == expected
-            assert mine_by_intersection(counted, MinSupport(threshold)) == expected
-            assert mine_closed(counted, MinSupport(threshold)) == expected
+            expected = mine_bruteforce(expanded, threshold)
+            assert mine_bruteforce(counted, threshold) == expected
+            assert mine_by_intersection(counted, threshold) == expected
+            assert mine_closed(counted, threshold) == expected
 
 
 def test_staircase_chain_of_closed_sets():
     # Row i is {0..i}: every prefix is closed, nested 1,100 deep.
     n = 1100
     db = TransactionDatabase.from_transactions(set(range(i + 1)) for i in range(n))
-    assert mine_closed(db, MinSupport(1)) == [
+    assert mine_closed(db, 1) == [
         ClosedItemset(items=tuple(range(k + 1)), support=n - k) for k in range(n)
     ]
 
@@ -232,7 +263,7 @@ def test_closedness_and_support_exactness():
     rng = random.Random(99)
     for _ in range(40):
         db = random_database(rng)
-        for result in mine_closed(db, MinSupport(1)):
+        for result in mine_closed(db, 1):
             base = set(result.items)
             assert scan_support(db, base) == result.support
             for extra in db.universe:
@@ -244,7 +275,7 @@ def test_anti_monotonicity():
     rng = random.Random(4)
     for _ in range(40):
         db = random_database(rng)
-        results = mine_closed(db, MinSupport(1))
+        results = mine_closed(db, 1)
         for x in results:
             for y in results:
                 if set(x.items) < set(y.items):
@@ -257,7 +288,7 @@ def test_threshold_monotonicity():
         db = random_database(rng)
         previous = None
         for threshold in range(1, len(db.transactions) + 1):
-            current = set(mine_closed(db, MinSupport(threshold)))
+            current = set(mine_closed(db, threshold))
             if previous is not None:
                 assert current <= previous
             previous = current

@@ -87,6 +87,9 @@ def test_quoted_identifiers_in_ddl():
     ("ORDER", '"ORDER"'),
     ("select", '"select"'),
     ("values", '"values"'),
+    ("date", '"date"'),
+    ("Interval", '"Interval"'),
+    ("second", '"second"'),
     ("Order Data", '"Order Data"'),
     ('A"b', '"A""b"'),
 ])
@@ -220,3 +223,23 @@ def test_structured_header_fields():
     assert meta["minsup"] == "2"
     assert meta["workload_statements"] == "4"
     assert meta["statements_select"] == "3"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("format: v1\ncandidate\tt\ta\t4\n", "line 2: malformed candidate row"),
+    ("format: v1\nminsup 2\n", "line 2: expected 'key: value'"),
+])
+def test_structured_report_rejects_malformed_lines(text, error):
+    with pytest.raises(ValueError, match=error):
+        parse_structured_report(text)
+
+
+def test_structured_report_skips_blank_lines():
+    text = emit_report(make_recommendation([make_candidate()]), "structured")
+    assert parse_structured_report("\n" + text.replace("\n", "\n  \n")) == \
+        parse_structured_report(text)
+
+
+def test_unknown_report_format_is_rejected():
+    with pytest.raises(ValueError, match="unknown report format 'html'"):
+        emit_report(make_recommendation([]), "html")

@@ -264,6 +264,7 @@ def test_limit_needs_a_number():
 
 def test_update_and_delete_where_items():
     assert items("UPDATE t SET a = 0 WHERE b = 3") == {("t", "b")}
+    assert items("UPDATE t SET a = 0, x = a + 1 WHERE b = 3") == {("t", "b")}
     assert items("DELETE FROM s WHERE d < 4") == {("s", "d")}
     # SET values are no indexable position, nor are the subqueries in them.
     diags = []
@@ -305,6 +306,14 @@ def test_policy_select_position_opt_in():
     policy = extraction_policy(["select", "where"])
     got = items("SELECT t.x FROM t WHERE t.a = 1", policy=policy)
     assert got == {("t", "x"), ("t", "a")}
+
+
+def test_star_of_a_table_in_the_select_list_is_no_item():
+    policy = extraction_policy(["select", "where"])
+    (query,) = parse_workload("SELECT t.*, s.d FROM t, s WHERE t.a = 1")
+    assert query.parse_error is None
+    got = {(i.table, i.column) for i in extract_one(query, SCHEMA, policy).items}
+    assert got == {("t", "a"), ("s", "d")}
 
 
 def test_policy_rejects_unknown_position():
