@@ -6,6 +6,10 @@ strategy, invalid thresholds), 2 on file-level failures (unreadable
 paths, undecodable bytes, malformed schema or stats files, an output
 directory that cannot be created or written). Per-statement SQL
 diagnostics never change the exit code.
+
+``_run`` holds the whole run, top to bottom, and raises on a failure.
+``main`` is the one place that prints a failure: its ``except`` clauses
+are the table from each failure's exception to its exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import advisor, catalog, miner, report, workload
 
@@ -88,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stop after mining and dump closed itemsets as 'support<TAB>items'",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0,
+    parser.add_argument("-v", "--verbose", action="store_true",
                         help="print per-statement diagnostics to stderr")
     return parser
 
@@ -113,10 +116,37 @@ def _parse_minsup(text: str) -> int | Fraction:
         raise ConfigError(f"invalid --minsup {text!r}: {exc}") from None
 
 
-def _build_config(args) -> tuple[
-    int | Fraction, advisor.Strategy, frozenset[str], Path
-]:
-    """The minimum support, strategy, extraction policy and output directory."""
+class FileError(Exception):
+    """An input file that cannot be read or decoded, or an output not written."""
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise FileError(f"cannot read {what} file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileError(f"{what} file {path!r} is not UTF-8: {exc}") from None
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        _run(args)
+    except (ConfigError, advisor.MissingStatsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (FileError, workload.SchemaError, catalog.StatsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _run(args: argparse.Namespace) -> None:
+    """One run, from the parsed flags to the outputs; a failure raises."""
     minsup = _parse_minsup(args.minsup)
     strategy = advisor.Strategy(args.strategy.upper().replace("-", "_"))
     if strategy is advisor.Strategy.LARGE_TABLES and not args.stats:
@@ -125,48 +155,16 @@ def _build_config(args) -> tuple[
         raise ConfigError("--threshold-rows must be >= 0")
     if args.dialect != "generic":
         raise ConfigError(f"unsupported dialect {args.dialect!r}")
+    policy = workload.DEFAULT_POLICY
     if args.policy is not None:
         try:
             policy = workload.extraction_policy(args.policy.split(","))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    else:
-        policy = workload.DEFAULT_POLICY
-    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR)
-    return minsup, strategy, policy, out_dir
 
-
-def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read {what} file {path!r}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FileNotFoundError(f"{what} file {path!r} is not UTF-8: {exc}") from None
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        minsup, strategy, policy, out_dir = _build_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        workload_text = _read_text(args.workload, "workload")
-        schema = workload.parse_schema(_read_text(args.schema, "schema"))
-        row_counts = {}
-        if args.stats:
-            row_counts = catalog.load_stats(_read_text(args.stats, "stats"))
-    except (FileNotFoundError, workload.SchemaError, catalog.StatsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    workload_text = _read_text(args.workload, "workload")
+    schema = workload.parse_schema(_read_text(args.schema, "schema"))
+    row_counts = catalog.load_stats(_read_text(args.stats, "stats")) if args.stats else {}
 
     diagnostics: list[str] = []
     queries = workload.parse_workload(workload_text)
@@ -183,24 +181,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             rendered = ",".join(str(items_by_id[i]) for i in itemset.items)
             _write_stdout(f"{itemset.support}\t{rendered}\n")
         _print_diagnostics(diagnostics, args.verbose)
-        return 0
+        return
 
     closed = advisor.mine_tables(db, items_by_id, minsup_used)
     candidates = advisor.derive_candidates(closed, items_by_id,
                                            maximal_only=not args.no_maximal_only)
-    try:
-        configuration = advisor.select(
-            candidates,
-            strategy,
-            row_counts,
-            args.threshold_rows,
-            workload_size=len(queries),
-            diagnostics=diagnostics,
-        )
-    except advisor.MissingStatsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    configuration = advisor.select(candidates, strategy, row_counts, args.threshold_rows,
+                                   workload_size=len(queries), diagnostics=diagnostics)
     recommendation = report.Recommendation(
         configuration=configuration,
         minsup_used=minsup_used,
@@ -209,23 +196,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
 
     text_report = report.emit_report(recommendation, "text")
+    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write(out_dir / "recommendation.sql", report.emit_ddl(configuration))
-        _write(out_dir / "report.txt", text_report)
-        _write(out_dir / "report.dat", report.emit_report(recommendation, "structured"))
+        for name, content in (("recommendation.sql", report.emit_ddl(configuration)),
+                              ("report.txt", text_report),
+                              ("report.dat", report.emit_report(recommendation, "structured"))):
+            (out_dir / name).write_text(content, encoding="utf-8", newline="\n")
     except OSError as exc:
-        print(f"error: cannot write output to {str(out_dir)!r}: {exc}", file=sys.stderr)
-        return 2
+        raise FileError(f"cannot write output to {str(out_dir)!r}: {exc}") from None
 
     _write_stdout(text_report)
     _print_diagnostics(diagnostics, args.verbose)
-    return 0
-
-
-def _write(path: Path, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(content)
 
 
 def _write_stdout(text: str) -> None:
@@ -236,7 +218,7 @@ def _write_stdout(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _print_diagnostics(diagnostics: list[str], verbose: int) -> None:
+def _print_diagnostics(diagnostics: list[str], verbose: bool) -> None:
     if verbose:
         for line in diagnostics:
             print(line, file=sys.stderr)

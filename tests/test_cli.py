@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import io
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (SCHEMA_PATH, SQL_WORDS, SRC, STATS_PATH, WORKLOAD_PATH,
                       run_cli_process)
 
-from idxminer.cli import main
+from idxminer.cli import build_parser, main
 from idxminer.report import parse_structured_report
 from idxminer.workload import canonical_identifier, parse_workload, scan, split_statements
 
@@ -471,3 +473,122 @@ def test_any_workload_text_runs_to_a_recommendation(text):
         assert stdout.getvalue() == (out / "report.txt").read_text(encoding="utf-8")
         parse_structured_report((out / "report.dat").read_text(encoding="utf-8"))
         assert (out / "recommendation.sql").is_file()
+
+
+# -- every failure, pinned: exit code, exact stderr, empty stdout ----------------
+
+
+def error_text(provoke) -> str:
+    """The text of the OSError or UnicodeDecodeError that ``provoke`` raises."""
+    try:
+        provoke()
+    except (OSError, UnicodeDecodeError) as exc:
+        return str(exc)
+    raise AssertionError("nothing was raised")
+
+
+def failure_case(name: str, tmp_path: Path) -> tuple[list[str], int, str]:
+    """(argv, exit code, stderr) of one failing run, its input files made."""
+    usage = build_parser().format_usage()
+    fixture = ["--workload", str(WORKLOAD_PATH), "--schema", str(SCHEMA_PATH),
+               "--stats", str(STATS_PATH), "--out", str(tmp_path / "out")]
+    if name == "no-arguments":
+        return [], 1, usage + ("error: the following arguments are required: "
+                               "--workload, --schema\n")
+    if name == "unknown-flag":
+        return [*fixture, "--frobnicate"], 1, \
+            usage + "error: unrecognized arguments: --frobnicate\n"
+    if name == "bad-strategy":
+        return [*fixture, "--strategy", "sideways"], 1, usage + (
+            "error: argument --strategy: invalid choice: 'sideways' "
+            "(choose from 'all', 'large-tables')\n")
+    simple = {
+        "minsup-zero": (["--minsup", "0"],
+                        "invalid --minsup '0': absolute minimum support must be >= 1"),
+        "minsup-text": (["--minsup", "abc"],
+                        "invalid --minsup 'abc': Invalid literal for Fraction: 'abc'"),
+        "threshold-rows-negative": (["--threshold-rows", "-1"],
+                                    "--threshold-rows must be >= 0"),
+        "dialect": (["--dialect", "tsql"], "unsupported dialect 'tsql'"),
+        "policy-unknown": (["--policy", "x"], "unknown extraction positions: ['x']"),
+        "policy-empty": (["--policy", ","], "the extraction policy names no position"),
+    }
+    if name in simple:
+        extra, error = simple[name]
+        return [*fixture, *extra], 1, f"error: {error}\n"
+    if name == "large-tables-without-stats":
+        return [*fixture[:4], *fixture[6:], "--strategy", "large-tables"], 1, \
+            "error: --strategy large-tables requires --stats\n"
+    if name == "stats-missing-a-table":
+        partial = tmp_path / "stats.txt"
+        partial.write_text("lineitem\t6000000\t120\n", encoding="utf-8")
+        return [*fixture[:5], str(partial), *fixture[6:], "--minsup", "0.25",
+                "--strategy", "large-tables"], 1, \
+            "error: no statistics for table(s): customer, orders\n"
+    if name in ("workload-missing", "workload-directory", "workload-not-utf8"):
+        path = tmp_path / "w.sql"
+        if name == "workload-directory":
+            path.mkdir()
+        elif name == "workload-not-utf8":
+            path.write_bytes(b"SELECT a FROM t;\n\xff\xfe")
+        argv = ["--workload", str(path), *fixture[2:]]
+        reason = error_text(lambda: path.read_text(encoding="utf-8-sig"))
+        if name == "workload-not-utf8":
+            return argv, 2, f"error: workload file {str(path)!r} is not UTF-8: {reason}\n"
+        return argv, 2, f"error: cannot read workload file {str(path)!r}: {reason}\n"
+    if name == "schema-malformed":
+        bad = tmp_path / "s.txt"
+        bad.write_text("not a stanza\n", encoding="utf-8")
+        return [*fixture[:3], str(bad), *fixture[4:]], 2, \
+            "error: line 1: column outside a TABLE stanza\n"
+    if name == "stats-malformed":
+        bad = tmp_path / "stats.txt"
+        bad.write_text("lineitem\tlots\n", encoding="utf-8")
+        return [*fixture[:5], str(bad), *fixture[6:]], 2, \
+            "error: line 1: counts must be integers\n"
+    assert name == "out-unwritable"
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "sub"
+    reason = error_text(lambda: out.mkdir(parents=True, exist_ok=True))
+    return [*fixture[:7], str(out)], 2, \
+        f"error: cannot write output to {str(out)!r}: {reason}\n"
+
+
+FAILURES = ["no-arguments", "unknown-flag", "bad-strategy", "minsup-zero", "minsup-text",
+            "large-tables-without-stats", "threshold-rows-negative", "dialect",
+            "policy-unknown", "policy-empty", "workload-missing", "workload-directory",
+            "workload-not-utf8", "schema-malformed", "stats-malformed",
+            "stats-missing-a-table", "out-unwritable"]
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_every_failure_exits_with_its_code_and_message(tmp_path, capsys, name):
+    argv, code, stderr = failure_case(name, tmp_path)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    assert captured.out == ""
+    if name != "out-unwritable":
+        # Only the write stage makes the output directory.
+        assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0_with_the_help_text(capsys):
+    assert run(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == build_parser().format_help()
+    assert captured.err == ""
+
+
+def test_readme_flags_table_names_the_parser_options():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Flags\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert table[0].startswith("| flag |")
+    documented = {option for row in table[2:]
+                  for option in re.findall(r"(?<![\w-])--?[a-z][\w-]*",
+                                           row[2:].split(" | ", 1)[0])}
+    options = {option for action in build_parser()._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings}
+    assert sorted(documented) == sorted(options)

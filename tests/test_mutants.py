@@ -1,0 +1,162 @@
+"""Committed mutants that the checks must catch.
+
+Each row names a module of the package, an exact fragment of its source, a
+replacement and a check. The test compiles the module with the fragment
+replaced, in memory, and runs the check on it: the check must fail. The
+check must pass on the real module and on the unchanged source compiled the
+same way, so the failure is the mutant's. A fragment that no longer occurs
+once fails the test, so a refactor of a mutated line updates its row.
+"""
+
+from __future__ import annotations
+
+import importlib
+import io
+import random
+import tempfile
+import types
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from bruteforce import candidates_bruteforce, mine_bruteforce
+from conftest import STATS_PATH, WORKLOAD_PATH
+
+from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
+from idxminer.miner import TransactionDatabase
+from idxminer.workload import AttributeItem, TransactionContext
+
+
+def compiled(name: str, source: str) -> types.ModuleType:
+    """``source`` run as a fresh copy of ``idxminer.<name>``."""
+    real = importlib.import_module(f"idxminer.{name}")
+    module = types.ModuleType(f"idxminer.{name}")
+    module.__package__ = "idxminer"
+    exec(compile(source, real.__file__, "exec"), module.__dict__)
+    return module
+
+
+def check_mine_closed(miner) -> None:
+    """``mine_closed`` against the brute-force oracle on counted rows."""
+    rng = random.Random(13)
+    for _ in range(200):
+        width = rng.randint(1, 8)
+        rows = [frozenset(i for i in range(width) if rng.random() < 0.5)
+                for _ in range(rng.randint(1, 12))]
+        db = TransactionDatabase.from_transactions(rows, [rng.randint(1, 3) for _ in rows])
+        threshold = rng.randint(1, 6)
+        assert miner.mine_closed(db, threshold) == mine_bruteforce(db, threshold)
+
+
+def check_candidates(advisor) -> None:
+    """Mining and deriving against the candidate oracle, on repeated rows."""
+    rng = random.Random(16)
+    for _ in range(150):
+        tables = {f"t{k}": [f"c{j}" for j in range(rng.randint(1, 5))]
+                  for k in range(rng.randint(1, 3))}
+        pool = [frozenset((t, c) for t, columns in tables.items() for c in columns
+                          if rng.random() < 0.5) for _ in range(rng.randint(1, 6))]
+        rows = [rng.choice(pool) for _ in range(rng.randint(1, 25))]
+        threshold = rng.randint(1, 4)
+        db, items_by_id = advisor.build_database([
+            TransactionContext(q, frozenset(AttributeItem(*pair) for pair in row))
+            for q, row in enumerate(rows)])
+        closed = advisor.mine_tables(db, items_by_id, threshold)
+        for maximal_only in (True, False):
+            got = [(c.table, c.columns, c.support)
+                   for c in advisor.derive_candidates(closed, items_by_id, maximal_only)]
+            assert got == candidates_bruteforce(rows, threshold, maximal_only)
+
+
+def check_replay(workload) -> None:
+    """A replayed block's diagnostics go out under the replaying statement."""
+    queries = workload.parse_workload("SELECT a FROM t WHERE ghost = 1;"
+                                      "SELECT a FROM t WHERE ghost = 2;")
+    diagnostics: list[str] = []
+    workload.extract_workload(queries, workload.parse_schema("TABLE t\n a\n"),
+                              diagnostics=diagnostics)
+    assert diagnostics == [f"statement {n}: unresolvable column 'ghost'; skipped"
+                           for n in (0, 1)]
+
+
+def check_nesting(workload) -> None:
+    """A statement nested too deep is a diagnostic, not a crash."""
+    (query,) = workload.parse_workload("SELECT a FROM t WHERE " + "NOT " * 3000 + "t.a = 1")
+    assert query.parse_error == "nesting too deep"
+
+
+def check_ddl_names(report) -> None:
+    """Names spelled like reserved words or holding odd characters are quoted."""
+    candidate = IndexCandidate("order", ("select", "Odd-Name", "a"), 2)
+    ddl = report.emit_ddl(IndexConfiguration(Strategy.ALL, ((candidate, 0.0, 0),)))
+    assert ddl == ('CREATE INDEX idx_order_select_Odd_Name_a ON "order" '
+                   '("select", "Odd-Name", a);\n')
+
+
+def check_exit_codes(cli) -> None:
+    """A malformed schema file is a file-level failure: exit 2."""
+    with tempfile.TemporaryDirectory() as work:
+        schema = Path(work) / "s.txt"
+        schema.write_text("not a stanza\n", encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(["--workload", str(WORKLOAD_PATH), "--schema", str(schema),
+                             "--stats", str(STATS_PATH), "--out", f"{work}/out"])
+    assert code == 2
+
+
+MUTANTS = {
+    "tail-drops-its-first-item": (
+        "miner", "stack.append((child, sub, extensions[i:]))",
+        "stack.append((child, sub, extensions[i + 1:]))", check_mine_closed),
+    "support-threshold-off-by-one": (
+        "miner", "if support >= threshold:", "if support > threshold:", check_mine_closed),
+    "rows-mined-as-if-each-count-were-1": (
+        "advisor", "projections[table][row & ids_of[table]] += count",
+        "projections[table][row & ids_of[table]] += 1", check_candidates),
+    "single-column-support-the-minimum": (
+        "advisor", "single[i] = max(single.get(i, 0), itemset.support)",
+        "single[i] = min(single.get(i, itemset.support), itemset.support)", check_candidates),
+    "maximal-filter-off-by-one": (
+        "advisor", "if supersets.bit_count() > 1:", "if supersets.bit_count() > 2:",
+        check_candidates),
+    "replay-under-the-stored-ordinal": (
+        "workload",
+        "            extraction = frozenset(extractor.items), tuple(extractor.messages)\n"
+        "            replays[block] = extraction\n"
+        "        items, messages = extraction\n"
+        "        if diagnostics is not None:\n"
+        '            diagnostics.extend(f"statement {query.ordinal}: {m}" for m in messages)\n',
+        "            extraction = frozenset(extractor.items), tuple(\n"
+        '                f"statement {query.ordinal}: {m}" for m in extractor.messages)\n'
+        "            replays[block] = extraction\n"
+        "        items, messages = extraction\n"
+        "        if diagnostics is not None:\n"
+        "            diagnostics.extend(messages)\n",
+        check_replay),
+    "no-nesting-bound": (
+        "workload",
+        "        if self.depth > MAX_NESTING:\n"
+        '            raise self.error("nesting too deep")\n', "", check_nesting),
+    "sql-name-quotes-too-little": (
+        "report",
+        "if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:",
+        "if _PLAIN_IDENT.match(identifier):", check_ddl_names),
+    "schema-error-exits-1": (
+        "cli", "except (ConfigError, advisor.MissingStatsError) as exc:",
+        "except (ConfigError, advisor.MissingStatsError, workload.SchemaError) as exc:",
+        check_exit_codes),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_the_check_catches_the_mutant(mutant):
+    name, fragment, replacement, check = MUTANTS[mutant]
+    real = importlib.import_module(f"idxminer.{name}")
+    source = Path(real.__file__).read_text(encoding="utf-8")
+    assert source.count(fragment) == 1, f"{mutant}: the fragment is not in {name}.py once"
+    check(real)
+    check(compiled(name, source))
+    # An unbounded descent ends in RecursionError rather than a failed assert.
+    with pytest.raises((AssertionError, RecursionError)):
+        check(compiled(name, source.replace(fragment, replacement)))

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idxminer import workload
 from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
 from idxminer.report import (
     MAX_INDEX_NAME_LENGTH,
@@ -108,6 +111,22 @@ def test_ddl_reparses_under_subset_grammar():
         assert query.kind is QueryKind.OTHER
         assert query.parse_error is None
 
+
+
+def test_every_word_the_parser_reads_is_reserved():
+    """``_RESERVED_WORDS`` claims to hold every keyword the subset grammar reads.
+
+    The words are collected from the parser's source: its alphabetic string
+    constants (the interval units among them), ``_RESERVED`` and the typed
+    literal prefixes.
+    """
+    tree = ast.parse(inspect.getsource(workload._Parser))
+    words = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.isalpha()}
+    assert {"select", "interval", "year", "null", "exists"} <= words
+    words |= workload._RESERVED | workload._TYPED_LITERAL_PREFIXES
+    assert sorted(words - _RESERVED_WORDS) == []
 
 # Schema-file words: reserved words in any case or quoted, and bare or quoted
 # words over odd and non-ASCII characters. ``canonical_name`` turns each into
