@@ -176,7 +176,7 @@ def select(
                 continue
             if first and diagnostics is not None:
                 diagnostics.append(
-                    f"no statistics for table '{candidate.table}'; score set to 0"
+                    f"no statistics for table {candidate.table!r}; score set to 0"
                 )
             scored.append((candidate, 0.0, 0))
         elif not large_only or n_rows >= threshold_rows:

@@ -23,7 +23,7 @@ class StatsError(ValueError):
 def load_stats(stats_text: str) -> dict[str, int]:
     """Parse a statistics file into table -> row count; errors name the line."""
     rows: dict[str, int] = {}
-    for lineno, raw in enumerate(stats_text.splitlines(), start=1):
+    for lineno, raw in enumerate(stats_text.split("\n"), start=1):
         line = strip_comment(raw).rstrip()
         if not line.strip():
             continue
@@ -33,15 +33,17 @@ def load_stats(stats_text: str) -> dict[str, int]:
                 f"line {lineno}: expected <table><TAB><rows>[<TAB><bytes>], got {raw!r}"
             )
         table = canonical_name(fields[0])
+        if not table:
+            raise StatsError(f"line {lineno}: empty table name")
         if table in rows:
-            raise StatsError(f"line {lineno}: duplicate table '{table}'")
+            raise StatsError(f"line {lineno}: duplicate table {table!r}")
         try:
             counts = [int(f) for f in fields[1:]]
         except ValueError:
             raise StatsError(f"line {lineno}: counts must be integers") from None
         if counts[0] < 0:
-            raise StatsError(f"line {lineno}: negative row count for table '{table}'")
+            raise StatsError(f"line {lineno}: negative row count for table {table!r}")
         if counts[1:] and counts[1] < 1:
-            raise StatsError(f"line {lineno}: non-positive row bytes for table '{table}'")
+            raise StatsError(f"line {lineno}: non-positive row bytes for table {table!r}")
         rows[table] = counts[0]
     return rows

@@ -82,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"output directory (default ${OUT_DIR_ENV} or ./{DEFAULT_OUT_DIR})",
     )
     parser.add_argument(
-        "--dialect",
-        default="generic",
-        help="DDL dialect; only 'generic' is implemented",
-    )
-    parser.add_argument(
         "--mine-only",
         action="store_true",
         help="stop after mining and dump closed itemsets as 'support<TAB>items'",
@@ -153,8 +148,6 @@ def _run(args: argparse.Namespace) -> None:
         raise ConfigError("--strategy large-tables requires --stats")
     if args.threshold_rows < 0:
         raise ConfigError("--threshold-rows must be >= 0")
-    if args.dialect != "generic":
-        raise ConfigError(f"unsupported dialect {args.dialect!r}")
     policy = workload.DEFAULT_POLICY
     if args.policy is not None:
         try:
@@ -177,9 +170,9 @@ def _run(args: argparse.Namespace) -> None:
     if queries:
         minsup_used = minsup if isinstance(minsup, int) else math.ceil(minsup * len(queries))
     if args.mine_only:
-        for itemset in miner.mine_closed(db, minsup_used) if queries else ():
-            rendered = ",".join(str(items_by_id[i]) for i in itemset.items)
-            _write_stdout(f"{itemset.support}\t{rendered}\n")
+        _write_stdout("".join(
+            f"{found.support}\t{','.join(str(items_by_id[i]) for i in found.items)}\n"
+            for found in (miner.mine_closed(db, minsup_used) if queries else ())))
         _print_diagnostics(diagnostics, args.verbose)
         return
 
@@ -215,7 +208,13 @@ def _write_stdout(text: str) -> None:
     encoding = getattr(sys.stdout, "encoding", None)
     if encoding:
         text = text.encode(encoding, "backslashreplace").decode(encoding)
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Python flushes stdout again at exit: let that go to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise FileError(f"cannot write standard output: {exc}") from None
 
 
 def _print_diagnostics(diagnostics: list[str], verbose: bool) -> None:

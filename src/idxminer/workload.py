@@ -6,7 +6,8 @@ anywhere; they are stripped while splitting, so a statement's stored text
 is comment-free.
 
 The statement grammar is a deliberate subset of SQL aimed at
-decision-support query logs:
+decision-support query logs. The statement table ``_STATEMENTS`` maps the
+lead word of each statement below to its kind and its parser rule:
 
 * single-block ``SELECT`` with comma joins and ``INNER``/``LEFT JOIN .. ON``,
   ``WHERE`` (AND/OR/NOT, comparisons, ``BETWEEN``/``IN``/``LIKE``,
@@ -72,7 +73,7 @@ Column lines may be indented or not. All names are canonicalized the same
 way identifiers in queries are: a name is lower-cased unless it is written
 in double quotes (``"Odd-Name"``, ``""`` for a quote inside) and holds
 characters outside the identifier alphabet, when it is kept verbatim. A
-name cannot hold whitespace.
+name cannot be empty or hold whitespace.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def parse_schema(schema_text: str) -> SchemaMap:
     """Parse the stanza-based schema format described in the module docstring."""
     tables: dict[str, list[str]] = {}
     current: Optional[str] = None
-    for lineno, raw in enumerate(schema_text.splitlines(), start=1):
+    for lineno, raw in enumerate(schema_text.split("\n"), start=1):
         line = strip_comment(raw).rstrip()
         if not line.strip():
             current = None
@@ -142,8 +143,10 @@ def parse_schema(schema_text: str) -> SchemaMap:
             if len(words) != 2:
                 raise SchemaError(f"line {lineno}: expected 'TABLE <name>'")
             name = canonical_name(words[1])
+            if not name:
+                raise SchemaError(f"line {lineno}: empty table name")
             if name in tables:
-                raise SchemaError(f"line {lineno}: duplicate table '{name}'")
+                raise SchemaError(f"line {lineno}: duplicate table {name!r}")
             tables[name] = []
             current = name
             continue
@@ -152,9 +155,11 @@ def parse_schema(schema_text: str) -> SchemaMap:
         if len(words) != 1:
             raise SchemaError(f"line {lineno}: expected a single column name")
         column = canonical_name(words[0])
+        if not column:
+            raise SchemaError(f"line {lineno}: empty column name")
         if column in tables[current]:
             raise SchemaError(
-                f"line {lineno}: duplicate column '{column}' in table '{current}'"
+                f"line {lineno}: duplicate column {column!r} in table {current!r}"
             )
         tables[current].append(column)
     return {t: tuple(cols) for t, cols in tables.items()}
@@ -445,19 +450,9 @@ class _Parser:
     # -- statements ---------------------------------------------------------
 
     def parse_statement(self) -> Statement:
-        if self.at_kw("insert"):
-            self.parse_insert()  # runs to the end of the statement
-            return None
-        if self.at_kw("select"):
-            stmt = self.parse_select_block()
-        elif self.at_kw("update"):
-            stmt = self.parse_update()
-        elif self.at_kw("delete"):
-            stmt = self.parse_delete()
-        elif self.at_kw("create"):
-            stmt = self.parse_create_index()
-        else:
+        if self.words[0] not in _STATEMENTS:
             raise self.error("unsupported statement start {!r}")
+        stmt = _STATEMENTS[self.words[0]][1](self)
         self.expect_end()
         return stmt
 
@@ -754,8 +749,14 @@ class QueryKind(str, Enum):
     OTHER = "OTHER"
 
 
-_LEAD_KINDS = {kind.value.lower(): kind for kind in QueryKind
-               if kind is not QueryKind.OTHER}
+# Lead word -> kind and parser rule. A CREATE INDEX yields no items: OTHER.
+_STATEMENTS = {
+    "select": (QueryKind.SELECT, _Parser.parse_select_block),
+    "update": (QueryKind.UPDATE, _Parser.parse_update),
+    "delete": (QueryKind.DELETE, _Parser.parse_delete),
+    "insert": (QueryKind.INSERT, _Parser.parse_insert),
+    "create": (QueryKind.OTHER, _Parser.parse_create_index),
+}
 
 
 class WorkloadQuery(NamedTuple):
@@ -779,16 +780,13 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     for ordinal, text in enumerate(split_statements(workload_text)):
         lead = _IDENT_RE.match(text)
         first = lead.group(0).lower() if lead else ""
-        kind = _LEAD_KINDS.get(first, QueryKind.OTHER)
-        error: Optional[str] = None
-        if kind is not QueryKind.OTHER or first == "create":
+        kind, error = QueryKind.OTHER, f"unsupported statement kind {first!r}"
+        if first in _STATEMENTS:
             try:
                 parse_statement(text)
+                kind, error = _STATEMENTS[first][0], None
             except SqlParseError as exc:
-                kind = QueryKind.OTHER
                 error = str(exc)
-        else:
-            error = f"unsupported statement kind {first!r}"
         queries.append(WorkloadQuery(ordinal=ordinal, raw_text=text, kind=kind,
                                      parse_error=error))
     return queries
@@ -861,7 +859,7 @@ class _Extractor:
         for name, source in block.sources:
             if name in scope:
                 self.messages.append(
-                    f"duplicate alias '{name}' in FROM; first binding kept")
+                    f"duplicate alias {name!r} in FROM; first binding kept")
                 continue
             scope[name] = source
         tables = sorted({t for t in scope.values() if isinstance(t, str)})
@@ -877,20 +875,20 @@ class _Extractor:
                     table = scope[ref.qualifier]
                     if not isinstance(table, str):
                         self.messages.append(
-                            f"column '{ref.qualifier}.{ref.column}' belongs to a "
+                            f"column {ref.qualifier + '.' + ref.column!r} belongs to a "
                             "derived table; skipped"
                         )
                         return
                     item = self.columns.get(table, {}).get(ref.column)
                     if item is None:
                         self.messages.append(
-                            f"column '{ref.qualifier}.{ref.column}' not found in "
-                            f"table '{table}'; skipped"
+                            f"column {ref.qualifier + '.' + ref.column!r} not found in "
+                            f"table {table!r}; skipped"
                         )
                         return
                     self.items.add(item)
                     return
-            self.messages.append(f"unknown table or alias '{ref.qualifier}'; skipped")
+            self.messages.append(f"unknown table or alias {ref.qualifier!r}; skipped")
             return
         for _, tables in scopes:
             matches = [columns[ref.column] for columns in tables if ref.column in columns]
@@ -899,11 +897,11 @@ class _Extractor:
                 return
             if len(matches) > 1:
                 self.messages.append(
-                    f"ambiguous column '{ref.column}' (in tables "
+                    f"ambiguous column {ref.column!r} (in tables "
                     f"{', '.join(item.table for item in matches)}); skipped"
                 )
                 return
-        self.messages.append(f"unresolvable column '{ref.column}'; skipped")
+        self.messages.append(f"unresolvable column {ref.column!r}; skipped")
 
     def walk_block(self, block: Block, outer_scopes: list[_Scope]) -> None:
         """Resolve each wanted clause's columns, then its subqueries, in text order."""

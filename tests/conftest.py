@@ -33,12 +33,16 @@ sql_text = st.lists(st.one_of(st.text(SQL_ALPHABET, max_size=6),
 
 
 def run_cli_process(args: list[str], *, python_flags: tuple[str, ...] = (),
-                    **env: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter, adding ``env`` to the environment."""
+                    stdout: int = subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, adding ``env`` to the environment.
+
+    Standard output is captured unless ``stdout`` names a file descriptor.
+    """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "idxminer.cli", *args],
-        capture_output=True, env=dict(os.environ, PYTHONPATH=path, **env), timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path, **env), timeout=120,
     )
 
 

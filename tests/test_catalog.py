@@ -56,3 +56,15 @@ def test_quoted_table_names_read_as_quoted_identifiers():
 
 def test_hash_inside_a_quoted_name_starts_no_comment():
     assert load_stats('"x#y"\t5\n"#"\t6  # note\n') == {"x#y": 5, "#": 6}
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_lines_break_at_line_breaks_only(brk):
+    assert load_stats(f"t\t5{brk}\n") == {"t": 5}
+    with pytest.raises(StatsError, match=r"^line 2: counts must be integers$"):
+        load_stats(f"t\t5{brk}\nu\tx\n")
+
+
+def test_table_names_cannot_be_empty():
+    with pytest.raises(StatsError, match=r"^line 2: empty table name$"):
+        load_stats('t\t5\n""\t6\n')

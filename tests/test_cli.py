@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import math
+import os
 import re
 import subprocess
 import sys
@@ -276,6 +278,38 @@ def test_verbose_prints_diagnostics_to_stderr(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_each_diagnostic_is_one_line_whatever_its_names_hold(tmp_path, capsys):
+    workload = tmp_path / "w.sql"
+    statements = []
+    for name in ("x\ny", "e\x1b[31m", "it's", "\r\x85\u2028"):
+        q = '"' + name + '"'
+        statements += [f"SELECT a FROM t WHERE t.{q} = 1", f"SELECT a FROM t WHERE {q} = 1",
+                       f"SELECT a FROM t WHERE {q}.a = 1",
+                       f"SELECT a FROM {q} WHERE {q}.a = 1",
+                       f"SELECT a FROM t {q}, s {q} WHERE a = 1",
+                       f"SELECT a FROM (SELECT a FROM t) {q} WHERE {q}.a = 1"]
+    statements += ['SELECT a FROM t, s WHERE "e\x1bb" = 1', 'SELECT c FROM "u\x1bv" WHERE c = 1']
+    workload.write_text(";\n".join(statements), encoding="utf-8", newline="")
+    schema = tmp_path / "s.txt"
+    schema.write_text('TABLE t\n a\n "e\x1bb"\n\nTABLE s\n "e\x1bb"\n\nTABLE "u\x1bv"\n c\n',
+                      encoding="utf-8")
+    stats = tmp_path / "stats.txt"
+    stats.write_text("t\t10\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--workload", str(workload), "--schema", str(schema), "--stats", str(stats),
+                "--minsup", "1", "--out", str(out), "-v"]) == 0
+    count = int(parse_structured_report(
+        (out / "report.dat").read_text(encoding="utf-8"))[0]["diagnostics"])
+    assert count == 6 * 4 + 2
+    stderr = capsys.readouterr().err
+    assert len(stderr.split("\n")) == count + 1
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    assert report.split(f"diagnostics: {count}\n", 1)[1].split("\n") == \
+        ["  " + line for line in stderr.split("\n")[:-1]] + [""]
+    for line in stderr.split("\n")[:-1]:
+        assert line.isprintable() and "\r" not in line, line
+
+
 def run_on(tmp_path, sql, *extra):
     """Run the CLI on one workload text against a two-column table t."""
     workload = tmp_path / "w.sql"
@@ -318,6 +352,22 @@ def test_stdout_escapes_what_its_encoding_cannot_hold(tmp_path):
                            PYTHONIOENCODING="utf-8")
     assert done.returncode == 0, done.stderr
     assert done.stdout == report
+
+
+@pytest.mark.parametrize("extra", [(), ("--mine-only",)])
+def test_a_closed_stdout_exits_2_with_one_line(fixture_args, tmp_path, extra):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before launch, so every write fails
+    try:
+        done = run_cli_process(fixture_args(*extra), stdout=write_end)
+    finally:
+        os.close(write_end)
+    reason = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    assert (done.returncode, done.stderr) == \
+        (2, f"error: cannot write standard output: {reason}\n".encode())
+    if not extra:
+        for name in OUTPUT_FILES:
+            assert (tmp_path / "out" / name).is_file()
 
 
 def test_quoted_names_in_schema_and_stats_files(tmp_path, capsys):
@@ -509,7 +559,6 @@ def failure_case(name: str, tmp_path: Path) -> tuple[list[str], int, str]:
                         "invalid --minsup 'abc': Invalid literal for Fraction: 'abc'"),
         "threshold-rows-negative": (["--threshold-rows", "-1"],
                                     "--threshold-rows must be >= 0"),
-        "dialect": (["--dialect", "tsql"], "unsupported dialect 'tsql'"),
         "policy-unknown": (["--policy", "x"], "unknown extraction positions: ['x']"),
         "policy-empty": (["--policy", ","], "the extraction policy names no position"),
     }
@@ -541,11 +590,21 @@ def failure_case(name: str, tmp_path: Path) -> tuple[list[str], int, str]:
         bad.write_text("not a stanza\n", encoding="utf-8")
         return [*fixture[:3], str(bad), *fixture[4:]], 2, \
             "error: line 1: column outside a TABLE stanza\n"
+    if name == "schema-empty-name":
+        bad = tmp_path / "s.txt"
+        bad.write_text('TABLE t\n    a\n\nTABLE ""\n    b\n', encoding="utf-8")
+        return [*fixture[:3], str(bad), *fixture[4:]], 2, \
+            "error: line 4: empty table name\n"
     if name == "stats-malformed":
         bad = tmp_path / "stats.txt"
         bad.write_text("lineitem\tlots\n", encoding="utf-8")
         return [*fixture[:5], str(bad), *fixture[6:]], 2, \
             "error: line 1: counts must be integers\n"
+    if name == "stats-empty-name":
+        bad = tmp_path / "stats.txt"
+        bad.write_text('lineitem\t10\n""\t5\n', encoding="utf-8")
+        return [*fixture[:5], str(bad), *fixture[6:]], 2, \
+            "error: line 2: empty table name\n"
     assert name == "out-unwritable"
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n", encoding="utf-8")
@@ -556,10 +615,10 @@ def failure_case(name: str, tmp_path: Path) -> tuple[list[str], int, str]:
 
 
 FAILURES = ["no-arguments", "unknown-flag", "bad-strategy", "minsup-zero", "minsup-text",
-            "large-tables-without-stats", "threshold-rows-negative", "dialect",
+            "large-tables-without-stats", "threshold-rows-negative",
             "policy-unknown", "policy-empty", "workload-missing", "workload-directory",
-            "workload-not-utf8", "schema-malformed", "stats-malformed",
-            "stats-missing-a-table", "out-unwritable"]
+            "workload-not-utf8", "schema-malformed", "schema-empty-name", "stats-malformed",
+            "stats-empty-name", "stats-missing-a-table", "out-unwritable"]
 
 
 @pytest.mark.parametrize("name", FAILURES)

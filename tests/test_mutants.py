@@ -86,6 +86,22 @@ def check_nesting(workload) -> None:
     assert query.parse_error == "nesting too deep"
 
 
+def check_statement_kinds(workload) -> None:
+    """A CREATE INDEX is OTHER with no diagnostic; a CREATE TABLE is not read."""
+    queries = workload.parse_workload("CREATE INDEX i ON t (a); CREATE TABLE t (a INT)")
+    assert [(q.kind.value, q.parse_error) for q in queries] == [
+        ("OTHER", None), ("OTHER", "expected INDEX, found 'TABLE'")]
+
+
+def check_names_shown_escaped(workload) -> None:
+    """A name holding a line break is shown escaped, so its diagnostic is one line."""
+    queries = workload.parse_workload('SELECT a FROM t WHERE "x\ny" = 1')
+    diagnostics: list[str] = []
+    workload.extract_workload(queries, workload.parse_schema("TABLE t\n a\n"),
+                              diagnostics=diagnostics)
+    assert diagnostics == ["statement 0: unresolvable column 'x\\ny'; skipped"]
+
+
 def check_ddl_names(report) -> None:
     """Names spelled like reserved words or holding odd characters are quoted."""
     candidate = IndexCandidate("order", ("select", "Odd-Name", "a"), 2)
@@ -138,6 +154,12 @@ MUTANTS = {
         "workload",
         "        if self.depth > MAX_NESTING:\n"
         '            raise self.error("nesting too deep")\n', "", check_nesting),
+    "create-index-read-as-a-select": (
+        "workload", '"create": (QueryKind.OTHER, _Parser.parse_create_index),',
+        '"create": (QueryKind.SELECT, _Parser.parse_create_index),', check_statement_kinds),
+    "name-written-raw": (
+        "workload", 'f"unresolvable column {ref.column!r}; skipped"',
+        'f"unresolvable column \'{ref.column}\'; skipped"', check_names_shown_escaped),
     "sql-name-quotes-too-little": (
         "report",
         "if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:",

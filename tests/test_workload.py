@@ -101,6 +101,31 @@ def test_unsupported_statement_kind_flagged():
     assert all(q.parse_error for q in queries)
 
 
+@pytest.mark.parametrize("text, kind, error", [
+    ("sElEcT a FROM t", QueryKind.SELECT, None),
+    ("Select a FROM", QueryKind.OTHER, "expected identifier, found ''"),
+    ("uPdAtE t SET a = 1 WHERE b = 2", QueryKind.UPDATE, None),
+    ("Update t SET a", QueryKind.OTHER, "expected '=' in SET clause, found ''"),
+    ("DeLeTe FROM t WHERE a = 1", QueryKind.DELETE, None),
+    ("delete t", QueryKind.OTHER, "expected FROM, found 't'"),
+    ("InSeRt INTO t VALUES (1, (2))", QueryKind.INSERT, None),
+    ("Insert INTO t VALUES (1", QueryKind.OTHER, "unbalanced '(' in INSERT body"),
+    ("CrEaTe InDeX i ON t (a, b)", QueryKind.OTHER, None),
+    ("CREATE TABLE t (a INT)", QueryKind.OTHER, "expected INDEX, found 'TABLE'"),
+    ("MERGE INTO t USING u", QueryKind.OTHER, "unsupported statement kind 'merge'"),
+    ("MERGE é", QueryKind.OTHER, "unsupported statement kind 'merge'"),
+    ("(SELECT 1)", QueryKind.OTHER, "unsupported statement kind ''"),
+])
+def test_each_statement_lead_has_its_kind_and_error(text, kind, error):
+    (query,) = parse_workload(text)
+    assert (query.kind, query.parse_error) == (kind, error)
+
+
+def test_a_parse_of_no_statement_lead_is_an_unsupported_start():
+    with pytest.raises(SqlParseError, match=r"^unsupported statement start '\('$"):
+        parse_statement("(SELECT 1)")
+
+
 def test_statement_level_round_trip(tpcr_workload_text, tpcr_schema):
     queries = parse_workload(tpcr_workload_text)
     rejoined = ";\n".join(q.raw_text for q in queries) + ";"
@@ -776,6 +801,23 @@ def test_schema_duplicate_column_rejected():
 def test_schema_column_outside_stanza_rejected():
     with pytest.raises(SchemaError):
         parse_schema("stray\nTABLE t\n a\n")
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_schema_lines_break_at_line_breaks_only(brk):
+    assert parse_schema(f"TABLE t\n  a{brk}\n  b\n") == {"t": ("a", "b")}
+    with pytest.raises(SchemaError, match=r"^line 3: expected a single column name$"):
+        parse_schema(f"TABLE t\n  a\n  b{brk}c\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    ('TABLE ""\n a\n', "line 1: empty table name"),
+    ('TABLE t\n a\n ""\n', "line 3: empty column name"),
+])
+def test_schema_names_cannot_be_empty(text, error):
+    with pytest.raises(SchemaError, match=f"^{error}$"):
+        parse_schema(text)
 
 
 def test_schema_hash_inside_a_quoted_name_starts_no_comment():
