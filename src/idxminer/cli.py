@@ -4,8 +4,10 @@ Exit codes: 0 on success (an empty recommendation is a success), 1 on
 configuration errors (bad flags, missing statistics under the large-table
 strategy, invalid thresholds), 2 on file-level failures (unreadable
 paths, undecodable bytes, malformed schema or stats files, an output
-directory that cannot be created or written). Per-statement SQL
-diagnostics never change the exit code.
+directory that cannot be created or written, a standard stream that
+cannot take the report or the diagnostics). Per-statement SQL
+diagnostics never change the exit code, and neither does a failure's
+message that stderr cannot take.
 
 ``_run`` holds the whole run, top to bottom, and raises on a failure.
 ``main`` is the one place that prints a failure: its ``except`` clauses
@@ -21,6 +23,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 from . import advisor, catalog, miner, report, workload
 
@@ -36,8 +39,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; bad flags are
     # configuration errors here and must exit 1.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(message, self.format_usage())
         raise SystemExit(1)
 
 
@@ -132,12 +134,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _run(args)
     except (ConfigError, advisor.MissingStatsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 1
     except (FileError, workload.SchemaError, catalog.StatsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 2
     return 0
+
+
+def _print_error(message: object, usage: str = "") -> None:
+    """A failure's message on stderr; a stderr that cannot take it changes no exit code."""
+    try:
+        _write(sys.stderr, f"{usage}error: {message}\n", "standard error")
+    except FileError:
+        pass
 
 
 def _run(args: argparse.Namespace) -> None:
@@ -170,9 +180,10 @@ def _run(args: argparse.Namespace) -> None:
     if queries:
         minsup_used = minsup if isinstance(minsup, int) else math.ceil(minsup * len(queries))
     if args.mine_only:
-        _write_stdout("".join(
+        _write(sys.stdout, "".join(
             f"{found.support}\t{','.join(str(items_by_id[i]) for i in found.items)}\n"
-            for found in (miner.mine_closed(db, minsup_used) if queries else ())))
+            for found in (miner.mine_closed(db, minsup_used) if queries else ())),
+            "standard output")
         _print_diagnostics(diagnostics, args.verbose)
         return
 
@@ -199,28 +210,36 @@ def _run(args: argparse.Namespace) -> None:
     except OSError as exc:
         raise FileError(f"cannot write output to {str(out_dir)!r}: {exc}") from None
 
-    _write_stdout(text_report)
+    _write(sys.stdout, text_report, "standard output")
     _print_diagnostics(diagnostics, args.verbose)
 
 
-def _write_stdout(text: str) -> None:
-    """Write to stdout, escaping what its encoding cannot hold as stderr does."""
-    encoding = getattr(sys.stdout, "encoding", None)
+def _write(stream: TextIO | None, text: str, name: str) -> None:
+    """Write to a standard stream, escaping what its encoding cannot hold.
+
+    A stream that is closed or fails raises FileError. Python flushes the
+    stream again at exit, so a failed one is pointed at the null device first.
+    """
+    if stream is None:  # its file descriptor was closed when Python started
+        raise FileError(f"cannot write {name}: it is closed")
+    encoding = getattr(stream, "encoding", None)
     if encoding:
         text = text.encode(encoding, "backslashreplace").decode(encoding)
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError as exc:
-        # Python flushes stdout again at exit: let that go to the null device.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise FileError(f"cannot write standard output: {exc}") from None
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, stream.fileno())
+        finally:
+            os.close(null)
+        raise FileError(f"cannot write {name}: {exc}") from None
 
 
 def _print_diagnostics(diagnostics: list[str], verbose: bool) -> None:
-    if verbose:
-        for line in diagnostics:
-            print(line, file=sys.stderr)
+    if verbose and diagnostics:
+        _write(sys.stderr, "".join(line + "\n" for line in diagnostics), "standard error")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ timestamps.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from typing import Iterator, Mapping, NamedTuple
 
@@ -73,6 +71,8 @@ def _sql_name(identifier: str) -> str:
 
 def _with_digest(name: str, key: str) -> str:
     """``name`` cut to fit a ``_`` and a 6-hex sha256 digest of ``key``."""
+    import hashlib  # not at module level: it loads libcrypto, ~3.6 MiB RSS and ~3 ms
+
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:_NAME_HASH_DIGITS]
     keep = MAX_INDEX_NAME_LENGTH - _NAME_HASH_DIGITS - 1
     return f"{name[:keep]}_{digest}"
@@ -103,6 +103,8 @@ def emit_ddl(configuration: IndexConfiguration) -> str:
         key = [candidate.table, *candidate.columns]
         retry = 0
         while name in taken:
+            import json  # not at module level: ~2 ms of start-up, and few runs clash
+
             name = _with_digest(natural, json.dumps(key + [retry] if retry else key))
             retry += 1
         taken.add(name)

@@ -234,7 +234,8 @@ _TOKEN_RE = re.compile(
 _RAW_TOKEN_RE = re.compile("|".join(pattern for _, pattern in _TOKEN_PATTERNS) + r"|\S")
 
 # Raw identifier, quoted identifier and symbol -> its word. Literals are never
-# kept, so the vocabulary grows with the workload's names, not its length.
+# kept, so the vocabulary grows with the workload's names, not its length;
+# ``parse_workload`` empties it, so it holds one workload's names.
 _VOCABULARY: dict[str, str] = {}
 
 _DIGITS = "0123456789"
@@ -773,9 +774,11 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     outside the supported subset is kept with kind OTHER and a diagnostic in
     ``parse_error`` rather than dropped, so downstream frequency denominators
     stay stable. Name resolution happens later, at extraction. Empties the
-    memo of ``parse_statement`` first, so each workload parses afresh.
+    memo of ``parse_statement`` and the vocabulary of ``tokenize`` first, so
+    each workload parses afresh and no earlier workload's names are kept.
     """
     _shape_parses.clear()
+    _VOCABULARY.clear()
     queries: list[WorkloadQuery] = []
     for ordinal, text in enumerate(split_statements(workload_text)):
         lead = _IDENT_RE.match(text)

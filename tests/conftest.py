@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import strategies as st
@@ -33,15 +34,18 @@ sql_text = st.lists(st.one_of(st.text(SQL_ALPHABET, max_size=6),
 
 
 def run_cli_process(args: list[str], *, python_flags: tuple[str, ...] = (),
-                    stdout: int = subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+                    stdout: int = subprocess.PIPE,
+                    preexec_fn: Callable[[], None] | None = None,
+                    **env: str) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter, adding ``env`` to the environment.
 
     Standard output is captured unless ``stdout`` names a file descriptor.
+    ``preexec_fn`` runs in the child just before the interpreter starts.
     """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "idxminer.cli", *args],
-        stdout=stdout, stderr=subprocess.PIPE,
+        stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn,
         env=dict(os.environ, PYTHONPATH=path, **env), timeout=120,
     )
 

@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import (SCHEMA_PATH, SQL_WORDS, SRC, STATS_PATH, WORKLOAD_PATH,
                       run_cli_process)
 
-from idxminer.cli import build_parser, main
-from idxminer.report import parse_structured_report
+from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
+from idxminer.cli import FileError, _write, build_parser, main
+from idxminer.report import emit_ddl, parse_structured_report
 from idxminer.workload import canonical_identifier, parse_workload, scan, split_statements
 
 OUTPUT_FILES = ("recommendation.sql", "report.txt", "report.dat")
@@ -368,6 +369,98 @@ def test_a_closed_stdout_exits_2_with_one_line(fixture_args, tmp_path, extra):
     if not extra:
         for name in OUTPUT_FILES:
             assert (tmp_path / "out" / name).is_file()
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_a_failed_write_leaves_no_file_descriptor_open():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stream:
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(FileError, match="^cannot write standard output: "):
+            _write(stream, "text\n", "standard output")
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def _close_stderr() -> None:
+    os.close(2)  # as the shell's ``2>&-`` does: Python starts with no sys.stderr
+
+
+def _read_only_stderr() -> None:
+    os.close(2)  # fd 2 becomes a file no write succeeds on
+    os.set_inheritable(os.open(os.devnull, os.O_RDONLY), True)
+
+
+@pytest.mark.parametrize("stderr", [_close_stderr, _read_only_stderr],
+                         ids=["closed", "read-only"])
+@pytest.mark.parametrize("extra, code", [
+    ((), 0), (("-v",), 2), (("--workload", "missing.sql"), 2), (("--minsup", "0"), 1),
+    (("--no-such-flag",), 1)], ids=["plain", "verbose", "missing", "minsup-0", "bad-flag"])
+def test_a_closed_stderr_changes_no_exit_code(tmp_path, stderr, extra, code):
+    """Diagnostics stderr cannot take are a file-level failure; a failure's
+    message it cannot take leaves the failure's own code."""
+    fixtures = WORKLOAD_PATH.parent
+    args = ["--workload", str(fixtures / "diagnostics_workload.sql"),
+            "--schema", str(fixtures / "diagnostics_schema.txt"),
+            "--stats", str(fixtures / "diagnostics_stats.txt"),
+            "--out", str(tmp_path / "out"), *extra]
+    done = run_cli_process(args, preexec_fn=stderr)
+    assert (done.returncode, done.stderr) == (code, b"")
+    written = extra in ((), ("-v",))
+    for name in OUTPUT_FILES:
+        assert (tmp_path / "out" / name).is_file() == written
+    assert done.stdout == ((tmp_path / "out" / "report.txt").read_bytes() if written else b"")
+
+
+# Runs the CLI, then prints its exit code and which digest modules it loaded.
+_DIGEST_MODULES_AFTER_A_RUN = """\
+import sys
+from idxminer import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(sys.modules.keys() & {"hashlib", "_hashlib", "json"}))
+"""
+
+
+@pytest.mark.parametrize("case, loaded", [
+    ("tpcr", set()), ("long-name", {"hashlib"}), ("collision", {"hashlib", "json"})],
+    ids=["tpcr", "long-name", "collision"])
+def test_only_a_name_needing_a_digest_loads_hashlib_and_json(tmp_path, case, loaded):
+    """The digest modules load only when a name is cut or clashes, and the
+    names match what ``emit_ddl`` gives in this process. A child interpreter
+    checks, as pytest itself loads both modules."""
+    if case == "tpcr":
+        workload, schema = WORKLOAD_PATH, SCHEMA_PATH
+    else:
+        workload, schema = tmp_path / "w.sql", tmp_path / "s.txt"
+        if case == "long-name":
+            schema.write_text("TABLE customer_demographics_history\n"
+                              " preferred_contact_channel\n household_income_band\n",
+                              encoding="utf-8")
+            workload.write_text("SELECT * FROM customer_demographics_history"
+                                " WHERE preferred_contact_channel = 1"
+                                " AND household_income_band = 2;", encoding="utf-8")
+        else:
+            schema.write_text("TABLE t\n a\n b\n a_b\n", encoding="utf-8")
+            workload.write_text("SELECT a FROM t WHERE a = 1 AND b = 2;"
+                                "SELECT a FROM t WHERE a_b = 3;", encoding="utf-8")
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _DIGEST_MODULES_AFTER_A_RUN,
+         "--workload", str(workload), "--schema", str(schema), "--minsup", "1",
+         "--out", str(out)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    code, *modules = done.stdout.decode().splitlines()[-1].split()
+    assert code == "0", done.stderr
+    assert {"hashlib", "json"} & set(modules) == loaded
+    assert loaded or modules == []  # not even _hashlib
+    _, rows = parse_structured_report((out / "report.dat").read_text(encoding="utf-8"))
+    ddl = emit_ddl(IndexConfiguration(Strategy.ALL, tuple(
+        (IndexCandidate(table, columns, support), 0.0, 0) for table, columns, support in rows)))
+    assert (out / "recommendation.sql").read_bytes() == ddl.encode("utf-8")
+    names = [line.split()[2] for line in ddl.splitlines()]
+    assert len(set(names)) == len(names)
+    if loaded:
+        assert any(re.search(r"_[0-9a-f]{6}\Z", name) for name in names)
 
 
 def test_quoted_names_in_schema_and_stats_files(tmp_path, capsys):

@@ -110,6 +110,11 @@ def check_ddl_names(report) -> None:
                    '("select", "Odd-Name", a);\n')
 
 
+def check_digest_modules_load_late(report) -> None:
+    """Importing the report module binds neither digest module."""
+    assert not {"hashlib", "json"} & vars(report).keys()
+
+
 def check_exit_codes(cli) -> None:
     """A malformed schema file is a file-level failure: exit 2."""
     with tempfile.TemporaryDirectory() as work:
@@ -164,6 +169,9 @@ MUTANTS = {
         "report",
         "if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:",
         "if _PLAIN_IDENT.match(identifier):", check_ddl_names),
+    "hashlib-imported-with-the-module": (
+        "report", "\nimport re\n", "\nimport hashlib\nimport re\n",
+        check_digest_modules_load_late),
     "schema-error-exits-1": (
         "cli", "except (ConfigError, advisor.MissingStatsError) as exc:",
         "except (ConfigError, advisor.MissingStatsError, workload.SchemaError) as exc:",

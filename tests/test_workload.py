@@ -767,6 +767,14 @@ def test_literals_leave_the_vocabulary_alone():
     assert len(workload._VOCABULARY) == size
 
 
+def test_the_vocabulary_holds_one_workloads_names():
+    parse_workload("SELECT only_in_a FROM t WHERE t.only_in_a = 1")
+    assert "only_in_a" in workload._VOCABULARY
+    parse_workload("SELECT b FROM t WHERE t.b = 1")
+    assert "only_in_a" not in workload._VOCABULARY
+    assert "b" in workload._VOCABULARY
+
+
 # -- canonicalization and schema files ---------------------------------------
 
 
