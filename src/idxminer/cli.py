@@ -5,7 +5,7 @@ configuration errors (bad flags, missing statistics under the large-table
 strategy, invalid thresholds), 2 on file-level failures (unreadable
 paths, undecodable bytes, malformed schema or stats files, an output
 directory that cannot be created or written, a standard stream that
-cannot take the report or the diagnostics). Per-statement SQL
+cannot take the report, the diagnostics or the help). Per-statement SQL
 diagnostics never change the exit code, and neither does a failure's
 message that stderr cannot take.
 
@@ -21,9 +21,11 @@ import math
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 from . import advisor, catalog, miner, report, workload
 
@@ -41,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         _print_error(message, self.format_usage())
         raise SystemExit(1)
+
+    # argparse drops help it cannot write, and sends it to stderr when fd 1
+    # is closed; here it goes where it was sent, or the run exits 2.
+    def _print_message(self, message, file=None):
+        if message:
+            _write(file, message,
+                   "standard error" if file is sys.stderr else "standard output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,6 +109,7 @@ def _parse_minsup(text: str) -> int | Fraction:
         try:
             value = int(raw)
         except ValueError:
+            from fractions import Fraction  # not at module level: ~1.8 MiB, ~9 ms with decimal
             value = Fraction(raw)
             if value > 1 and value.denominator == 1:
                 value = int(value)  # a count spelled "1e1", "2.0" or "10/1"
@@ -128,11 +138,9 @@ def _read_text(path: str, what: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
+        _run(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse's own exit, after --help or a bad flag
         return int(exc.code or 0)
-    try:
-        _run(args)
     except (ConfigError, advisor.MissingStatsError) as exc:
         _print_error(exc)
         return 1

@@ -38,9 +38,16 @@ The tokenizer returns each token's *word* and nothing else: an identifier
 lower-cased, a symbol or a quoted identifier as written, ``0`` for a number
 and ``''`` for a string. The word tells the parser the token's kind as well.
 One regex pass yields the raw tokens and a vocabulary maps each name and
-symbol to its word, so no object is built per token. Only an error message
-quotes a token's value and position, so a failing statement alone is
-scanned again in full (``scan``).
+symbol to its word, so no object is built per token. A raw token may be a
+*run*: a number and up to 255 more that follow it after commas, each led by
+a digit, as in a long IN list; its words ``0 , 0 .. 0`` are written out by
+list arithmetic. Only an error message quotes a token's value and position,
+so a failing statement alone is scanned again in full (``scan``).
+
+A list that opens with a bare literal and a comma is checked at once: when
+its words up to the first ``)`` alternate literal and comma, it records
+nothing and the parser steps to that ``)``. Any other list is parsed item by
+item, so both ways find the same block or the same error.
 
 Query logs repeat a few templates with new literals, so ``parse_statement``
 memoizes parses by *shape*: the join of its words, in which each literal
@@ -230,8 +237,20 @@ _TOKEN_RE = re.compile(
 )
 
 # The raw text of each token, bad characters included: ``findall`` skips the
-# whitespace, where no alternative matches.
-_RAW_TOKEN_RE = re.compile("|".join(pattern for _, pattern in _TOKEN_PATTERNS) + r"|\S")
+# whitespace, where no alternative matches. A number led by a digit takes up
+# to 255 more after commas, each led by a digit too, as one raw token (a
+# *run*); the bound keeps the regex's backtracking state small. Each number
+# head is led by a class, so the regex skips it at once at any other
+# character.
+_EXPONENT = r"(?:[eE][+-]?[0-9]+)?"
+_RUN_TAIL = rf"(?:\s*,\s*[0-9]+(?:\.[0-9]+)?{_EXPONENT}){{0,255}}"
+_RAW_TOKEN_RE = re.compile("|".join(
+    rf"[0-9]+(?:\.[0-9]+)?{_EXPONENT}{_RUN_TAIL}|\.[0-9]+{_EXPONENT}"
+    if kind == "number" else pattern for kind, pattern in _TOKEN_PATTERNS) + r"|\S")
+
+# The word a run stands for until ``tokenize`` writes out its words; no
+# token has it.
+_RUN = "0,"
 
 # Raw identifier, quoted identifier and symbol -> its word. Literals are never
 # kept, so the vocabulary grows with the workload's names, not its length;
@@ -280,8 +299,23 @@ def tokenize(text: str) -> list[str]:
     string. Raises SqlParseError as ``scan`` does.
     """
     known = _VOCABULARY.get
-    words = [known(raw) or ("0" if raw[0] in _DIGITS else _new_word(raw, text))
+    runs: list[str] = []  # ``append`` gives None, so a run's word is _RUN
+    words = [known(raw) or (_new_word(raw, text) if raw[0] not in _DIGITS
+                            else "0" if "," not in raw
+                            else runs.append(raw) or _RUN)
              for raw in _RAW_TOKEN_RE.findall(text)]
+    if runs:
+        # A run of k commas stands for the words 0 , 0 , .. 0: 2k + 1 of them.
+        spliced: list[str] = []
+        start = 0
+        for run in runs:
+            i = words.index(_RUN, start)
+            spliced += words[start:i]
+            spliced += ["0", ","] * run.count(",")
+            spliced.append("0")
+            start = i + 1
+        spliced += words[start:]
+        words = spliced
     words.append("")
     return words
 
@@ -360,7 +394,7 @@ MAX_NESTING = 50
 _NAME_LEADS = frozenset('abcdefghijklmnopqrstuvwxyz_"')
 
 # The words of a number and of a string.
-_LITERALS = ("0", "''")
+_LITERALS = frozenset({"0", "''"})
 
 
 class _Parser:
@@ -605,6 +639,18 @@ class _Parser:
             self.parse_not()
 
     def parse_expr_list(self) -> None:
+        words, i = self.words, self.i
+        if words[i] in _LITERALS and words[i + 1] == ",":
+            # Bare literals up to the first ")" record nothing, so such a list
+            # is checked at once; any other list takes the loop below.
+            try:
+                end = words.index(")", i)
+            except ValueError:  # no ")": the loop reports the error
+                end = i
+            if ((end - i) % 2 and _LITERALS.issuperset(words[i:end:2])
+                    and words[i + 1:end:2].count(",") == (end - i) // 2):
+                self.i = end
+                return
         self.parse_expr()
         while self.words[self.i] == ",":
             self.i += 1

@@ -20,14 +20,15 @@ STATS_PATH = FIXTURES / "tpcr_stats.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Random statement text: the SQL alphabet, some non-ASCII characters and
-# fragments of real statements.
+# fragments of real statements, runs of numbers among them.
 SQL_ALPHABET = (
     "abcxyzSELCTFROMWHEINDTabcdefghijklmnopqrstuvwxyz_0123456789"
     " \t\n'\";.,()*=<>!|+-/%"
     "é²٣ "
 )
 SQL_WORDS = ["SELECT ", " FROM ", " WHERE ", " AND ", " OR ", " NOT ", " IN ",
-             "(", ")", "--", "/*", "*/", "''", '""', " t.a ", " 1.5e3 "]
+             "(", ")", "--", "/*", "*/", "''", '""', " t.a ", " 1.5e3 ",
+             "1, 2", " ,3 ,\t4", ", .5", "1,"]
 sql_text = st.lists(st.one_of(st.text(SQL_ALPHABET, max_size=6),
                               st.sampled_from(SQL_WORDS)),
                     max_size=30).map("".join)

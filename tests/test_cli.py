@@ -355,7 +355,7 @@ def test_stdout_escapes_what_its_encoding_cannot_hold(tmp_path):
     assert done.stdout == report
 
 
-@pytest.mark.parametrize("extra", [(), ("--mine-only",)])
+@pytest.mark.parametrize("extra", [(), ("--mine-only",), ("--help",)])
 def test_a_closed_stdout_exits_2_with_one_line(fixture_args, tmp_path, extra):
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before launch, so every write fails
@@ -412,22 +412,25 @@ def test_a_closed_stderr_changes_no_exit_code(tmp_path, stderr, extra, code):
     assert done.stdout == ((tmp_path / "out" / "report.txt").read_bytes() if written else b"")
 
 
-# Runs the CLI, then prints its exit code and which digest modules it loaded.
-_DIGEST_MODULES_AFTER_A_RUN = """\
+# Runs the CLI, then prints its exit code and which late-loaded modules it loaded.
+_LATE_MODULES_AFTER_A_RUN = """\
 import sys
 from idxminer import cli
 code = cli.main(sys.argv[1:])
-print(code, *sorted(sys.modules.keys() & {"hashlib", "_hashlib", "json"}))
+print(code, *sorted(sys.modules.keys() & {"hashlib", "_hashlib", "json",
+                                          "fractions", "decimal", "_decimal"}))
 """
 
 
-@pytest.mark.parametrize("case, loaded", [
-    ("tpcr", set()), ("long-name", {"hashlib"}), ("collision", {"hashlib", "json"})],
-    ids=["tpcr", "long-name", "collision"])
-def test_only_a_name_needing_a_digest_loads_hashlib_and_json(tmp_path, case, loaded):
+@pytest.mark.parametrize("case, minsup, loaded", [
+    ("tpcr", "1", set()), ("tpcr", "2", set()), ("tpcr", "0.1", {"fractions", "decimal"}),
+    ("long-name", "1", {"hashlib"}), ("collision", "1", {"hashlib", "json"})],
+    ids=["tpcr", "count", "fraction", "long-name", "collision"])
+def test_only_a_name_needing_a_digest_loads_hashlib_and_json(tmp_path, case, minsup, loaded):
     """The digest modules load only when a name is cut or clashes, and the
-    names match what ``emit_ddl`` gives in this process. A child interpreter
-    checks, as pytest itself loads both modules."""
+    names match what ``emit_ddl`` gives in this process; ``fractions`` and
+    ``decimal`` load only for a fractional ``--minsup``. A child interpreter
+    checks, as pytest itself loads these modules."""
     if case == "tpcr":
         workload, schema = WORKLOAD_PATH, SCHEMA_PATH
     else:
@@ -445,21 +448,21 @@ def test_only_a_name_needing_a_digest_loads_hashlib_and_json(tmp_path, case, loa
                                 "SELECT a FROM t WHERE a_b = 3;", encoding="utf-8")
     out = tmp_path / "out"
     done = subprocess.run(
-        [sys.executable, "-S", "-c", _DIGEST_MODULES_AFTER_A_RUN,
-         "--workload", str(workload), "--schema", str(schema), "--minsup", "1",
+        [sys.executable, "-S", "-c", _LATE_MODULES_AFTER_A_RUN,
+         "--workload", str(workload), "--schema", str(schema), "--minsup", minsup,
          "--out", str(out)],
         capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     code, *modules = done.stdout.decode().splitlines()[-1].split()
     assert code == "0", done.stderr
-    assert {"hashlib", "json"} & set(modules) == loaded
-    assert loaded or modules == []  # not even _hashlib
+    assert {"hashlib", "json", "fractions", "decimal"} & set(modules) == loaded
+    assert loaded or modules == []  # not even _hashlib or _decimal
     _, rows = parse_structured_report((out / "report.dat").read_text(encoding="utf-8"))
     ddl = emit_ddl(IndexConfiguration(Strategy.ALL, tuple(
         (IndexCandidate(table, columns, support), 0.0, 0) for table, columns, support in rows)))
     assert (out / "recommendation.sql").read_bytes() == ddl.encode("utf-8")
     names = [line.split()[2] for line in ddl.splitlines()]
     assert len(set(names)) == len(names)
-    if loaded:
+    if "hashlib" in loaded:
         assert any(re.search(r"_[0-9a-f]{6}\Z", name) for name in names)
 
 
@@ -630,8 +633,10 @@ def error_text(provoke) -> str:
     raise AssertionError("nothing was raised")
 
 
-def failure_case(name: str, tmp_path: Path) -> tuple[list[str], int, str]:
-    """(argv, exit code, stderr) of one failing run, its input files made."""
+def failure_case(name: str, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+                 request: pytest.FixtureRequest) -> tuple[list[str], int, str]:
+    """(argv, exit code, stderr) of one failing run, its input files or its
+    standard output made."""
     usage = build_parser().format_usage()
     fixture = ["--workload", str(WORKLOAD_PATH), "--schema", str(SCHEMA_PATH),
                "--stats", str(STATS_PATH), "--out", str(tmp_path / "out")]
@@ -658,6 +663,17 @@ def failure_case(name: str, tmp_path: Path) -> tuple[list[str], int, str]:
     if name in simple:
         extra, error = simple[name]
         return [*fixture, *extra], 1, f"error: {error}\n"
+    if name == "help-stdout-closed":
+        monkeypatch.setattr(sys, "stdout", None)  # as when fd 1 is closed at start
+        return ["--help"], 2, "error: cannot write standard output: it is closed\n"
+    if name == "help-into-a-closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stream = open(write_end, "w", encoding="utf-8")
+        request.addfinalizer(stream.close)
+        monkeypatch.setattr(sys, "stdout", stream)
+        reason = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return ["--help"], 2, f"error: cannot write standard output: {reason}\n"
     if name == "large-tables-without-stats":
         return [*fixture[:4], *fixture[6:], "--strategy", "large-tables"], 1, \
             "error: --strategy large-tables requires --stats\n"
@@ -711,12 +727,14 @@ FAILURES = ["no-arguments", "unknown-flag", "bad-strategy", "minsup-zero", "mins
             "large-tables-without-stats", "threshold-rows-negative",
             "policy-unknown", "policy-empty", "workload-missing", "workload-directory",
             "workload-not-utf8", "schema-malformed", "schema-empty-name", "stats-malformed",
-            "stats-empty-name", "stats-missing-a-table", "out-unwritable"]
+            "stats-empty-name", "stats-missing-a-table", "out-unwritable",
+            "help-stdout-closed", "help-into-a-closed-pipe"]
 
 
 @pytest.mark.parametrize("name", FAILURES)
-def test_every_failure_exits_with_its_code_and_message(tmp_path, capsys, name):
-    argv, code, stderr = failure_case(name, tmp_path)
+def test_every_failure_exits_with_its_code_and_message(tmp_path, capsys, monkeypatch,
+                                                       request, name):
+    argv, code, stderr = failure_case(name, tmp_path, monkeypatch, request)
     assert run(argv) == code
     captured = capsys.readouterr()
     assert captured.err == stderr

@@ -102,6 +102,21 @@ def check_names_shown_escaped(workload) -> None:
     assert diagnostics == ["statement 0: unresolvable column 'x\\ny'; skipped"]
 
 
+def check_run_words(workload) -> None:
+    """A run of numbers gives the words the scanner's tokens do."""
+    text = "SELECT a FROM t WHERE t.a IN (1, 2.5 ,3e1,\t.5, 4) AND t.b = 5"
+    words = {"ident": str.lower, "number": lambda value: "0"}
+    assert workload.tokenize(text) == [words.get(kind, str)(value)
+                                       for kind, value, _ in workload.scan(text)]
+
+
+def check_bulk_literal_lists(workload) -> None:
+    """A list whose last item is a name still yields that name's item."""
+    queries = workload.parse_workload("SELECT a FROM t WHERE t.a IN (1, 'x', b)")
+    (context,) = workload.extract_workload(queries, workload.parse_schema("TABLE t\n a\n b\n"))
+    assert sorted(map(str, context.items)) == ["t.a", "t.b"]
+
+
 def check_ddl_names(report) -> None:
     """Names spelled like reserved words or holding odd characters are quoted."""
     candidate = IndexCandidate("order", ("select", "Odd-Name", "a"), 2)
@@ -113,6 +128,12 @@ def check_ddl_names(report) -> None:
 def check_digest_modules_load_late(report) -> None:
     """Importing the report module binds neither digest module."""
     assert not {"hashlib", "json"} & vars(report).keys()
+
+
+def check_fractions_load_late(cli) -> None:
+    """Importing the CLI binds no ``Fraction``; a fractional --minsup still reads."""
+    assert "Fraction" not in vars(cli)
+    assert (cli._parse_minsup("2"), cli._parse_minsup("1/4")) == (2, 0.25)
 
 
 def check_exit_codes(cli) -> None:
@@ -165,6 +186,12 @@ MUTANTS = {
     "name-written-raw": (
         "workload", 'f"unresolvable column {ref.column!r}; skipped"',
         'f"unresolvable column \'{ref.column}\'; skipped"', check_names_shown_escaped),
+    "run-expanded-one-comma-short": (
+        "workload", 'spliced += ["0", ","] * run.count(",")',
+        'spliced += ["0", ","] * (run.count(",") - 1)', check_run_words),
+    "bulk-check-skips-the-last-item": (
+        "workload", "_LITERALS.issuperset(words[i:end:2])",
+        "_LITERALS.issuperset(words[i:end - 1:2])", check_bulk_literal_lists),
     "sql-name-quotes-too-little": (
         "report",
         "if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:",
@@ -172,6 +199,9 @@ MUTANTS = {
     "hashlib-imported-with-the-module": (
         "report", "\nimport re\n", "\nimport hashlib\nimport re\n",
         check_digest_modules_load_late),
+    "fractions-imported-with-the-module": (
+        "cli", "\nfrom pathlib import Path\n",
+        "\nfrom fractions import Fraction\nfrom pathlib import Path\n", check_fractions_load_late),
     "schema-error-exits-1": (
         "cli", "except (ConfigError, advisor.MissingStatsError) as exc:",
         "except (ConfigError, advisor.MissingStatsError, workload.SchemaError) as exc:",

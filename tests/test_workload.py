@@ -757,6 +757,50 @@ def test_front_end_agrees_with_the_scanner_on_random_text(text):
     assert_front_end_agrees(text)
 
 
+def numbers(n, start=0):
+    return ", ".join(str(start + k) for k in range(n))
+
+
+# Texts where a run of numbers starts, stops or is cut: the fuzz finds of a
+# literal-masking prototype, runs at and past the 256 numbers a raw token
+# holds, and runs followed by what could extend or end their last number.
+RUN_TEXTS = [".5.5", "2e5.5", "291e-.5", "1, 2e5.5, 3", "1,2.e5", "1 ,2e+ 3",
+             "x.5, 6", "a1, 2", "(1,), 2", "1,,2", "1, 2é",
+             numbers(255), numbers(256), numbers(257), numbers(513, 7),
+             "1, 2 .5", "1, 2.5", "1, 2, .5", "1, 2e5", "1, 2 e5", "1, 2E-5x",
+             "1, 2name", "1, 2 name", "1, 2_3",
+             f"SELECT a FROM t WHERE t.a IN ({numbers(300)})"]
+
+
+@pytest.mark.parametrize("text", RUN_TEXTS, ids=range(len(RUN_TEXTS)))
+def test_runs_of_numbers_give_the_scanners_words(text):
+    assert parsed(text, tokenize) == parsed(text, scanned_words)
+
+
+# Lists that open with a literal and a comma, their ")" written or missing.
+# The bulk check must find what the per-item loop finds: a block, or an error.
+LISTS = [
+    numbers(40) + ")", "1, 'a', 2.5, '')", "1, b, 2)", "1, 2, b)", "1, t.b)",
+    "1, 2, t.b)", "1, -2, +3)", "1, 2 - 3)", "1, 'a' || 'b')", "1, 2 AND b)",
+    "1, (2), 3)", "1, (2, 3))", "1, ((b)))", "1, (SELECT b FROM s WHERE s.k = 1))",
+    "1, f(2, 3), 4)", "1, NULL)", "1, date '1998-01-01')", "1, 2,)", "1, 2, )",
+    "1, 2", "1, 2,", "1, 2) OR t.b IN (3, b)", "1, 2) AND t.b = 3",
+    "1, 2)) AND (t.b = 3", "1, 2 3)", "1, ,2)", "1, 2))",
+]
+
+
+@pytest.mark.parametrize("items", LISTS, ids=range(len(LISTS)))
+def test_a_bulk_literal_list_parses_as_the_item_loop_does(items):
+    """``t.x IN (1, ..`` against ``t.x IN ((1), ..``, whose first item takes
+    the per-item loop; an error's position there is two characters on."""
+    head, _, rest = items.partition(",")
+    bulk = fresh(f"SELECT a FROM t WHERE t.x IN ({items}")
+    loop = fresh(f"SELECT a FROM t WHERE t.x IN (({head}),{rest}")
+    if not isinstance(loop, workload.Block):
+        loop = loop[0], loop[1] - 2
+    assert bulk == loop
+
+
 def test_literals_leave_the_vocabulary_alone():
     texts = [f"SELECT a FROM t WHERE t.a IN ({i}, .{i}, {i}e{i % 9}) AND t.b = 'v{i}'"
              for i in range(1000)]
