@@ -17,15 +17,12 @@ are the table from each failure's exception to its exit code.
 from __future__ import annotations
 
 import argparse
-import math
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import TextIO
 
 from . import advisor, catalog, miner, report, workload
 
@@ -102,21 +99,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_minsup(text: str) -> int | Fraction:
-    """An absolute count >= 1, or a fraction in (0, 1]."""
+def _parse_minsup(text: str) -> int | tuple[int, int]:
+    """An absolute count >= 1, or a fraction in (0, 1] as (numerator, denominator)."""
     raw = text.strip()
     try:
         try:
             value = int(raw)
         except ValueError:
-            from fractions import Fraction  # not at module level: ~1.8 MiB, ~9 ms with decimal
-            value = Fraction(raw)
-            if value > 1 and value.denominator == 1:
-                value = int(value)  # a count spelled "1e1", "2.0" or "10/1"
+            if re.fullmatch(r"[0-9]*\.[0-9]+", raw):  # a plain decimal, read exactly
+                num, den = int(raw.replace(".", "")), 10 ** (len(raw) - raw.index(".") - 1)
+            else:
+                from fractions import Fraction  # not at module level: ~1.8 MiB, ~9 ms
+                num, den = Fraction(raw).as_integer_ratio()
+            # A whole number above 1 is a count, however spelled: "1e1", "2.0" or "10/1".
+            value = num // den if num > den and num % den == 0 else (num, den)
         if isinstance(value, int):
             if value < 1:
                 raise ValueError("absolute minimum support must be >= 1")
-        elif not 0 < value <= 1:
+        elif not 0 < value[0] <= value[1]:
             raise ValueError("fractional minimum support must be in (0, 1]")
         return value
     except (ValueError, ZeroDivisionError) as exc:
@@ -182,11 +182,12 @@ def _run(args: argparse.Namespace) -> None:
     contexts = workload.extract_workload(queries, schema, policy, diagnostics)
 
     db, items_by_id = advisor.build_database(contexts)
-    # The one threshold of the run, a count over every statement; an empty
-    # workload has none and mines nothing.
+    # The one threshold of the run, a count over every statement (a fraction's
+    # ceiling, in integers); an empty workload has none and mines nothing.
     minsup_used = 0
     if queries:
-        minsup_used = minsup if isinstance(minsup, int) else math.ceil(minsup * len(queries))
+        minsup_used = (minsup if isinstance(minsup, int)
+                       else -(-minsup[0] * len(queries) // minsup[1]))
     if args.mine_only:
         _write(sys.stdout, "".join(
             f"{found.support}\t{','.join(str(items_by_id[i]) for i in found.items)}\n"

@@ -30,6 +30,7 @@ MAX_INDEX_NAME_LENGTH = 60
 _NAME_HASH_DIGITS = 6
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NOT_NAME_CHAR = re.compile(r"[^A-Za-z0-9_]")
 
 # A column name in a report.dat candidate row, starting the field or after a
 # comma: double-quoted with ``""`` for ``"``, or bare up to the next comma.
@@ -81,7 +82,8 @@ def _with_digest(name: str, key: str) -> str:
 def index_name(candidate: IndexCandidate) -> str:
     """Deterministic index name, truncated with a stable hash suffix if long."""
     parts = [NAME_PREFIX, candidate.table, *candidate.columns]
-    name = "_".join(re.sub(r"[^A-Za-z0-9_]", "_", part) for part in parts)
+    # One pass over the joined parts: the joining ``_`` is never replaced.
+    name = _NOT_NAME_CHAR.sub("_", "_".join(parts))
     if len(name) <= MAX_INDEX_NAME_LENGTH:
         return name
     return _with_digest(name, name)

@@ -300,7 +300,9 @@ def tokenize(text: str) -> list[str]:
     """
     known = _VOCABULARY.get
     runs: list[str] = []  # ``append`` gives None, so a run's word is _RUN
-    words = [known(raw) or (_new_word(raw, text) if raw[0] not in _DIGITS
+    # A raw token led by ``'`` is a whole string, unless it is a lone ``'``.
+    words = [known(raw) or ("''" if raw[0] == "'" != raw
+                            else _new_word(raw, text) if raw[0] not in _DIGITS
                             else "0" if "," not in raw
                             else runs.append(raw) or _RUN)
              for raw in _RAW_TOKEN_RE.findall(text)]
@@ -325,8 +327,6 @@ def _new_word(raw: str, text: str) -> str:
     kind = _TOKEN_RE.match(raw).lastgroup
     if kind == "number":
         return "0"
-    if kind == "string":
-        return "''"
     if kind == "bad":
         scan(text)  # raises at the first bad character
     word = _VOCABULARY[raw] = raw.lower() if kind == "ident" else raw
@@ -381,11 +381,13 @@ _RESERVED = {
     "as", "limit", "from", "select",
 }
 
-_TYPED_LITERAL_PREFIXES = {"date", "time", "timestamp"}
+# The keywords of ``parse_primary``: the last four are names unless a string follows.
+_PRIMARY_KEYWORDS = frozenset({"null", "exists", "date", "time", "timestamp", "interval"})
+_INTERVAL_UNITS = frozenset({"year", "month", "day", "hour", "minute", "second"})
 
 # Deepest nesting of parentheses, subqueries, NOT and unary signs accepted.
-# Each level costs about a dozen Python frames, so the deepest statement
-# stays well inside the interpreter's default recursion limit of 1000.
+# A level costs at most 8 Python frames (a parenthesis 5, a subquery 8), so
+# the deepest statement stays well inside the default recursion limit of 1000.
 MAX_NESTING = 50
 
 
@@ -407,7 +409,12 @@ class _Parser:
 
     The expression rules check the grammar and build nothing: each appends
     the column references it meets to ``refs`` and the subquery blocks to
-    ``blocks``, the sinks of the clause-level expression being parsed.
+    ``blocks``, the sinks of the clause-level expression being parsed. As
+    each Python call costs parse time, the rules are flat and test words
+    inline: ``parse_expr`` reads NOT, AND and OR and calls ``parse_not`` only
+    at a NOT, ``parse_primary`` reads a unary sign (one nesting level, ended
+    by its operand) and a name, ``name.col``, ``name.*`` or a call, and
+    ``self.i += words[self.i] == word`` steps over an optional word.
     """
 
     def __init__(self, words: list[str], text: str):
@@ -420,12 +427,6 @@ class _Parser:
 
     # -- word helpers --------------------------------------------------------
 
-    def advance(self) -> str:
-        word = self.words[self.i]
-        if word:
-            self.i += 1
-        return word
-
     def error(self, message: str, i: Optional[int] = None) -> SqlParseError:
         """``message`` at token ``i``, by default the current one.
 
@@ -435,28 +436,17 @@ class _Parser:
         _, value, pos = scan(self.text)[self.i if i is None else i]
         return SqlParseError(message.format(value), pos)
 
-    # The ``_kw`` helpers match a word: a keyword or a symbol. The expression
-    # rules test the word inline where they run once per operand or list
-    # item, as a call there costs about 5 % of parse time.
-
-    def at_kw(self, *words: str) -> bool:
-        return self.words[self.i] in words
-
-    def accept_kw(self, *words: str) -> bool:
-        if self.words[self.i] in words:
+    def accept_kw(self, word: str) -> bool:
+        if self.words[self.i] == word:
             self.i += 1
             return True
         return False
 
     def expect_kw(self, word: str) -> None:
-        if not self.accept_kw(word):
+        if self.words[self.i] != word:
             shown = word.upper() if word.isalpha() else repr(word)
             raise self.error(f"expected {shown}, found {{!r}}")
-
-    def at_alias(self) -> bool:
-        """True at a name that can be an implicit alias (no reserved word)."""
-        word = self.words[self.i]
-        return word[:1] in _NAME_LEADS and word not in _RESERVED
+        self.i += 1
 
     def expect_name(self) -> str:
         word = self.words[self.i]
@@ -464,10 +454,6 @@ class _Parser:
             self.i += 1
             return canonical_name(word) if word[0] == '"' else word
         raise self.error("expected identifier, found {!r}")
-
-    def expect_end(self) -> None:
-        if self.words[self.i]:
-            raise self.error("unexpected trailing input {!r}")
 
     def nested(self, parse):
         """Run one recursive descent step, bounding the nesting depth.
@@ -488,75 +474,85 @@ class _Parser:
         if self.words[0] not in _STATEMENTS:
             raise self.error("unsupported statement start {!r}")
         stmt = _STATEMENTS[self.words[0]][1](self)
-        self.expect_end()
+        if self.words[self.i]:
+            raise self.error("unexpected trailing input {!r}")
         return stmt
 
     def parse_select_block(self) -> Block:
+        words = self.words
         self.expect_kw("select")
-        self.accept_kw("distinct")
+        self.i += words[self.i] == "distinct"
         clauses: list[tuple[str, Expr]] = []
         aliases: list[str] = []
-        self.parse_select_item(clauses, aliases)
-        while self.accept_kw(","):
-            self.parse_select_item(clauses, aliases)
+        while True:
+            if words[self.i] == "*":
+                self.i += 1
+            else:
+                clauses.append(("select", self.expression()))
+                if (alias := self.alias()) is not None:
+                    aliases.append(alias)
+            if words[self.i] != ",":
+                break
+            self.i += 1
         self.expect_kw("from")
         sources = [self.parse_table_source()]
         joined: list[tuple[str, Union[str, Block]]] = []
-        while True:
-            if self.accept_kw(","):
+        while (word := words[self.i]) in (",", "inner", "left", "join"):
+            self.i += 1
+            if word == ",":
                 sources.append(self.parse_table_source())
                 continue
-            if self.at_kw("inner", "left", "join"):
-                if self.accept_kw("left"):
-                    self.accept_kw("outer")
-                else:
-                    self.accept_kw("inner")
+            self.i += word == "left" and words[self.i] == "outer"
+            if word != "join":
                 self.expect_kw("join")
-                joined.append(self.parse_table_source())
-                self.expect_kw("on")
-                clauses.append(("join", self.expression()))
-                continue
-            break
+            joined.append(self.parse_table_source())
+            self.expect_kw("on")
+            clauses.append(("join", self.expression()))
         clauses += self.where_clause()
-        if self.accept_kw("group"):
+        if words[self.i] == "group":
+            self.i += 1
             self.expect_kw("by")
             clauses.append(("group_by", self.expression()))
-            while self.accept_kw(","):
+            while words[self.i] == ",":
+                self.i += 1
                 clauses.append(("group_by", self.expression()))
-            if self.accept_kw("having"):
+            if words[self.i] == "having":
+                self.i += 1
                 clauses.append(("having", self.expression()))
-        if self.accept_kw("order"):
+        if words[self.i] == "order":
+            self.i += 1
             self.expect_kw("by")
             while True:
                 clauses.append(("order_by", self.expression()))
-                self.accept_kw("asc", "desc")
-                if not self.accept_kw(","):
+                self.i += words[self.i] in ("asc", "desc")
+                if words[self.i] != ",":
                     break
-        if self.accept_kw("limit"):
-            at = self.i
-            if self.advance() != "0":
-                raise self.error("expected a number after LIMIT, found {!r}", at)
+                self.i += 1
+        if words[self.i] == "limit":
+            if words[self.i + 1] != "0":
+                raise self.error("expected a number after LIMIT, found {!r}", self.i + 1)
+            self.i += 2
         return Block(tuple(sources + joined), tuple(aliases), tuple(clauses))
-
-    def parse_select_item(self, clauses: list[tuple[str, Expr]],
-                          aliases: list[str]) -> None:
-        if self.accept_kw("*"):
-            return
-        clauses.append(("select", self.expression()))
-        if self.accept_kw("as") or self.at_alias():
-            aliases.append(self.expect_name())
 
     def parse_table_source(self) -> tuple[str, Union[str, Block]]:
         """A FROM or JOIN entry as (bound name, base table name or block)."""
-        if self.accept_kw("("):
+        if self.words[self.i] == "(":
+            self.i += 1
             query = self.nested(self.parse_select_block)
             self.expect_kw(")")
-            self.accept_kw("as")
+            self.i += self.words[self.i] == "as"
             return self.expect_name(), query
         table = self.expect_name()
-        if self.accept_kw("as") or self.at_alias():
-            return self.expect_name(), table
-        return table, table
+        return self.alias(table), table
+
+    def alias(self, default: Optional[str] = None) -> Optional[str]:
+        """An alias, after ``AS`` or implicit (no reserved word); else ``default``."""
+        word = self.words[self.i]
+        if word == "as":
+            self.i += 1
+        elif word[:1] not in _NAME_LEADS or word in _RESERVED:
+            return default
+        return self.expect_name()
 
     def where_clause(self) -> tuple[tuple[str, Expr], ...]:
         return (("where", self.expression()),) if self.accept_kw("where") else ()
@@ -591,7 +587,8 @@ class _Parser:
         # The remainder (column list, VALUES, SELECT) carries no indexable
         # positions; accept it opaquely but insist on balanced parentheses.
         depth = 0
-        while word := self.advance():
+        while word := self.words[self.i]:
+            self.i += 1
             if word == "(":
                 depth += 1
             elif word == ")":
@@ -629,14 +626,20 @@ class _Parser:
         return expr
 
     def parse_expr(self) -> None:
-        if self.words[self.i] in _LITERALS:
+        words = self.words
+        if words[self.i] in _LITERALS and words[self.i + 1] in (",", ")"):
             # A bare literal ending a list item holds nothing to record.
-            if self.words[self.i + 1] in (",", ")"):
+            self.i += 1
+            return
+        while True:
+            if words[self.i] == "not":
                 self.i += 1
+                self.nested(self.parse_not)
+            else:
+                self.parse_predicate()
+            if words[self.i] not in ("and", "or"):
                 return
-        self.parse_not()
-        while self.accept_kw("and", "or"):
-            self.parse_not()
+            self.i += 1
 
     def parse_expr_list(self) -> None:
         words, i = self.words, self.i
@@ -657,7 +660,9 @@ class _Parser:
             self.parse_expr()
 
     def parse_not(self) -> None:
-        if self.accept_kw("not"):
+        """The operand of a NOT: a predicate, or another NOT a level deeper."""
+        if self.words[self.i] == "not":
+            self.i += 1
             self.nested(self.parse_not)
         else:
             self.parse_predicate()
@@ -665,101 +670,93 @@ class _Parser:
     def parse_predicate(self) -> None:
         mark = len(self.blocks)
         self.parse_additive()
-        at = self.i
-        word = self.words[at]
+        words = self.words
+        word = words[self.i]
         if word in ("=", "<>", "!=", "<", "<=", ">", ">="):
             self.i += 1
             self.parse_additive()
             return
-        if word not in ("not", "between", "in", "like", "is"):
-            return  # every predicate form below starts with one of these
-        if word == "not" and self.words[at + 1] in ("between", "in", "like"):
-            self.advance()
-        if self.accept_kw("between"):
+        if word == "not" and words[self.i + 1] in ("between", "in", "like"):
+            self.i += 1
+            word = words[self.i]
+        if word not in ("between", "in", "like", "is"):
+            return
+        self.i += 1
+        if word == "between":
             self.parse_additive()
             self.expect_kw("and")
             self.parse_additive()
-            return
-        if self.accept_kw("in"):
+        elif word == "in":
             self.expect_kw("(")
-            if self.at_kw("select"):
+            if words[self.i] == "select":
                 # The tested subquery is walked before any inside the operand.
-                query = self.nested(self.parse_select_block)
-                self.blocks.insert(mark, query)
+                self.blocks.insert(mark, self.nested(self.parse_select_block))
             else:
                 self.nested(self.parse_expr_list)
             self.expect_kw(")")
-            return
-        if self.accept_kw("like"):
+        elif word == "like":
             self.parse_additive()
-            return
-        if self.accept_kw("is"):
-            self.accept_kw("not")
+        else:
+            self.i += words[self.i] == "not"
             self.expect_kw("null")
 
     def parse_additive(self) -> None:
-        self.parse_factor()
+        self.parse_primary()
         while self.words[self.i] in ("+", "-", "||", "*", "/", "%"):
             self.i += 1
-            self.parse_factor()
-
-    def parse_factor(self) -> None:
-        if self.words[self.i] in ("+", "-"):
-            self.i += 1
-            self.nested(self.parse_factor)
-        else:
             self.parse_primary()
 
     def parse_primary(self) -> None:
-        word = self.words[self.i]
-        if word in _LITERALS:
-            self.i += 1
-            return
-        if word == "(":
-            self.i += 1
-            if self.at_kw("select"):
-                query = self.nested(self.parse_select_block)
-                self.blocks.append(query)
-            else:
-                self.nested(self.parse_expr)
-            self.expect_kw(")")
-            return
-        if word[:1] in _NAME_LEADS:
+        words, i = self.words, self.i
+        word = words[i]
+        if word in _PRIMARY_KEYWORDS:
             if word == "null":
-                self.i += 1
+                self.i = i + 1
                 return
             if word == "exists":
-                self.i += 1
+                self.i = i + 1
                 self.expect_kw("(")
-                query = self.nested(self.parse_select_block)
-                self.blocks.append(query)
+                self.blocks.append(self.nested(self.parse_select_block))
                 self.expect_kw(")")
                 return
-            if word in _TYPED_LITERAL_PREFIXES and self.words[self.i + 1] == "''":
-                self.i += 2
+            if words[i + 1] == "''":  # a typed literal; else the word is a name
+                self.i = i + 2
+                if word == "interval" and words[self.i] in _INTERVAL_UNITS:
+                    self.i += 1
                 return
-            if word == "interval" and self.words[self.i + 1] == "''":
-                self.i += 2
-                self.accept_kw("year", "month", "day", "hour", "minute", "second")
+        elif word[:1] not in _NAME_LEADS:
+            self.i = i + 1
+            if word in _LITERALS:
                 return
-            name = self.expect_name()
-            if self.accept_kw("("):
-                self.parse_func_args()
+            if word == "(":
+                if words[self.i] == "select":
+                    self.blocks.append(self.nested(self.parse_select_block))
+                else:
+                    self.nested(self.parse_expr)
+                self.expect_kw(")")
                 return
-            if self.accept_kw("."):
-                if self.accept_kw("*"):
-                    return
-                self.refs.append(ColumnRef(qualifier=name, column=self.expect_name()))
+            if word in ("+", "-"):
+                # A sign nests to its operand only: the arithmetic after the
+                # operand is read one level up.
+                self.nested(self.parse_primary)
                 return
-            self.refs.append(ColumnRef(qualifier=None, column=name))
-            return
-        raise self.error("unexpected token {!r}")
-
-    def parse_func_args(self) -> None:
-        self.accept_kw("distinct")
-        if not self.accept_kw("*") and not self.at_kw(")"):
-            self.nested(self.parse_expr_list)
-        self.expect_kw(")")
+            raise self.error("unexpected token {!r}", i)
+        # A name: a column, qualified or not, ``name.*`` or a function call.
+        name = canonical_name(word) if word[0] == '"' else word
+        following = words[i + 1]
+        if following == "(":
+            self.i = i + 2 + (words[i + 2] == "distinct")
+            if not self.accept_kw("*") and words[self.i] != ")":
+                self.nested(self.parse_expr_list)
+            self.expect_kw(")")
+        elif following != ".":
+            self.i = i + 1
+            self.refs.append(ColumnRef(None, name))
+        elif words[i + 2] == "*":
+            self.i = i + 3
+        else:
+            self.i = i + 2
+            self.refs.append(ColumnRef(name, self.expect_name()))
 
 
 # The memo of ``parse_statement``: shape -> parse, for the workload being read.

@@ -20,7 +20,7 @@ from conftest import (SCHEMA_PATH, SQL_WORDS, SRC, STATS_PATH, WORKLOAD_PATH,
                       run_cli_process)
 
 from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
-from idxminer.cli import FileError, _write, build_parser, main
+from idxminer.cli import ConfigError, FileError, _parse_minsup, _write, build_parser, main
 from idxminer.report import emit_ddl, parse_structured_report
 from idxminer.workload import canonical_identifier, parse_workload, scan, split_statements
 
@@ -82,6 +82,52 @@ def test_whole_minsup_above_one_is_a_count(fixture_args, capsys, spelling, count
     # "1.0" stays the fraction 1, which resolves to every statement.
     assert run(fixture_args("--minsup", spelling)) == 0
     assert f"minimum support: {count} of 22 statements\n" in capsys.readouterr().out
+
+
+def old_minsup_rule(text):
+    """``--minsup`` as read before plain decimals skipped ``Fraction``."""
+    raw = text.strip()
+    try:
+        value = int(raw)
+    except ValueError:
+        value = Fraction(raw)
+        if value > 1 and value.denominator == 1:
+            value = int(value)
+    if isinstance(value, int):
+        if value < 1:
+            raise ValueError("absolute minimum support must be >= 1")
+    elif not 0 < value <= 1:
+        raise ValueError("fractional minimum support must be in (0, 1]")
+    return value
+
+
+MINSUP_SPELLINGS = [
+    f"{whole}{point}{digits}" for whole in ("", "0", "00", "1", "2", "10")
+    for point in (".", "") for digits in ("", "0", "1", "05", "25", "5", "999", "0000000001")
+] + ["1/4", "2/8", "10/1", "1/0", "2.5e-1", "1e1", "1e-1", "0.0_1", "1_0", " 0.5 ", "+0.5",
+     "-0.5", "5.", ".", "abc", "", "0.5.5", "٠.٥", "0x1", "1.0e0"]
+
+
+def test_minsup_reads_as_fraction_does():
+    """Every spelling gives the old rule's count, the same fraction as a
+    (numerator, denominator) pair, or the same error; each fraction resolves
+    to the same threshold."""
+    for text in MINSUP_SPELLINGS:
+        try:
+            expected = old_minsup_rule(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(ConfigError) as raised:
+                _parse_minsup(text)
+            assert str(raised.value) == f"invalid --minsup {text!r}: {exc}"
+            continue
+        got = _parse_minsup(text)
+        if isinstance(expected, int):
+            assert type(got) is int and got == expected, text
+            continue
+        num, den = got
+        assert Fraction(num, den) == expected, text
+        for n in (1, 3, 7, 22, 100, 4400):
+            assert -(-num * n // den) == math.ceil(expected * n), text
 
 
 def test_unknown_flag_exits_1(fixture_args, capsys):
@@ -423,14 +469,16 @@ print(code, *sorted(sys.modules.keys() & {"hashlib", "_hashlib", "json",
 
 
 @pytest.mark.parametrize("case, minsup, loaded", [
-    ("tpcr", "1", set()), ("tpcr", "2", set()), ("tpcr", "0.1", {"fractions", "decimal"}),
+    ("tpcr", "1", set()), ("tpcr", "2", set()), ("tpcr", "0.1", set()),
+    ("tpcr", "1/10", {"fractions", "decimal"}), ("tpcr", "2.5e-1", {"fractions", "decimal"}),
     ("long-name", "1", {"hashlib"}), ("collision", "1", {"hashlib", "json"})],
-    ids=["tpcr", "count", "fraction", "long-name", "collision"])
+    ids=["tpcr", "count", "fraction", "ratio", "exponent", "long-name", "collision"])
 def test_only_a_name_needing_a_digest_loads_hashlib_and_json(tmp_path, case, minsup, loaded):
     """The digest modules load only when a name is cut or clashes, and the
     names match what ``emit_ddl`` gives in this process; ``fractions`` and
-    ``decimal`` load only for a fractional ``--minsup``. A child interpreter
-    checks, as pytest itself loads these modules."""
+    ``decimal`` load only for a ``--minsup`` that is neither a whole number
+    nor a plain decimal. A child interpreter checks, as pytest itself loads
+    these modules."""
     if case == "tpcr":
         workload, schema = WORKLOAD_PATH, SCHEMA_PATH
     else:

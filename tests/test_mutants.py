@@ -81,9 +81,10 @@ def check_replay(workload) -> None:
 
 
 def check_nesting(workload) -> None:
-    """A statement nested too deep is a diagnostic, not a crash."""
-    (query,) = workload.parse_workload("SELECT a FROM t WHERE " + "NOT " * 3000 + "t.a = 1")
-    assert query.parse_error == "nesting too deep"
+    """A statement nested too deep, by NOT or by signs, is a diagnostic, not a crash."""
+    for lead in ("NOT ", "- "):
+        (query,) = workload.parse_workload("SELECT a FROM t WHERE " + lead * 3000 + "t.a = 1")
+        assert query.parse_error == "nesting too deep"
 
 
 def check_statement_kinds(workload) -> None:
@@ -133,7 +134,7 @@ def check_digest_modules_load_late(report) -> None:
 def check_fractions_load_late(cli) -> None:
     """Importing the CLI binds no ``Fraction``; a fractional --minsup still reads."""
     assert "Fraction" not in vars(cli)
-    assert (cli._parse_minsup("2"), cli._parse_minsup("1/4")) == (2, 0.25)
+    assert [cli._parse_minsup(text) for text in ("2", "1/4", "0.25")] == [2, (1, 4), (25, 100)]
 
 
 def check_exit_codes(cli) -> None:
@@ -180,6 +181,8 @@ MUTANTS = {
         "workload",
         "        if self.depth > MAX_NESTING:\n"
         '            raise self.error("nesting too deep")\n', "", check_nesting),
+    "sign-nests-no-level": (
+        "workload", "self.nested(self.parse_primary)", "self.parse_primary()", check_nesting),
     "create-index-read-as-a-select": (
         "workload", '"create": (QueryKind.OTHER, _Parser.parse_create_index),',
         '"create": (QueryKind.SELECT, _Parser.parse_create_index),', check_statement_kinds),

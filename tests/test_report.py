@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
 import re
 
@@ -77,6 +78,18 @@ def test_long_names_truncated_with_stable_hash():
     assert index_name(other) != first
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.text(min_size=1), st.lists(st.text(min_size=1), min_size=1, max_size=4))
+def test_index_name_replaces_odd_characters_part_by_part(table, columns):
+    """One substitution over the joined name gives what one per part does."""
+    parts = ["idx", table, *columns]
+    name = "_".join(re.sub(r"[^A-Za-z0-9_]", "_", part) for part in parts)
+    if len(name) > MAX_INDEX_NAME_LENGTH:
+        digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:6]
+        name = f"{name[:MAX_INDEX_NAME_LENGTH - 7]}_{digest}"
+    assert index_name(make_candidate(table, columns)) == name
+
+
 def test_quoted_identifiers_in_ddl():
     config = make_configuration([make_candidate(table="Order Data", columns=("k",))])
     ddl = emit_ddl(config)
@@ -117,15 +130,15 @@ def test_every_word_the_parser_reads_is_reserved():
     """``_RESERVED_WORDS`` claims to hold every keyword the subset grammar reads.
 
     The words are collected from the parser's source: its alphabetic string
-    constants (the interval units among them), ``_RESERVED`` and the typed
-    literal prefixes.
+    constants, ``_RESERVED``, the keywords of ``parse_primary`` and the
+    interval units.
     """
     tree = ast.parse(inspect.getsource(workload._Parser))
     words = {node.value for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and node.value.isalpha()}
-    assert {"select", "interval", "year", "null", "exists"} <= words
-    words |= workload._RESERVED | workload._TYPED_LITERAL_PREFIXES
+    assert {"select", "interval", "null", "exists"} <= words
+    words |= workload._RESERVED | workload._PRIMARY_KEYWORDS | workload._INTERVAL_UNITS
     assert sorted(words - _RESERVED_WORDS) == []
 
 # Schema-file words: reserved words in any case or quoted, and bare or quoted

@@ -10,6 +10,7 @@ from idxminer import workload
 from idxminer.workload import (
     MAX_NESTING,
     AttributeItem,
+    ColumnRef,
     DEFAULT_POLICY,
     POSITIONS,
     QueryKind,
@@ -469,15 +470,26 @@ ARITHMETIC = ["+", "-", "*", "/", "%", "||"]
 
 @st.composite
 def planted_select(draw):
-    """A SELECT over SCHEMA and the qualified columns it plants.
+    """A SELECT over SCHEMA, the qualified columns it plants and its clauses.
 
     Columns are planted in WHERE, JOIN ON, GROUP BY, HAVING and ORDER BY,
     nested in predicates, calls, arithmetic and at most one IN or EXISTS
     subquery, among literals; none is planted in a select list, which the
-    default policy leaves out. Nesting stays far below MAX_NESTING.
+    default policy leaves out. Nesting stays far below MAX_NESTING. The
+    clauses pair each clause's position with its column references in text
+    order, those of the subquery block left out.
     """
     planted = set()
     subquery_left = True
+    clauses = []
+    refs = []  # the references of the clause being drawn
+
+    def clause(position, draw_text):
+        nonlocal refs
+        refs = []
+        text = draw_text()
+        clauses.append((position, tuple(refs)))
+        return text
 
     def pick(options):
         return draw(st.sampled_from(options))
@@ -486,6 +498,7 @@ def planted_select(draw):
         table = pick(["t", "s"])
         name = pick(SCHEMA[table])
         planted.add((table, name))
+        refs.append(ColumnRef(names[table], name))
         return f"{names[table]}.{name}"
 
     def value(level, names):
@@ -514,8 +527,9 @@ def planted_select(draw):
             return (f"{value(level, names)} {negated}BETWEEN {value(level, names)} "
                     f"AND {value(level, names)}")
         if form == 2:
+            tested = value(level, names)
             items = [value(level, names) for _ in range(draw(st.integers(1, 3)))]
-            return f"{value(level, names)} {negated}IN ({', '.join(items)})"
+            return f"{tested} {negated}IN ({', '.join(items)})"
         if form == 3:
             return f"{value(level, names)} {negated}LIKE 'a%'"
         if form == 4:
@@ -527,47 +541,57 @@ def planted_select(draw):
         if form == 7 or not subquery_left:
             return (f"{predicate(level - 1, names)} {pick(['AND', 'OR'])} "
                     f"{predicate(level - 1, names)}")
+        nonlocal refs
         subquery_left = False
+        lead = "EXISTS" if draw(st.booleans()) else f"{value(level, names)} {negated}IN"
         inner = pick(["s", "w"])
         inner_names = {"t": names["t"], "s": inner}
+        outer, refs = refs, []  # the subquery's references are its own
         block = (f"(SELECT {inner}.k FROM {source('s', inner)} "
                  f"WHERE {predicate(level - 1, inner_names)})")
-        if draw(st.booleans()):
-            return f"EXISTS {block}"
-        return f"{value(level, names)} {negated}IN {block}"
+        refs = outer
+        return f"{lead} {block}"
 
     def source(table, name):
         return table if name == table else f"{table} {pick(['', 'AS '])}{name}"
 
     names = {"t": pick(["t", "u"]), "s": pick(["s", "v"])}
-    parts = [f"SELECT {pick(['*', 'count(*)', names['t'] + '.k', '1', 'lower(x) AS z'])}",
-             f"FROM {source('t', names['t'])}"]
+    item, item_refs = pick([("*", None), ("count(*)", ()), ("1", ()),
+                            (names["t"] + ".k", (ColumnRef(names["t"], "k"),)),
+                            ("lower(x) AS z", (ColumnRef(None, "x"),))])
+    if item_refs is not None:
+        clauses.append(("select", item_refs))
+    parts = [f"SELECT {item}", f"FROM {source('t', names['t'])}"]
     if draw(st.booleans()):
         parts.append(f"{pick(['JOIN', 'INNER JOIN', 'LEFT JOIN', 'LEFT OUTER JOIN'])} "
-                     f"{source('s', names['s'])} ON {predicate(3, names)}")
+                     f"{source('s', names['s'])} "
+                     f"ON {clause('join', lambda: predicate(3, names))}")
     else:
         parts.append(f", {source('s', names['s'])}")
     if draw(st.booleans()):
-        parts.append(f"WHERE {predicate(3, names)}")
+        parts.append(f"WHERE {clause('where', lambda: predicate(3, names))}")
     if draw(st.booleans()):
-        keys = [value(1, names) for _ in range(draw(st.integers(1, 3)))]
+        keys = [clause("group_by", lambda: value(1, names))
+                for _ in range(draw(st.integers(1, 3)))]
         parts.append(f"GROUP BY {', '.join(keys)}")
         if draw(st.booleans()):
-            parts.append(f"HAVING {predicate(1, names)}")
+            parts.append(f"HAVING {clause('having', lambda: predicate(1, names))}")
     if draw(st.booleans()):
-        keys = [f"{value(1, names)}{pick(['', ' ASC', ' DESC'])}"
+        keys = [f"{clause('order_by', lambda: value(1, names))}{pick(['', ' ASC', ' DESC'])}"
                 for _ in range(draw(st.integers(1, 2)))]
         parts.append(f"ORDER BY {', '.join(keys)}")
-    return " ".join(parts), planted
+    return " ".join(parts), planted, clauses
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(planted_select())
 def test_extraction_finds_exactly_the_planted_columns(case):
-    text, planted = case
+    text, planted, clauses = case
     diags = []
     assert items(text, diagnostics=diags) == planted
     assert diags == []
+    block = parse_statement(text)
+    assert [(position, expr.refs) for position, expr in block.clauses] == clauses
 
 
 # -- the shape memo of parse_statement ----------------------------------------
@@ -648,9 +672,45 @@ def test_failing_statements_of_one_shape_report_their_own_token(cold_memo):
     ("DELETE t", "expected FROM, found 't'", 7),
     ("SELECT a FROM 7", "expected identifier, found '7'", 14),
     ("SELECT a FROM t WHERE " + "NOT " * 51 + "t.a = 1", "nesting too deep", 226),
+    ("SELECT a FROM t WHERE t.", "expected identifier, found ''", 24),
+    ("SELECT a FROM t WHERE t.(", "expected identifier, found '('", 24),
+    ("SELECT a FROM t WHERE t.7 = 1", "unexpected trailing input '.7'", 23),
+    ("SELECT a FROM t WHERE f(", "unexpected token ''", 24),
+    ("SELECT a FROM t WHERE t.a = -", "unexpected token ''", 29),
+    ("SELECT a FROM t WHERE x BETWEEN 1 OR 2", "expected AND, found 'OR'", 34),
+    ("SELECT a FROM t WHERE x IN 1", "expected '(', found '1'", 27),
+    ("SELECT a FROM t WHERE x IS 1", "expected NULL, found '1'", 27),
+    ("SELECT a b c FROM t", "expected FROM, found 'c'", 11),
+    ("SELECT a FROM t ORDER BY a ASC DESC", "unexpected trailing input 'DESC'", 31),
+    ("SELECT a FROM t WHERE interval '1' year year = 1", "unexpected trailing input 'year'", 40),
+    # A sign's level ends at its operand, so the parentheses after it start at
+    # depth 0: 50 of them parse, up to the trailing word, and 51 are too deep.
+    ("SELECT a FROM t WHERE - t.a + " + "(" * 50 + "t.b" + ")" * 50 + " x",
+     "unexpected trailing input 'x'", 134),
+    ("SELECT a FROM t WHERE - t.a + " + "(" * 51 + "t.b" + ")" * 51, "nesting too deep", 81),
 ])
 def test_parse_errors_quote_and_place_their_token(cold_memo, text, message, pos):
     assert parsed(text) == (message, pos)
+
+
+@pytest.mark.parametrize("where, refs", [
+    ("date = 1", [(None, "date")]),
+    ("interval = 1", [(None, "interval")]),
+    ("date.x = time", [("date", "x"), (None, "time")]),
+    ("timestamp(x) = 1", [(None, "x")]),
+    ("t.a > date '1998-12-01'", [("t", "a")]),
+    ("t.a > t.b - interval '3' day", [("t", "a"), ("t", "b")]),
+    ("t.a IS NOT NULL AND NOT EXISTS (SELECT s.k FROM s)", [("t", "a")]),
+    ('"T".a = "Odd Col"', [("t", "a"), (None, "Odd Col")]),
+    ("count(t.*) = count(DISTINCT t.b)", [("t", "b")]),
+    ("- + - x = 1", [(None, "x")]),
+    ("t.a = - + - (t.b) * - 2 || t.x", [("t", "a"), ("t", "b"), ("t", "x")]),
+])
+def test_operands_read_as_names_keywords_or_literals(where, refs):
+    """``date``, ``time``, ``timestamp`` and ``interval`` are names unless a
+    string follows; quoted names, ``name.*`` and chained signs read as before."""
+    block = parse_statement(f"SELECT a FROM t WHERE {where}")
+    assert block.clauses[-1][1].refs == tuple(ColumnRef(*ref) for ref in refs)
 
 
 def test_unique_statements_parse_once_and_leave_no_parse(cold_memo):
