@@ -184,7 +184,7 @@ def select(
                            estimated_index_bytes(candidate, n_rows)))
     if large_only and missing:
         raise MissingStatsError(
-            "no statistics for table(s): " + ", ".join(sorted(missing))
+            "no statistics for table(s): " + ", ".join(map(repr, sorted(missing)))
         )
     scored.sort(key=lambda row: (-row[1], row[0].table, row[0].columns))
     return IndexConfiguration(strategy=strategy, rows=tuple(scored))

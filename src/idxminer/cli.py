@@ -24,7 +24,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TextIO
 
-from . import advisor, catalog, miner, report, workload
+from . import advisor, catalog, report, workload
 
 OUT_DIR_ENV = "IDXMINER_OUT"
 DEFAULT_OUT_DIR = "out"
@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mine-only",
         action="store_true",
-        help="stop after mining and dump closed itemsets as 'support<TAB>items'",
+        help="stop after mining and dump each table's closed sets as "
+        "'support<TAB>items', by table name, then descending support",
     )
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print per-statement diagnostics to stderr")
@@ -188,15 +189,14 @@ def _run(args: argparse.Namespace) -> None:
     if queries:
         minsup_used = (minsup if isinstance(minsup, int)
                        else -(-minsup[0] * len(queries) // minsup[1]))
+    closed = advisor.mine_tables(db, items_by_id, minsup_used)
     if args.mine_only:
         _write(sys.stdout, "".join(
             f"{found.support}\t{','.join(str(items_by_id[i]) for i in found.items)}\n"
-            for found in (miner.mine_closed(db, minsup_used) if queries else ())),
-            "standard output")
+            for found in closed), "standard output")
         _print_diagnostics(diagnostics, args.verbose)
         return
 
-    closed = advisor.mine_tables(db, items_by_id, minsup_used)
     candidates = advisor.derive_candidates(closed, items_by_id,
                                            maximal_only=not args.no_maximal_only)
     configuration = advisor.select(candidates, strategy, row_counts, args.threshold_rows,

@@ -944,7 +944,7 @@ class _Extractor:
             if len(matches) > 1:
                 self.messages.append(
                     f"ambiguous column {ref.column!r} (in tables "
-                    f"{', '.join(item.table for item in matches)}); skipped"
+                    f"{', '.join(repr(item.table) for item in matches)}); skipped"
                 )
                 return
         self.messages.append(f"unresolvable column {ref.column!r}; skipped")

@@ -376,7 +376,7 @@ CLI_MATRIX = [
     (["--minsup", "-1"], 1),                        # invalid threshold
     (["--minsup", "2.5"], 1),                       # fraction out of range
     (["--strategy", "sideways"], 1),                # bad flag value
-    (["--dialect", "tsql"], 1),                     # unimplemented dialect
+    (["--dialect", "tsql"], 1),                     # unrecognized argument
     (["--threshold-rows", "-4"], 1),                # negative threshold
     (["--policy", "nowhere"], 1),                   # unknown policy position
 ]

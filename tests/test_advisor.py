@@ -287,9 +287,9 @@ def test_select_large_tables_is_subset_of_all():
 
 def test_select_missing_stats_lists_tables():
     pool = [candidate("known", ["a"]), candidate("ghost", ["b"])]
-    with pytest.raises(MissingStatsError, match="table\\(s\\): ghost$"):
+    with pytest.raises(MissingStatsError, match="table\\(s\\): 'ghost'$"):
         select(pool, Strategy.LARGE_TABLES, dict(known=10), workload_size=2)
-    with pytest.raises(MissingStatsError, match="table\\(s\\): ghost, known$"):
+    with pytest.raises(MissingStatsError, match="table\\(s\\): 'ghost', 'known'$"):
         select(pool, Strategy.LARGE_TABLES, {}, workload_size=2)
 
 

@@ -12,10 +12,12 @@ import io
 import math
 import random
 import tempfile
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import candidates_bruteforce
@@ -101,9 +103,20 @@ def test_report_matches_the_oracle_on_generated_workloads(statements, minsup, ma
             assert main(args + ([] if maximal_only else ["--no-maximal-only"])) == 0
         header, got = parse_structured_report(
             (Path(work) / "out" / "report.dat").read_text(encoding="utf-8"))
+        with redirect_stdout(io.StringIO()) as dump:
+            assert main(args + ["--mine-only"]) == 0
     expected = candidates_bruteforce(rows, threshold, maximal_only)
     assert sorted(got) == sorted(expected)
     assert header["minsup"] == str(threshold)
+    # The dump is the closed sets the candidates are read from: every
+    # candidate of --no-maximal-only, as (table, column set, support).
+    dumped = []
+    for line in dump.getvalue().splitlines():
+        support, items = line.split("\t")
+        pairs = [item.split(".") for item in items.split(",")]
+        dumped.append((pairs[0][0], frozenset(c for _, c in pairs), int(support)))
+    assert Counter(dumped) == Counter(
+        (t, frozenset(c), s) for t, c, s in candidates_bruteforce(rows, threshold, False))
 
 
 def test_statements_off_a_table_count_in_a_fractional_threshold(tmp_path, capsys):
@@ -128,13 +141,15 @@ def test_statements_off_a_table_count_in_a_fractional_threshold(tmp_path, capsys
     assert rows == [("t", ("a",), 30), ("s", ("x",), 25)]
 
 
+@pytest.mark.parametrize("extra", [(), ("--mine-only",)], ids=["plain", "mine-only"])
 def test_joins_of_four_tables_mine_a_bounded_number_of_closed_sets(tmp_path, monkeypatch,
-                                                                    capsys):
+                                                                    capsys, extra):
     """Every statement joins four 6-column tables with a varied predicate set.
 
     Each table's projection has at most 2**6 - 1 non-empty closed sets, so
     the count is bounded by the tables, not by their product: mining the
-    whole workload's rows at once finds 2,583,033 closed sets here.
+    whole workload's rows at once finds 2,583,033 closed sets here. The
+    ``--mine-only`` dump mines and writes the same per-table sets.
     """
     rng = random.Random(4)
     tables = {f"j{k}": [f"c{j}" for j in range(6)] for k in range(4)}
@@ -156,7 +171,9 @@ def test_joins_of_four_tables_mine_a_bounded_number_of_closed_sets(tmp_path, mon
 
     monkeypatch.setattr(miner, "mine_closed", spy)
     assert main(["--workload", str(tmp_path / "w.sql"), "--schema", str(tmp_path / "s.txt"),
-                 "--minsup", "2", "--out", str(tmp_path / "out")]) == 0
-    capsys.readouterr()
+                 "--minsup", "2", "--out", str(tmp_path / "out"), *extra]) == 0
+    stdout = capsys.readouterr().out
     assert len(mined) == 4
     assert sum(mined) <= 4 * (2 ** 6 - 1)
+    if extra:
+        assert stdout.count("\n") == sum(mined)

@@ -233,36 +233,29 @@ def test_two_runs_are_byte_identical(fixture_args, tmp_path, capsys):
 
 def test_mine_only_dump_matches_bruteforce_oracle(fixture_args, capsys, tpcr_schema,
                                                   tpcr_workload_text):
-    from bruteforce import mine_bruteforce
+    """The dump holds each table's closed sets: the candidates under
+    ``--no-maximal-only``, read off their definition with no mining."""
+    from bruteforce import candidates_bruteforce
 
-    from idxminer.advisor import build_database
-    from idxminer.miner import TransactionDatabase
     from idxminer.workload import extract_workload, parse_workload
 
     assert run(fixture_args("--mine-only")) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    dumped = [
-        (int(line.split("\t")[0]), tuple(line.split("\t")[1].split(",")))
-        for line in lines
-    ]
-    supports = [s for s, _ in dumped]
-    assert supports == sorted(supports, reverse=True)
+    dumped = []
+    for line in capsys.readouterr().out.splitlines():
+        support, items = line.split("\t")
+        pairs = [tuple(item.split(".")) for item in items.split(",")]
+        assert len({table for table, _ in pairs}) == 1, line
+        dumped.append((pairs[0][0], tuple(column for _, column in pairs), int(support)))
+    assert dumped == sorted(dumped, key=lambda d: (d[0], -d[2], d[1]))
 
     queries = parse_workload(tpcr_workload_text)
-    db, items_by_id = build_database(extract_workload(queries, tpcr_schema))
+    rows = [frozenset(ctx.items) for ctx in extract_workload(queries, tpcr_schema)]
     threshold = math.ceil(Fraction(1, 4) * len(queries))
-    frequent = {
-        i for i in db.universe
-        if sum(c for row, c in zip(db.transactions, db.counts) if i in row) >= threshold
-    }
-    projected = TransactionDatabase.from_transactions(
-        [row & frequent for row in db.transactions], db.counts
-    )
-    expected = [
-        (c.support, tuple(str(items_by_id[i]) for i in c.items))
-        for c in mine_bruteforce(projected, threshold)
-    ]
-    assert dumped == expected
+    expected = candidates_bruteforce(rows, threshold, maximal_only=False)
+    assert len({table for table, _, _ in dumped}) > 1
+    assert len(dumped) == len(expected)
+    assert {(t, frozenset(c), s) for t, c, s in dumped} == \
+        {(t, frozenset(c), s) for t, c, s in expected}
 
 
 def test_mine_only_empty_workload(tmp_path, capsys):
@@ -335,24 +328,30 @@ def test_each_diagnostic_is_one_line_whatever_its_names_hold(tmp_path, capsys):
                        f"SELECT a FROM {q} WHERE {q}.a = 1",
                        f"SELECT a FROM t {q}, s {q} WHERE a = 1",
                        f"SELECT a FROM (SELECT a FROM t) {q} WHERE {q}.a = 1"]
-    statements += ['SELECT a FROM t, s WHERE "e\x1bb" = 1', 'SELECT c FROM "u\x1bv" WHERE c = 1']
+    statements += ['SELECT a FROM t, s WHERE "e\x1bb" = 1', 'SELECT c FROM "u\x1bv" WHERE c = 1',
+                   'SELECT c FROM t, "u\x1bv" WHERE "e\x1bb" = 1']
     workload.write_text(";\n".join(statements), encoding="utf-8", newline="")
     schema = tmp_path / "s.txt"
-    schema.write_text('TABLE t\n a\n "e\x1bb"\n\nTABLE s\n "e\x1bb"\n\nTABLE "u\x1bv"\n c\n',
-                      encoding="utf-8")
+    schema.write_text('TABLE t\n a\n "e\x1bb"\n\nTABLE s\n "e\x1bb"\n\n'
+                      'TABLE "u\x1bv"\n c\n "e\x1bb"\n', encoding="utf-8")
     stats = tmp_path / "stats.txt"
     stats.write_text("t\t10\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run(["--workload", str(workload), "--schema", str(schema), "--stats", str(stats),
-                "--minsup", "1", "--out", str(out), "-v"]) == 0
+    args = ["--workload", str(workload), "--schema", str(schema), "--stats", str(stats),
+            "--minsup", "1", "--out", str(out), "-v"]
+    # Table names are escaped too: in missing statistics' error and in an ambiguous column.
+    assert run([*args, "--strategy", "large-tables", "--threshold-rows", "0"]) == 1
+    assert capsys.readouterr().err == "error: no statistics for table(s): 'u\\x1bv'\n"
+    assert run(args) == 0
     count = int(parse_structured_report(
         (out / "report.dat").read_text(encoding="utf-8"))[0]["diagnostics"])
-    assert count == 6 * 4 + 2
+    assert count == 6 * 4 + 3
     stderr = capsys.readouterr().err
     assert len(stderr.split("\n")) == count + 1
     report = (out / "report.txt").read_text(encoding="utf-8")
     assert report.split(f"diagnostics: {count}\n", 1)[1].split("\n") == \
         ["  " + line for line in stderr.split("\n")[:-1]] + [""]
+    assert "ambiguous column 'e\\x1bb' (in tables 't', 'u\\x1bv')" in stderr
     for line in stderr.split("\n")[:-1]:
         assert line.isprintable() and "\r" not in line, line
 
@@ -730,7 +729,7 @@ def failure_case(name: str, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
         partial.write_text("lineitem\t6000000\t120\n", encoding="utf-8")
         return [*fixture[:5], str(partial), *fixture[6:], "--minsup", "0.25",
                 "--strategy", "large-tables"], 1, \
-            "error: no statistics for table(s): customer, orders\n"
+            "error: no statistics for table(s): 'customer', 'orders'\n"
     if name in ("workload-missing", "workload-directory", "workload-not-utf8"):
         path = tmp_path / "w.sql"
         if name == "workload-directory":

@@ -179,7 +179,7 @@ def test_ambiguous_column_skipped_with_diagnostic():
         diags = []
         got = items(f"SELECT x FROM {sources} WHERE k = 1 AND t.a = 2", diagnostics=diags)
         assert got == {("t", "a")}
-        assert diags == ["statement 0: ambiguous column 'k' (in tables s, t); skipped"]
+        assert diags == ["statement 0: ambiguous column 'k' (in tables 's', 't'); skipped"]
 
 
 def test_alias_resolution():
