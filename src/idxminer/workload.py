@@ -53,10 +53,16 @@ Query logs repeat a few templates with new literals, so ``parse_statement``
 memoizes parses by *shape*: the join of its words, in which each literal
 reads ``0`` or ``''``. The records hold no literal, so statements of one
 shape parse alike. Every successful parse is kept, a failing one never, as
-its message quotes its own token. The memo holds the workload being read:
-``parse_workload`` empties it on entry and ``extract_workload`` before it
-returns, so no workload sees another's shapes and no block outlives
-extraction.
+its message quotes its own token. The parser takes each column reference
+from a reference table, ``_REFS``, so equal references in a workload are
+one ``ColumnRef``.
+
+Three tables hold the workload being read: the vocabulary of ``tokenize``,
+the shape memo of ``parse_statement`` and the reference table.
+``parse_workload`` empties the three together on entry, and
+``extract_workload`` empties the memo again before it returns, so no
+workload sees another's names or shapes and no block outlives extraction.
+ROADMAP item 4 folds the three into one per-run value.
 
 Every record here is a ``typing.NamedTuple``, so hashing and comparing a
 whole ``Block`` run in C. ``extract_workload`` uses that to walk each
@@ -341,6 +347,12 @@ def _new_word(raw: str, text: str) -> str:
 class ColumnRef(NamedTuple):
     qualifier: Optional[str]
     column: str
+
+
+# Column reference key -> its one ColumnRef: the column for an unqualified
+# reference, (qualifier, column) for a qualified one. Equal references then
+# share one record; ``parse_workload`` empties it with the vocabulary.
+_REFS: dict[Union[str, tuple[str, str]], ColumnRef] = {}
 
 
 class Expr(NamedTuple):
@@ -751,12 +763,20 @@ class _Parser:
             self.expect_kw(")")
         elif following != ".":
             self.i = i + 1
-            self.refs.append(ColumnRef(None, name))
+            ref = _REFS.get(name)
+            if ref is None:
+                ref = _REFS[name] = ColumnRef(None, name)
+            self.refs.append(ref)
         elif words[i + 2] == "*":
             self.i = i + 3
         else:
             self.i = i + 2
-            self.refs.append(ColumnRef(name, self.expect_name()))
+            column = self.expect_name()
+            key = name, column
+            ref = _REFS.get(key)
+            if ref is None:
+                ref = _REFS[key] = ColumnRef(name, column)
+            self.refs.append(ref)
 
 
 # The memo of ``parse_statement``: shape -> parse, for the workload being read.
@@ -817,11 +837,13 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     outside the supported subset is kept with kind OTHER and a diagnostic in
     ``parse_error`` rather than dropped, so downstream frequency denominators
     stay stable. Name resolution happens later, at extraction. Empties the
-    memo of ``parse_statement`` and the vocabulary of ``tokenize`` first, so
-    each workload parses afresh and no earlier workload's names are kept.
+    memo of ``parse_statement``, the vocabulary of ``tokenize`` and the
+    reference table first, so each workload parses afresh and no earlier
+    workload's names are kept.
     """
     _shape_parses.clear()
     _VOCABULARY.clear()
+    _REFS.clear()
     queries: list[WorkloadQuery] = []
     for ordinal, text in enumerate(split_statements(workload_text)):
         lead = _IDENT_RE.match(text)
@@ -833,8 +855,7 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
                 kind, error = _STATEMENTS[first][0], None
             except SqlParseError as exc:
                 error = str(exc)
-        queries.append(WorkloadQuery(ordinal=ordinal, raw_text=text, kind=kind,
-                                     parse_error=error))
+        queries.append(WorkloadQuery(ordinal, text, kind, error))
     return queries
 
 
@@ -1002,7 +1023,7 @@ def extract_workload(
             extraction = frozenset(extractor.items), tuple(extractor.messages)
             replays[block] = extraction
         items, messages = extraction
-        if diagnostics is not None:
+        if messages and diagnostics is not None:
             diagnostics.extend(f"statement {query.ordinal}: {m}" for m in messages)
         contexts.append(TransactionContext(query.ordinal, items))
     _shape_parses.clear()

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -796,6 +798,79 @@ def test_help_exits_0_with_the_help_text(capsys):
     captured = capsys.readouterr()
     assert captured.out == build_parser().format_help()
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("extra, code", [
+    ((), 0), (("--mine-only",), 0), (("--help",), 0), (("--no-such-flag",), 1),
+    (("--minsup", "0"), 1), (("--workload", "/nonexistent/workload.sql"), 2),
+])
+def test_a_run_puts_the_collector_back_on(fixture_args, capsys, extra, code):
+    assert gc.isenabled()
+    assert run(fixture_args(*extra)) == code
+    assert gc.isenabled()
+
+
+def test_a_run_leaves_a_collector_off_off(fixture_args, capsys):
+    gc.disable()
+    try:
+        assert run(fixture_args()) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+MIXED_SCHEMA = "TABLE t\n a\n k\n c0\n c1\n c2\nTABLE u\n b\n k\n e0\n e1\n"
+
+# Every statement kind and every extraction diagnostic, among planted reads
+# and writes; ``{c}`` and ``{e}`` draw columns, ``{n}`` a number.
+MIXED_FORMS = (
+    "SELECT a FROM t WHERE t.{c} = {n} AND t.{c} < {n}",
+    "SELECT t.a FROM t JOIN u x ON t.k = x.k WHERE x.{e} IN ({n}, {n}) GROUP BY t.{c}",
+    "UPDATE t SET a = {n} WHERE {c} = {n}",
+    "DELETE FROM u WHERE {e} > {n}",
+    "INSERT INTO t VALUES ({n}, {n})",
+    "CREATE INDEX i{n} ON t ({c})",
+    "DROP TABLE t{n}",
+    "SELECT a FROM t WHERE {c} = {n} LIMIT",
+    "SELECT a FROM t WHERE ghost{n} = 1 AND nobody.{c} = 2",
+    "SELECT a FROM t, u WHERE k = {n}",
+    "SELECT a FROM t WHERE t.a IN (SELECT b FROM u WHERE u.{e} = {n})",
+)
+
+
+def mixed_workload(seed: int, statements: int) -> str:
+    rng = random.Random(seed)
+    return "".join(
+        rng.choice(MIXED_FORMS).format(c=f"c{rng.randrange(3)}", e=f"e{rng.randrange(2)}",
+                                       n=rng.randrange(1000)) + ";\n"
+        for _ in range(statements))
+
+
+def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_workload(tmp_path, capsys):
+    """What the collector would find after a run is a fixed few objects.
+
+    So the run frees all the statements' records by reference counting, and
+    ``main`` may keep the collector off.
+    """
+    (tmp_path / "s.txt").write_text(MIXED_SCHEMA, encoding="utf-8")
+    found = []
+    for statements in (200, 800):
+        workload = tmp_path / f"w{statements}.sql"
+        workload.write_text(mixed_workload(25, statements), encoding="utf-8")
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(["--workload", str(workload), "--schema", str(tmp_path / "s.txt"),
+                        "--minsup", "2", "--out", str(tmp_path / "out"), "-v"]) == 0
+            found.append(gc.collect())
+        finally:
+            gc.enable()
+        stderr = capsys.readouterr().err
+        for diagnostic in ("unsupported statement kind 'drop'", "LIMIT",
+                           "unresolvable column 'ghost", "unknown table or alias 'nobody'",
+                           "ambiguous column 'k'"):
+            assert diagnostic in stderr
+    assert found[0] == found[1] < 200
 
 
 def test_readme_flags_table_names_the_parser_options():

@@ -10,6 +10,7 @@ once fails the test, so a refactor of a mutated line updates its row.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import io
 import random
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from bruteforce import candidates_bruteforce, mine_bruteforce
-from conftest import STATS_PATH, WORKLOAD_PATH
+from conftest import SCHEMA_PATH, STATS_PATH, WORKLOAD_PATH
 
 from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
 from idxminer.miner import TransactionDatabase
@@ -118,6 +119,16 @@ def check_bulk_literal_lists(workload) -> None:
     assert sorted(map(str, context.items)) == ["t.a", "t.b"]
 
 
+def check_reference_table(workload) -> None:
+    """Each reference resolves under its own qualifier; the table holds one workload's."""
+    workload.parse_workload("SELECT a FROM t WHERE t.b = 1")
+    queries = workload.parse_workload("SELECT b FROM t, u WHERE u.a = 1 AND t.a = 2")
+    (context,) = workload.extract_workload(
+        queries, workload.parse_schema("TABLE t\n a\nTABLE u\n a\n b\n"))
+    assert sorted(map(str, context.items)) == ["t.a", "u.a"]
+    assert set(workload._REFS) == {"b", ("u", "a"), ("t", "a")}
+
+
 def check_ddl_names(report) -> None:
     """Names spelled like reserved words or holding odd characters are quoted."""
     candidate = IndexCandidate("order", ("select", "Odd-Name", "a"), 2)
@@ -135,6 +146,17 @@ def check_fractions_load_late(cli) -> None:
     """Importing the CLI binds no ``Fraction``; a fractional --minsup still reads."""
     assert "Fraction" not in vars(cli)
     assert [cli._parse_minsup(text) for text in ("2", "1/4", "0.25")] == [2, (1, 4), (25, 100)]
+
+
+def check_collector_restored(cli) -> None:
+    """A run puts the cyclic collector back on."""
+    try:
+        with tempfile.TemporaryDirectory() as work, redirect_stdout(io.StringIO()):
+            cli.main(["--workload", str(WORKLOAD_PATH), "--schema", str(SCHEMA_PATH),
+                      "--out", f"{work}/out"])
+        assert gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def check_exit_codes(cli) -> None:
@@ -168,13 +190,13 @@ MUTANTS = {
         "            extraction = frozenset(extractor.items), tuple(extractor.messages)\n"
         "            replays[block] = extraction\n"
         "        items, messages = extraction\n"
-        "        if diagnostics is not None:\n"
+        "        if messages and diagnostics is not None:\n"
         '            diagnostics.extend(f"statement {query.ordinal}: {m}" for m in messages)\n',
         "            extraction = frozenset(extractor.items), tuple(\n"
         '                f"statement {query.ordinal}: {m}" for m in extractor.messages)\n'
         "            replays[block] = extraction\n"
         "        items, messages = extraction\n"
-        "        if diagnostics is not None:\n"
+        "        if messages and diagnostics is not None:\n"
         "            diagnostics.extend(messages)\n",
         check_replay),
     "no-nesting-bound": (
@@ -195,6 +217,10 @@ MUTANTS = {
     "bulk-check-skips-the-last-item": (
         "workload", "_LITERALS.issuperset(words[i:end:2])",
         "_LITERALS.issuperset(words[i:end - 1:2])", check_bulk_literal_lists),
+    "qualified-reference-keyed-by-its-column": (
+        "workload", "key = name, column", "key = column", check_reference_table),
+    "reference-table-never-emptied": (
+        "workload", "    _REFS.clear()\n", "", check_reference_table),
     "sql-name-quotes-too-little": (
         "report",
         "if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:",
@@ -209,6 +235,7 @@ MUTANTS = {
         "cli", "except (ConfigError, advisor.MissingStatsError) as exc:",
         "except (ConfigError, advisor.MissingStatsError, workload.SchemaError) as exc:",
         check_exit_codes),
+    "collector-left-off": ("cli", "gc.enable()", "pass", check_collector_restored),
 }
 
 

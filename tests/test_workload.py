@@ -879,6 +879,38 @@ def test_the_vocabulary_holds_one_workloads_names():
     assert "b" in workload._VOCABULARY
 
 
+def column_refs(block):
+    return [ref for _, expr in block.clauses for ref in expr.refs]
+
+
+def test_equal_references_in_one_workload_are_one_record():
+    queries = parse_workload("SELECT a FROM t WHERE t.b = 1;"
+                             "UPDATE t SET a = 2 WHERE t.b = 3 OR a = 4")
+    (a, tb), (tb_again, a_again) = (column_refs(parse_statement(q.raw_text)) for q in queries)
+    assert (a, tb) == (ColumnRef(None, "a"), ColumnRef("t", "b"))
+    assert a_again is a and tb_again is tb
+
+
+def test_a_reference_keeps_its_qualifier():
+    schema = parse_schema("TABLE t\n a\nTABLE u\n a\n b\n")
+    queries = parse_workload("SELECT b FROM t, u WHERE u.a = 1 AND a = 2 AND t.a = 3")
+    refs = column_refs(parse_statement(queries[0].raw_text))
+    assert refs == [ColumnRef(None, "b"), ColumnRef("u", "a"), ColumnRef(None, "a"),
+                    ColumnRef("t", "a")]
+    assert len({id(ref) for ref in refs[1:]}) == 3
+    diagnostics: list[str] = []
+    (context,) = extract_workload(queries, schema, diagnostics=diagnostics)
+    assert context.items == {AttributeItem("t", "a"), AttributeItem("u", "a")}
+    assert diagnostics == ["statement 0: ambiguous column 'a' (in tables 't', 'u'); skipped"]
+
+
+def test_the_reference_table_holds_one_workloads_references():
+    parse_workload("SELECT only_in_a FROM t WHERE t.only_in_a = 1")
+    assert {"only_in_a", ("t", "only_in_a")} <= workload._REFS.keys()
+    parse_workload("SELECT b FROM t WHERE t.b = 1")
+    assert set(workload._REFS) == {"b", ("t", "b")}
+
+
 # -- canonicalization and schema files ---------------------------------------
 
 
