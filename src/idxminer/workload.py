@@ -29,10 +29,11 @@ sources (bound name to base table or nested block), its select-list aliases
 and its clause-level expressions tagged with their positions, in text
 order. An UPDATE or DELETE is a block with one source and at most a WHERE
 clause. The parser builds no expression tree. For each clause-level
-expression it keeps only what extraction reads: the column references and
-the subquery blocks, each in order (``Expr``). The expression grammar has
-two levels of binary operators, one for AND and OR, one for arithmetic and
-``||``; a recognizer that builds nothing needs no precedence between them.
+expression it keeps only what extraction reads, as a ``Clause`` triple: its
+position, its column references and its subquery blocks, each in order. The
+expression grammar has two levels of binary operators, one for AND and OR,
+one for arithmetic and ``||``; a recognizer that builds nothing needs no
+precedence between them.
 
 The tokenizer returns each token's *word* and nothing else: an identifier
 lower-cased, a symbol or a quoted identifier as written, ``0`` for a number
@@ -46,8 +47,9 @@ so a failing statement alone is scanned again in full (``scan``).
 
 A list that opens with a bare literal and a comma is checked at once: when
 its words up to the first ``)`` alternate literal and comma, it records
-nothing and the parser steps to that ``)``. Any other list is parsed item by
-item, so both ways find the same block or the same error.
+nothing and the parser steps to that ``)``: the parser's one fast path for
+literals. Any other list is parsed item by item, so both ways find the same
+block or the same error.
 
 Query logs repeat a few templates with new literals, so ``parse_statement``
 memoizes parses by *shape*: the join of its words, in which each literal
@@ -355,32 +357,27 @@ class ColumnRef(NamedTuple):
 _REFS: dict[Union[str, tuple[str, str]], ColumnRef] = {}
 
 
-class Expr(NamedTuple):
-    """What extraction reads of one clause-level expression.
-
-    ``refs`` are its column references in text order. ``blocks`` are its
-    subquery blocks in text order, except that an ``IN (SELECT ..)`` block
-    comes before any block inside the operand it tests.
-    """
-
-    refs: tuple[ColumnRef, ...]
-    blocks: tuple["Block", ...]
-
-
 class Block(NamedTuple):
     """One SELECT block, or the target and WHERE clause of an UPDATE or DELETE.
 
     ``sources`` pairs each bound name (the alias, else the table) with its
     base table's name or, for a derived table, its block. FROM entries come
     first, then JOIN entries: the order in which names bind, the first
-    binding of a duplicate name winning. ``clauses`` pairs each clause-level
-    expression with its position (``select``, ``join``, ``where``,
-    ``group_by``, ``having`` or ``order_by``), in text order.
+    binding of a duplicate name winning. ``clauses`` holds each clause-level
+    expression in text order as its position (``select``, ``join``,
+    ``where``, ``group_by``, ``having`` or ``order_by``), its column
+    references and its subquery blocks, each in text order, except that an
+    ``IN (SELECT ..)`` block comes before any block inside the operand it
+    tests.
     """
 
     sources: tuple[tuple[str, Union[str, "Block"]], ...]
     select_aliases: tuple[str, ...]
-    clauses: tuple[tuple[str, Expr], ...]
+    clauses: tuple["Clause", ...]
+
+
+# One clause-level expression of a block: (position, refs, blocks).
+Clause = tuple[str, tuple[ColumnRef, ...], tuple[Block, ...]]
 
 
 # INSERT and CREATE INDEX parse to None: they yield no items.
@@ -494,13 +491,13 @@ class _Parser:
         words = self.words
         self.expect_kw("select")
         self.i += words[self.i] == "distinct"
-        clauses: list[tuple[str, Expr]] = []
+        clauses: list[Clause] = []
         aliases: list[str] = []
         while True:
             if words[self.i] == "*":
                 self.i += 1
             else:
-                clauses.append(("select", self.expression()))
+                clauses.append(("select", *self.expression()))
                 if (alias := self.alias()) is not None:
                     aliases.append(alias)
             if words[self.i] != ",":
@@ -519,23 +516,23 @@ class _Parser:
                 self.expect_kw("join")
             joined.append(self.parse_table_source())
             self.expect_kw("on")
-            clauses.append(("join", self.expression()))
+            clauses.append(("join", *self.expression()))
         clauses += self.where_clause()
         if words[self.i] == "group":
             self.i += 1
             self.expect_kw("by")
-            clauses.append(("group_by", self.expression()))
+            clauses.append(("group_by", *self.expression()))
             while words[self.i] == ",":
                 self.i += 1
-                clauses.append(("group_by", self.expression()))
+                clauses.append(("group_by", *self.expression()))
             if words[self.i] == "having":
                 self.i += 1
-                clauses.append(("having", self.expression()))
+                clauses.append(("having", *self.expression()))
         if words[self.i] == "order":
             self.i += 1
             self.expect_kw("by")
             while True:
-                clauses.append(("order_by", self.expression()))
+                clauses.append(("order_by", *self.expression()))
                 self.i += words[self.i] in ("asc", "desc")
                 if words[self.i] != ",":
                     break
@@ -566,8 +563,8 @@ class _Parser:
             return default
         return self.expect_name()
 
-    def where_clause(self) -> tuple[tuple[str, Expr], ...]:
-        return (("where", self.expression()),) if self.accept_kw("where") else ()
+    def where_clause(self) -> tuple[Clause, ...]:
+        return (("where", *self.expression()),) if self.accept_kw("where") else ()
 
     def parse_update(self) -> Block:
         self.expect_kw("update")
@@ -624,8 +621,8 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def expression(self) -> Expr:
-        """Parse one clause-level expression into a record of its own.
+    def expression(self) -> tuple[tuple[ColumnRef, ...], tuple[Block, ...]]:
+        """Parse one clause-level expression: its references and its blocks.
 
         The enclosing sinks are set aside meanwhile and, as a parser is
         dropped after its first error, restored only on success.
@@ -633,16 +630,12 @@ class _Parser:
         outer = self.refs, self.blocks
         self.refs, self.blocks = [], []
         self.parse_expr()
-        expr = Expr(tuple(self.refs), tuple(self.blocks))
+        found = tuple(self.refs), tuple(self.blocks)
         self.refs, self.blocks = outer
-        return expr
+        return found
 
     def parse_expr(self) -> None:
         words = self.words
-        if words[self.i] in _LITERALS and words[self.i + 1] in (",", ")"):
-            # A bare literal ending a list item holds nothing to record.
-            self.i += 1
-            return
         while True:
             if words[self.i] == "not":
                 self.i += 1
@@ -657,7 +650,8 @@ class _Parser:
         words, i = self.words, self.i
         if words[i] in _LITERALS and words[i + 1] == ",":
             # Bare literals up to the first ")" record nothing, so such a list
-            # is checked at once; any other list takes the loop below.
+            # is checked at once, the parser's one fast path for literals; any
+            # other list takes the loop below.
             try:
                 end = words.index(")", i)
             except ValueError:  # no ")": the loop reports the error
@@ -974,12 +968,12 @@ class _Extractor:
         """Resolve each wanted clause's columns, then its subqueries, in text order."""
         scopes = [self.block_scope(block)] + outer_scopes
         aliases = frozenset(block.select_aliases)
-        for position, expr in block.clauses:
+        for position, refs, blocks in block.clauses:
             if position in self.policy:
                 shadowed = aliases if position in _ALIAS_POSITIONS else frozenset()
-                for ref in expr.refs:
+                for ref in refs:
                     self.resolve(ref, scopes, shadowed)
-            for sub in expr.blocks:
+            for sub in blocks:
                 self.walk_block(sub, scopes)
         # Derived tables in FROM are their own blocks; they see only scopes
         # enclosing this block, not its sibling FROM entries.

@@ -296,6 +296,22 @@ def test_large_tables_strategy_drops_small_tables(fixture_args, tmp_path, capsys
     assert "ON customer" in ddl and "ON lineitem" in ddl
 
 
+def test_default_threshold_rows_is_100000_inclusive(tmp_path, capsys):
+    """README's default: a table of 100000 rows is large, one of 99999 is not."""
+    workload = tmp_path / "w.sql"
+    workload.write_text("SELECT * FROM edge WHERE a = 1; SELECT * FROM below WHERE a = 1;",
+                        encoding="utf-8")
+    schema = tmp_path / "s.txt"
+    schema.write_text("TABLE edge\n a\n\nTABLE below\n a\n", encoding="utf-8")
+    stats = tmp_path / "stats.txt"
+    stats.write_text("edge\t100000\nbelow\t99999\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--workload", str(workload), "--schema", str(schema), "--stats", str(stats),
+                "--minsup", "1", "--strategy", "large-tables", "--out", str(out)]) == 0
+    ddl = (out / "recommendation.sql").read_text(encoding="utf-8")
+    assert ddl == "CREATE INDEX idx_edge_a ON edge (a);\n"
+
+
 def test_out_dir_from_environment(fixture_args, tmp_path, capsys, monkeypatch):
     env_out = tmp_path / "env-out"
     monkeypatch.setenv("IDXMINER_OUT", str(env_out))

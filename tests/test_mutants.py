@@ -70,6 +70,14 @@ def check_candidates(advisor) -> None:
             assert got == candidates_bruteforce(rows, threshold, maximal_only)
 
 
+def check_default_threshold_rows(advisor) -> None:
+    """README's default threshold, 100000 rows, is inclusive."""
+    pool = [advisor.IndexCandidate(table, ("a",), 1) for table in ("edge", "below")]
+    config = advisor.select(pool, advisor.Strategy.LARGE_TABLES,
+                            {"edge": 100_000, "below": 99_999}, workload_size=2)
+    assert [c.table for c in config.candidates] == ["edge"]
+
+
 def check_replay(workload) -> None:
     """A replayed block's diagnostics go out under the replaying statement."""
     queries = workload.parse_workload("SELECT a FROM t WHERE ghost = 1;"
@@ -137,6 +145,19 @@ def check_ddl_names(report) -> None:
                    '("select", "Odd-Name", a);\n')
 
 
+def check_index_name_length(report) -> None:
+    """README's limit: a name of 60 characters stays, one of 61 is cut to 60."""
+    names = [report.index_name(IndexCandidate("t", ("c" * width,), 1)) for width in (54, 55)]
+    assert names == [f"idx_t_{'c' * 54}", f"idx_t_{'c' * 47}_f09d67"]
+
+
+def check_first_clash(report) -> None:
+    """The first clash digests the exact table and columns, with no retry count."""
+    rows = tuple((IndexCandidate("t", columns, 1), 0.0, 0) for columns in (("a", "b"), ("a_b",)))
+    assert report.emit_ddl(IndexConfiguration(Strategy.ALL, rows)) == (
+        "CREATE INDEX idx_t_a_b ON t (a, b);\nCREATE INDEX idx_t_a_b_12c393 ON t (a_b);\n")
+
+
 def check_digest_modules_load_late(report) -> None:
     """Importing the report module binds neither digest module."""
     assert not {"hashlib", "json"} & vars(report).keys()
@@ -185,6 +206,9 @@ MUTANTS = {
     "maximal-filter-off-by-one": (
         "advisor", "if supersets.bit_count() > 1:", "if supersets.bit_count() > 2:",
         check_candidates),
+    "default-threshold-one-row-higher": (
+        "advisor", "DEFAULT_THRESHOLD_ROWS = 100_000", "DEFAULT_THRESHOLD_ROWS = 100_001",
+        check_default_threshold_rows),
     "replay-under-the-stored-ordinal": (
         "workload",
         "            extraction = frozenset(extractor.items), tuple(extractor.messages)\n"
@@ -225,6 +249,13 @@ MUTANTS = {
         "report",
         "if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:",
         "if _PLAIN_IDENT.match(identifier):", check_ddl_names),
+    "name-limit-one-longer": (
+        "report", "MAX_INDEX_NAME_LENGTH = 60", "MAX_INDEX_NAME_LENGTH = 61",
+        check_index_name_length),
+    "name-at-the-limit-cut": (
+        "report", "if len(name) <= MAX_INDEX_NAME_LENGTH:",
+        "if len(name) < MAX_INDEX_NAME_LENGTH:", check_index_name_length),
+    "first-clash-counts-a-retry": ("report", "retry = 0\n", "retry = 1\n", check_first_clash),
     "hashlib-imported-with-the-module": (
         "report", "\nimport re\n", "\nimport hashlib\nimport re\n",
         check_digest_modules_load_late),

@@ -78,6 +78,13 @@ def test_long_names_truncated_with_stable_hash():
     assert index_name(other) != first
 
 
+def test_names_are_cut_from_61_characters_on():
+    """README's limit: a name of 60 characters stays, one of 61 is cut to 60."""
+    assert index_name(make_candidate(columns=("c" * 54,))) == f"idx_t_{'c' * 54}"
+    cut = index_name(make_candidate(columns=("c" * 55,)))
+    assert cut == f"idx_t_{'c' * 47}_f09d67" and len(cut) == 60
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.text(min_size=1), st.lists(st.text(min_size=1), min_size=1, max_size=4))
 def test_index_name_replaces_odd_characters_part_by_part(table, columns):
@@ -192,7 +199,8 @@ def test_colliding_index_names_are_made_unique():
     assert len(set(names)) == len(names)
     # The first holder of a name keeps it, so names without a clash never move.
     assert names[0] == "idx_t_a_b" and names[2] == "idx_t_caf_"
-    assert re.fullmatch(r"idx_t_a_b_[0-9a-f]{6}", names[1])
+    # The first clash digests the exact key ["t", "a_b"], with no retry count.
+    assert names[1] == "idx_t_a_b_12c393"
     assert re.fullmatch(r"idx_t_caf__[0-9a-f]{6}", names[3])
     assert len(names[4]) == len(names[5]) == MAX_INDEX_NAME_LENGTH
     for query in parse_workload(ddl):

@@ -237,7 +237,7 @@ def test_in_list_items_parse_alike_with_or_without_operators():
     (query,) = parse_workload(text)
     assert query.kind is QueryKind.SELECT
     assert query.parse_error is None
-    # The bare-literal shortcut must not swallow the column among literals.
+    # The bulk check of literal lists must not swallow the column among literals.
     assert items(text) == {("t", "a"), ("t", "b")}
 
 
@@ -591,7 +591,7 @@ def test_extraction_finds_exactly_the_planted_columns(case):
     assert items(text, diagnostics=diags) == planted
     assert diags == []
     block = parse_statement(text)
-    assert [(position, expr.refs) for position, expr in block.clauses] == clauses
+    assert [(position, refs) for position, refs, _ in block.clauses] == clauses
 
 
 # -- the shape memo of parse_statement ----------------------------------------
@@ -710,7 +710,7 @@ def test_operands_read_as_names_keywords_or_literals(where, refs):
     """``date``, ``time``, ``timestamp`` and ``interval`` are names unless a
     string follows; quoted names, ``name.*`` and chained signs read as before."""
     block = parse_statement(f"SELECT a FROM t WHERE {where}")
-    assert block.clauses[-1][1].refs == tuple(ColumnRef(*ref) for ref in refs)
+    assert block.clauses[-1][1] == tuple(ColumnRef(*ref) for ref in refs)
 
 
 def test_unique_statements_parse_once_and_leave_no_parse(cold_memo):
@@ -880,7 +880,7 @@ def test_the_vocabulary_holds_one_workloads_names():
 
 
 def column_refs(block):
-    return [ref for _, expr in block.clauses for ref in expr.refs]
+    return [ref for _, refs, _ in block.clauses for ref in refs]
 
 
 def test_equal_references_in_one_workload_are_one_record():
