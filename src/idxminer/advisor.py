@@ -94,32 +94,25 @@ def derive_candidates(
     """One index candidate per closed itemset of ``mine_tables``.
 
     ``closed`` must be what ``mine_tables`` returns: distinct sets, each
-    inside one table T and T-closed (no other T-column lies in every row
-    holding the set).
+    inside one table T, T-closed (no other T-column lies in every row holding
+    the set) and flagged ``maximal`` when no frequent T-column extends it.
 
     Columns go by descending single-column support, then by name; a column's
     support is the highest among the sets holding it, which its own closure
-    attains. With ``maximal_only`` a candidate inside another is dropped,
-    since the wider one's leading prefix serves it: a set is kept when no
-    other set holds all of its items. Item ids never cross tables, so such a
-    set is on the same table.
+    attains. With ``maximal_only`` only the maximal sets are kept: a set that
+    a frequent column extends lies inside another set on its table, whose
+    leading prefix serves it.
     """
     closed = list(closed)
     single: dict[int, int] = {}
-    holders: dict[int, int] = {}  # item id -> bit k set when closed[k] holds it
-    for k, itemset in enumerate(closed):
+    for itemset in closed:
         for i in itemset.items:
             single[i] = max(single.get(i, 0), itemset.support)
-            holders[i] = holders.get(i, 0) | 1 << k
 
     candidates = []
     for itemset in closed:
-        if maximal_only:
-            supersets = -1
-            for i in itemset.items:
-                supersets &= holders[i]
-            if supersets.bit_count() > 1:
-                continue
+        if maximal_only and not itemset.maximal:
+            continue
         ordered = sorted(itemset.items, key=lambda i: (-single[i], items_by_id[i].column))
         candidates.append(IndexCandidate(items_by_id[ordered[0]].table,
                                          tuple(items_by_id[i].column for i in ordered),

@@ -23,6 +23,12 @@ extensions that follow e. This loses nothing: a child's rows are a subset of
 its parent's, so an item infrequent with the parent is infrequent with every
 descendant, and the items before e are below the child's core.
 
+Each set is flagged by the test of LCMmax (same paper): a frequent closed set
+P is maximal exactly when no frequent item outside P keeps the threshold
+together with P. A node with a frequent extension is not maximal; otherwise
+the items above its core outside its tail were infrequent with an ancestor,
+so only the frequent items below the core are scanned, against its rows.
+
 Rows carry counts (LCM ver.2's database reduction), and support sums them.
 Row t owns ``counts[t]`` consecutive bits of a row mask, so support stays a
 popcount; an item id is its own bit in an item mask.
@@ -38,10 +44,11 @@ from typing import Iterable, NamedTuple
 
 
 class ClosedItemset(NamedTuple):
-    """A closed itemset with its absolute support count."""
+    """A closed itemset, its absolute support count, and whether it is maximal."""
 
     items: tuple[int, ...]
     support: int
+    maximal: bool
 
 
 class TransactionDatabase(NamedTuple):
@@ -98,33 +105,33 @@ def mine_closed(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
             rest ^= low
         return cmask
 
+    frequent_mask = sum(1 << p for p in frequent)
     all_rows = (1 << n) - 1
-    root = extend(all_rows, 0, 0)
-    closed = [(root, n)] if root else []  # (item mask, support)
-    stack = [(root, all_rows, frequent)]  # (closed item mask, its rows, candidates)
+    closed = []
+    # (closed item mask, its rows, its support, its core item, candidates)
+    stack = [(extend(all_rows, 0, 0), all_rows, n, 0, frequent)]
     while stack:
-        cmask, tids, candidates = stack.pop()
+        cmask, tids, support, core, candidates = stack.pop()
         tail = []  # frequent extensions: (item, rows, support)
         for e in candidates:
             if cmask >> e & 1:
                 continue
             sub = tids & item_tids[e]
-            support = sub.bit_count()
-            if support >= threshold:
-                tail.append((e, sub, support))
+            count = sub.bit_count()
+            if count >= threshold:
+                tail.append((e, sub, count))
         extensions = [e for e, _, _ in tail]
-        for i, (e, sub, support) in enumerate(tail, 1):
+        for i, (e, sub, count) in enumerate(tail, 1):
             child = extend(sub, cmask | 1 << e, e)
             if child is not None:
-                closed.append((child, support))
-                stack.append((child, sub, extensions[i:]))
-
-    results = []
-    for cmask, support in closed:
+                stack.append((child, sub, count, e, extensions[i:]))
+        below = 0 if tail else frequent_mask & ~cmask & (1 << core) - 1  # LCMmax
+        while below and (tids & item_tids[below.bit_length() - 1]).bit_count() < threshold:
+            below ^= 1 << below.bit_length() - 1
         items = []
         while cmask:
-            low = cmask & -cmask
-            items.append(low.bit_length() - 1)
-            cmask ^= low
-        results.append(ClosedItemset(items=tuple(items), support=support))
-    return canonical_order(results)
+            items.append((cmask & -cmask).bit_length() - 1)
+            cmask &= cmask - 1
+        if items:
+            closed.append(ClosedItemset(tuple(items), support, not tail and not below))
+    return canonical_order(closed)

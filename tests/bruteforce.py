@@ -2,12 +2,15 @@
 
 ``mine_bruteforce`` is an intentionally naive oracle: it enumerates every
 non-empty subset of the item universe, counts supports by direct scan, and
-keeps the subsets no single-item extension of which preserves support.
+keeps the subsets no single-item extension of which preserves support; a
+kept set is maximal when no single-item extension meets the threshold.
 ``mine_by_intersection`` serves wide, sparse databases, where subsets are
 too many to enumerate: the closed sets are the non-empty intersections of
-row subsets. Both sum the counts of the rows a set lies in, as the miner
-does, and keep the sets whose support meets an absolute threshold. Neither
-shares machinery with ``idxminer.miner.mine_closed``, so each can check it.
+row subsets, and ``at_threshold`` flags as maximal those no other frequent
+one strictly contains. Both sum the counts of the rows a set lies in, as the
+miner does, and keep the sets whose support meets an absolute threshold.
+Neither shares machinery with ``idxminer.miner.mine_closed``, so each can
+check it.
 
 ``candidates_bruteforce`` reads index candidates straight off their
 definition, with no mining at all, so it checks ``advisor.mine_tables`` and
@@ -60,8 +63,31 @@ def mine_bruteforce(db: TransactionDatabase, threshold: int) -> list[ClosedItems
             if extra not in itemset
         ):
             continue
-        results.append(ClosedItemset(items=tuple(sorted(itemset)), support=support))
+        maximal = not any(supports[itemset | {extra}] >= threshold
+                          for extra in db.universe if extra not in itemset)
+        results.append(ClosedItemset(tuple(sorted(itemset)), support, maximal))
     return canonical_order(results)
+
+
+def at_threshold(closed: Iterable[ClosedItemset], threshold: int) -> list[ClosedItemset]:
+    """The sets of ``closed`` whose support meets ``threshold``, each flagged
+    maximal when no other of them strictly contains it, in canonical order.
+
+    ``closed`` must hold every closed set of support at least ``threshold``,
+    as a run at any lower threshold does. Closedness does not depend on the
+    threshold; maximality does, so it is decided again here. Widest first, a
+    set lies strictly inside some kept set exactly when it lies inside one
+    already flagged maximal, so only those are compared.
+    """
+    tops: list[frozenset[int]] = []
+    flagged = []
+    for c in sorted((c for c in closed if c.support >= threshold), key=lambda c: -len(c.items)):
+        itemset = frozenset(c.items)
+        maximal = not any(itemset < top for top in tops)
+        if maximal:
+            tops.append(itemset)
+        flagged.append(c._replace(maximal=maximal))
+    return canonical_order(flagged)
 
 
 def mine_by_intersection(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
@@ -85,12 +111,9 @@ def mine_by_intersection(db: TransactionDatabase, threshold: int) -> list[Closed
                 if itemset and itemset not in found:
                     found.add(itemset)
                     grown = True
-    results = []
-    for itemset in found:
-        support = weighted_support(db, itemset)
-        if support >= threshold:
-            results.append(ClosedItemset(items=tuple(sorted(itemset)), support=support))
-    return canonical_order(results)
+    # at_threshold decides each flag.
+    return at_threshold((ClosedItemset(tuple(sorted(itemset)), weighted_support(db, itemset),
+                                       maximal=False) for itemset in found), threshold)
 
 
 def candidates_bruteforce(

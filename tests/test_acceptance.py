@@ -28,7 +28,7 @@ from conftest import (
     extract_one,
     run_cli_process,
 )
-from bruteforce import mine_bruteforce
+from bruteforce import at_threshold, mine_bruteforce
 
 from idxminer.advisor import (
     IndexCandidate,
@@ -85,9 +85,9 @@ def test_miner_oracle_equivalence():
         # oracle run at an arbitrary threshold.
         probe = rng.randint(1, n)
         direct = mine_bruteforce(db, probe)
-        assert direct == [c for c in oracle_all if c.support >= probe]
+        assert direct == at_threshold(oracle_all, probe)
         for threshold in range(1, n + 1):
-            expected = [c for c in oracle_all if c.support >= threshold]
+            expected = at_threshold(oracle_all, threshold)
             assert mine_closed(db, threshold) == expected
             comparisons += 1
     elapsed = time.monotonic() - started
@@ -106,7 +106,7 @@ def test_miner_oracle_equivalence_on_counted_rows():
             db.transactions, [rng.randint(1, 4) for _ in db.transactions])
         oracle_all = mine_bruteforce(counted, 1)
         for threshold in range(1, sum(counted.counts) + 1):
-            expected = [c for c in oracle_all if c.support >= threshold]
+            expected = at_threshold(oracle_all, threshold)
             assert mine_closed(counted, threshold) == expected
             comparisons += 1
     print(f"\n[PASS] miner oracle equivalence on counted rows "
@@ -114,7 +114,8 @@ def test_miner_oracle_equivalence_on_counted_rows():
 
 
 def test_miner_structural_properties():
-    """Closedness, anti-monotonicity, exact supports, threshold monotonicity."""
+    """Closedness, maximality, anti-monotonicity, exact supports, threshold
+    monotonicity."""
     for db in random_databases():
         n = len(db.transactions)
         previous = None
@@ -123,14 +124,15 @@ def test_miner_structural_properties():
             for closed in results:
                 base = set(closed.items)
                 assert scan_support(db, base) == closed.support
-                for extra in db.universe:
-                    if extra not in base:
-                        assert scan_support(db, base | {extra}) < closed.support
+                extended = [scan_support(db, base | {extra})
+                            for extra in db.universe if extra not in base]
+                assert all(support < closed.support for support in extended)
+                assert closed.maximal == all(support < threshold for support in extended)
             for x in results:
                 for y in results:
                     if set(x.items) < set(y.items):
                         assert x.support >= y.support
-            current = set(results)
+            current = {(c.items, c.support) for c in results}
             if previous is not None:
                 assert current <= previous
             previous = current

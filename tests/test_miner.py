@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import BRUTE_FORCE_MAX_ITEMS, mine_bruteforce, mine_by_intersection
+from bruteforce import BRUTE_FORCE_MAX_ITEMS, at_threshold, mine_bruteforce, mine_by_intersection
 
 from idxminer.cli import main
 from idxminer.miner import (
@@ -52,9 +52,9 @@ def counted_and_expanded(rng: random.Random) -> tuple[TransactionDatabase, Trans
 def test_three_row_example():
     got = mine_closed(THREE_ROWS, 2)
     assert got == [
-        ClosedItemset(items=(A,), support=3),
-        ClosedItemset(items=(A, B), support=2),
-        ClosedItemset(items=(A, C), support=2),
+        ClosedItemset(items=(A,), support=3, maximal=False),
+        ClosedItemset(items=(A, B), support=2, maximal=True),
+        ClosedItemset(items=(A, C), support=2, maximal=True),
     ]
 
 
@@ -80,7 +80,7 @@ def test_empty_rows_keep_counting_in_fraction_resolution():
     n = sum(db.counts)
     assert mine_closed(db, math.ceil(Fraction(1, 2) * n)) == []
     assert mine_closed(db, math.ceil(Fraction(1, 4) * n)) == [
-        ClosedItemset(items=(A,), support=1)]
+        ClosedItemset(items=(A,), support=1, maximal=True)]
 
 
 def test_canonical_output_order():
@@ -172,7 +172,7 @@ def test_oracle_equivalence_smoke():
         db = random_database(rng)
         everything = mine_bruteforce(db, 1)
         for threshold in range(1, len(db.transactions) + 1):
-            expected = [c for c in everything if c.support >= threshold]
+            expected = at_threshold(everything, threshold)
             assert mine_closed(db, threshold) == expected
 
 
@@ -190,7 +190,7 @@ def test_differential_on_wider_universes():
                 )
             everything = mine_bruteforce(db, 1)
             for threshold in range(1, len(db.transactions) + 1):
-                expected = [c for c in everything if c.support >= threshold]
+                expected = at_threshold(everything, threshold)
                 assert mine_closed(db, threshold) == expected
 
 
@@ -222,7 +222,7 @@ def test_differential_on_wide_sparse_universes():
             db = TransactionDatabase.from_transactions(rows)
         everything = mine_by_intersection(db, 1)
         for threshold in (1, 2, 3):
-            expected = [c for c in everything if c.support >= threshold]
+            expected = at_threshold(everything, threshold)
             assert mine_closed(db, threshold) == expected
 
 
@@ -252,7 +252,8 @@ def test_staircase_chain_of_closed_sets():
     n = 1100
     db = TransactionDatabase.from_transactions(set(range(i + 1)) for i in range(n))
     assert mine_closed(db, 1) == [
-        ClosedItemset(items=tuple(range(k + 1)), support=n - k) for k in range(n)
+        ClosedItemset(items=tuple(range(k + 1)), support=n - k, maximal=k == n - 1)
+        for k in range(n)
     ]
 
 
@@ -288,7 +289,7 @@ def test_threshold_monotonicity():
         db = random_database(rng)
         previous = None
         for threshold in range(1, len(db.transactions) + 1):
-            current = set(mine_closed(db, threshold))
+            current = {(c.items, c.support) for c in mine_closed(db, threshold)}
             if previous is not None:
                 assert current <= previous
             previous = current

@@ -39,7 +39,8 @@ def compiled(name: str, source: str) -> types.ModuleType:
 
 
 def check_mine_closed(miner) -> None:
-    """``mine_closed`` against the brute-force oracle on counted rows."""
+    """``mine_closed``, maximal flags included, against the brute-force oracle on
+    counted rows."""
     rng = random.Random(13)
     for _ in range(200):
         width = rng.randint(1, 8)
@@ -193,19 +194,23 @@ def check_exit_codes(cli) -> None:
 
 MUTANTS = {
     "tail-drops-its-first-item": (
-        "miner", "stack.append((child, sub, extensions[i:]))",
-        "stack.append((child, sub, extensions[i + 1:]))", check_mine_closed),
+        "miner", "stack.append((child, sub, count, e, extensions[i:]))",
+        "stack.append((child, sub, count, e, extensions[i + 1:]))", check_mine_closed),
     "support-threshold-off-by-one": (
-        "miner", "if support >= threshold:", "if support > threshold:", check_mine_closed),
+        "miner", "if count >= threshold:", "if count > threshold:", check_mine_closed),
+    "maximal-test-threshold-off-by-one": (
+        "miner", "(tids & item_tids[below.bit_length() - 1]).bit_count() < threshold:",
+        "(tids & item_tids[below.bit_length() - 1]).bit_count() <= threshold:",
+        check_mine_closed),
+    "maximal-test-reads-only-the-tail": (
+        "miner", "below = 0 if tail else frequent_mask & ~cmask & (1 << core) - 1",
+        "below = 0", check_mine_closed),
     "rows-mined-as-if-each-count-were-1": (
         "advisor", "projections[table][row & ids_of[table]] += count",
         "projections[table][row & ids_of[table]] += 1", check_candidates),
     "single-column-support-the-minimum": (
         "advisor", "single[i] = max(single.get(i, 0), itemset.support)",
         "single[i] = min(single.get(i, itemset.support), itemset.support)", check_candidates),
-    "maximal-filter-off-by-one": (
-        "advisor", "if supersets.bit_count() > 1:", "if supersets.bit_count() > 2:",
-        check_candidates),
     "default-threshold-one-row-higher": (
         "advisor", "DEFAULT_THRESHOLD_ROWS = 100_000", "DEFAULT_THRESHOLD_ROWS = 100_001",
         check_default_threshold_rows),
