@@ -125,15 +125,15 @@ def emit_report(recommendation: Recommendation, format: str = "text") -> str:
     raise ValueError(f"unknown report format {format!r}")
 
 
-def _cells(rec: Recommendation) -> Iterator[tuple[str, ...]]:
+def _cells(config: IndexConfiguration, workload_size: int) -> Iterator[tuple[str, ...]]:
     """The table, columns, support, ratio, score and bytes of each candidate."""
-    for candidate, value, size in rec.configuration.rows:
+    for candidate, value, size in config.rows:
         yield (
             candidate.table,
             ",".join(_quoted(c) if "," in c or '"' in c else c
                      for c in candidate.columns),
             str(candidate.support),
-            f"{candidate.support / rec.workload_size:.4f}",
+            f"{candidate.support / workload_size:.4f}",
             f"{value:.6f}",
             str(size),
         )
@@ -147,6 +147,7 @@ def _kind_counts(rec: Recommendation) -> Iterator[tuple[str, int]]:
 
 def _text_report(rec: Recommendation) -> str:
     config = rec.configuration
+    candidates = config.candidates
     size = rec.workload_size
     kinds = " ".join(f"{name}={count}" for name, count in _kind_counts(rec))
     lines = [
@@ -157,20 +158,21 @@ def _text_report(rec: Recommendation) -> str:
         f"workload: {size} statements ({kinds})",
         "",
     ]
-    if not config.candidates:
+    if not candidates:
         lines.append("no index candidates met the support threshold")
     else:
         rows = [("#", "table", "columns", "support", "ratio", "score", "est_bytes")]
-        rows += [(str(rank), *cells) for rank, cells in enumerate(_cells(rec), start=1)]
+        rows += [(str(rank), *cells)
+                 for rank, cells in enumerate(_cells(config, size), start=1)]
         widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
         for row in rows:
             lines.append("  ".join(cell.ljust(width)
                                    for cell, width in zip(row, widths)).rstrip())
     lines += [
         "",
-        f"totals: {len(config.candidates)} candidates on "
-        f"{len({c.table for c in config.candidates})} tables, "
-        f"~{sum(size for _, _, size in config.rows)} bytes estimated",
+        f"totals: {len(candidates)} candidates on "
+        f"{len({c.table for c in candidates})} tables, "
+        f"~{sum(nbytes for _, _, nbytes in config.rows)} bytes estimated",
         f"diagnostics: {len(rec.diagnostics)}",
     ]
     lines.extend(f"  {d}" for d in rec.diagnostics)
@@ -179,20 +181,22 @@ def _text_report(rec: Recommendation) -> str:
 
 def _structured_report(rec: Recommendation) -> str:
     config = rec.configuration
+    candidates = config.candidates
+    size = rec.workload_size
     lines = [
         "format: idxminer.report.v1",
         f"strategy: {config.strategy.value}",
         f"minsup: {rec.minsup_used}",
-        f"workload_statements: {rec.workload_size}",
+        f"workload_statements: {size}",
     ]
     lines += [f"statements_{name}: {count}" for name, count in _kind_counts(rec)]
     lines += [
         f"diagnostics: {len(rec.diagnostics)}",
-        f"candidates: {len(config.candidates)}",
-        f"tables_touched: {len({c.table for c in config.candidates})}",
-        f"total_estimated_bytes: {sum(size for _, _, size in config.rows)}",
+        f"candidates: {len(candidates)}",
+        f"tables_touched: {len({c.table for c in candidates})}",
+        f"total_estimated_bytes: {sum(nbytes for _, _, nbytes in config.rows)}",
     ]
-    lines += ["\t".join(("candidate", *cells)) for cells in _cells(rec)]
+    lines += ["\t".join(("candidate", *cells)) for cells in _cells(config, size)]
     return "".join(line + "\n" for line in lines)
 
 

@@ -119,8 +119,9 @@ def canonical_name(word: str) -> str:
 
 
 # A line's text before its comment: a ``#`` inside a double-quoted run,
-# closed or not, starts none.
-_BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+# closed or not, starts none. Every quantifier is possessive: each run stops
+# at a character the next part needs, so none gives one back.
+_BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]++|"[^"]*+"?+)*+')
 
 
 def strip_comment(line: str) -> str:
@@ -185,10 +186,17 @@ def parse_schema(schema_text: str) -> SchemaMap:
 # ---------------------------------------------------------------------------
 
 
-# Comments, quoted runs (closing quote optional, so an unterminated one runs
-# to the end) and statement separators.
+# One statement's body up to its end (group 1), and the end (group 2): a
+# comment, a ``;`` or the end of the text. The body takes runs of characters
+# that cannot start an end, quoted runs (closing quote optional, so an
+# unterminated one runs to the end and hides the separators in it), and a
+# ``-`` or ``/`` that starts no comment. Each quantifier is possessive: a body
+# stops only at a ``;``, a comment or the end, which the end then matches,
+# so no match ever needs a character back. The block comment's ``.*?`` is
+# lazy, as it must stop at the first ``*/``.
 _SPLIT_RE = re.compile(
-    r"""--[^\n]*|/\*.*?(?:\*/|\Z)|'[^']*(?:''[^']*)*'?|"[^"]*(?:""[^"]*)*"?|;""",
+    r"""((?:[^;'"/-]++|'[^']*+(?:''[^']*+)*+'?+|"[^"]*+(?:""[^"]*+)*+"?+"""
+    r"""|-(?!-)|/(?!\*))*+)(--[^\n]*+|/\*.*?(?:\*/|\Z)|;|\Z)""",
     re.S,
 )
 
@@ -201,21 +209,14 @@ def split_statements(text: str) -> list[str]:
     Empty statements (including comment-only ones) are dropped.
     """
     statements: list[str] = []
-    buf: list[str] = []
-    last = 0
-    for m in _SPLIT_RE.finditer(text):
-        lead = text[m.start()]
-        if lead in "'\"":
-            continue  # quoted runs stay in place; they only hide separators
-        buf.append(text[last:m.start()])
-        last = m.end()
-        if lead == ";":
-            statements.append("".join(buf))
-            buf = []
-        else:
-            buf.append(" ")
-    buf.append(text[last:])
-    statements.append("".join(buf))
+    parts: list[str] = []
+    for body, end in _SPLIT_RE.findall(text):
+        parts.append(body)
+        if end == ";" or not end:
+            statements.append("".join(parts))
+            parts = []
+        else:  # a comment reads as one space
+            parts.append(" ")
     return [s for s in map(str.strip, statements) if s]
 
 
@@ -225,21 +226,27 @@ def split_statements(text: str) -> list[str]:
 
 # One pattern per token kind, in the order they are tried. A quoted token
 # closes at the first quote that is not doubled, so an unterminated one fails
-# as a whole and leaves its opening quote a bad character.
+# as a whole and leaves its opening quote a bad character. A quantifier is
+# possessive where the character after its run can never be one it takes:
+# an identifier's tail, a quoted body (a quote ends each run of non-quotes
+# and each doubled quote), a number's exponent. The number's head
+# ``[0-9]*\.?[0-9]+`` keeps its backtracking: ``.5`` and ``1.5`` need
+# ``[0-9]*`` to give its digits back to ``[0-9]+``.
+_EXPONENT = r"(?:[eE][+-]?+[0-9]++)?+"
 _TOKEN_PATTERNS = (
-    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("number", r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"),
-    ("string", r"'[^']*(?:''[^']*)*'(?!')"),
-    ("qident", r'"[^"]*(?:""[^"]*)*"(?!")'),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*+"),
+    ("number", rf"[0-9]*\.?[0-9]+{_EXPONENT}"),
+    ("string", r"'[^']*+(?:''[^']*+)*+'(?!')"),
+    ("qident", r'"[^"]*+(?:""[^"]*+)*+"(?!")'),
     ("op", r"<=|>=|<>|!=|\|\||[=<>+\-*/%]"),
     ("punct", r"[(),.]"),
 )
 
 # The full scanner, tried after skipping whitespace: ``end`` matches only at
 # the end of the text and ``bad`` takes any other character, so every match
-# ends in a token and the leading ``\s*`` never backtracks.
+# ends in a token and the leading ``\s*+`` need never give a character back.
 _TOKEN_RE = re.compile(
-    r"\s*(?:" + "".join(f"(?P<{kind}>{pattern})|" for kind, pattern in _TOKEN_PATTERNS)
+    r"\s*+(?:" + "".join(f"(?P<{kind}>{pattern})|" for kind, pattern in _TOKEN_PATTERNS)
     + r"(?P<end>\Z)|(?P<bad>.))",
     re.S,
 )
@@ -247,13 +254,14 @@ _TOKEN_RE = re.compile(
 # The raw text of each token, bad characters included: ``findall`` skips the
 # whitespace, where no alternative matches. A number led by a digit takes up
 # to 255 more after commas, each led by a digit too, as one raw token (a
-# *run*); the bound keeps the regex's backtracking state small. Each number
-# head is led by a class, so the regex skips it at once at any other
-# character.
-_EXPONENT = r"(?:[eE][+-]?[0-9]+)?"
-_RUN_TAIL = rf"(?:\s*,\s*[0-9]+(?:\.[0-9]+)?{_EXPONENT}){{0,255}}"
+# *run*). Each number head is led by a class, so the regex skips it at once
+# at any other character. Here every part of a number is possessive, and so
+# is the run's tail: each part is optional or stops where the next starts,
+# so the regex keeps no backtracking state however long the run. The bound
+# keeps each run's raw text, a copy of part of the statement, short.
+_RUN_TAIL = rf"(?:\s*+,\s*+[0-9]++(?:\.[0-9]++)?+{_EXPONENT}){{0,255}}+"
 _RAW_TOKEN_RE = re.compile("|".join(
-    rf"[0-9]+(?:\.[0-9]+)?{_EXPONENT}{_RUN_TAIL}|\.[0-9]+{_EXPONENT}"
+    rf"[0-9]++(?:\.[0-9]++)?+{_EXPONENT}{_RUN_TAIL}|\.[0-9]++{_EXPONENT}"
     if kind == "number" else pattern for kind, pattern in _TOKEN_PATTERNS) + r"|\S")
 
 # The word a run stands for until ``tokenize`` writes out its words; no
@@ -842,13 +850,14 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     for ordinal, text in enumerate(split_statements(workload_text)):
         lead = _IDENT_RE.match(text)
         first = lead.group(0).lower() if lead else ""
-        kind, error = QueryKind.OTHER, f"unsupported statement kind {first!r}"
-        if first in _STATEMENTS:
+        if first not in _STATEMENTS:
+            kind, error = QueryKind.OTHER, f"unsupported statement kind {first!r}"
+        else:
             try:
                 parse_statement(text)
                 kind, error = _STATEMENTS[first][0], None
             except SqlParseError as exc:
-                error = str(exc)
+                kind, error = QueryKind.OTHER, str(exc)
         queries.append(WorkloadQuery(ordinal, text, kind, error))
     return queries
 

@@ -33,6 +33,27 @@ sql_text = st.lists(st.one_of(st.text(SQL_ALPHABET, max_size=6),
                               st.sampled_from(SQL_WORDS)),
                     max_size=30).map("".join)
 
+# The word of each token kind's value; any other kind's word is its value.
+WORD_OF = {
+    "ident": str.lower,
+    "number": lambda value: "0",
+    "string": lambda value: "''",
+    "qident": lambda value: '"' + value.replace('"', '""') + '"',
+}
+
+
+def parsed(text: str, parse: Callable = workload.parse_statement):
+    """The statement's parse, or its error's message and position."""
+    try:
+        return parse(text)
+    except workload.SqlParseError as exc:
+        return str(exc), exc.pos
+
+
+def scanned_words(text: str) -> list[str]:
+    """What ``tokenize`` must return: the word of each of the scanner's tokens."""
+    return [WORD_OF.get(kind, str)(value) for kind, value, _ in workload.scan(text)]
+
 
 def run_cli_process(args: list[str], *, python_flags: tuple[str, ...] = (),
                     stdout: int = subprocess.PIPE,

@@ -40,6 +40,11 @@ def test_non_positive_row_bytes_rejected(row_bytes):
         load_stats(f"s\t1\nt\t10\t{row_bytes}\n")
 
 
+def test_zero_rows_and_one_byte_rows_are_accepted():
+    """Only negative counts and non-positive row bytes are errors."""
+    assert load_stats("t\t0\t1\nu\t0\n") == {"t": 0, "u": 0}
+
+
 def test_non_integer_row_bytes_rejected():
     with pytest.raises(StatsError, match="line 1: counts must be integers"):
         load_stats("t\t10\twide\n")

@@ -8,9 +8,9 @@ random text drawn from the SQL alphabet plus some non-ASCII characters.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from conftest import sql_text
+from conftest import WORKLOAD_PATH, parsed, scanned_words, sql_text
 from idxminer.workload import SqlParseError, parse_statement, scan, split_statements, tokenize
 
 SPLIT_CASES = [
@@ -36,9 +36,48 @@ SPLIT_CASES = [
 ]
 
 
+def reference_split(text: str) -> list[str]:
+    """``split_statements`` one character at a time.
+
+    A quote runs to the first quote of its kind that is not doubled, or to
+    the end; a ``--`` comment runs to the newline, a ``/*`` one past the
+    first ``*/`` or to the end, and each reads as one space.
+    """
+    statements: list[str] = []
+    current: list[str] = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c in "'\"":
+            j = i + 1
+            while j < len(text) and not (text[j] == c and text[j + 1:j + 2] != c):
+                j += 2 if text[j] == c else 1
+            j = min(j + 1, len(text))
+            current.append(text[i:j])
+        elif text.startswith("--", i):
+            j = text.find("\n", i)
+            j = len(text) if j < 0 else j
+            current.append(" ")
+        elif text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            j = len(text) if j < 0 else j + 2
+            current.append(" ")
+        elif c == ";":
+            statements.append("".join(current))
+            current = []
+            j = i + 1
+        else:
+            current.append(c)
+            j = i + 1
+        i = j
+    statements.append("".join(current))
+    return [s.strip() for s in statements if s.strip()]
+
+
 @pytest.mark.parametrize("text, expected", SPLIT_CASES)
 def test_split_statements(text, expected):
     assert split_statements(text) == expected
+    assert reference_split(text) == expected
 
 
 TOKENIZE_CASES = [
@@ -149,3 +188,33 @@ def test_front_end_raises_only_parse_errors(text):
         parse_statement(text)
     except SqlParseError:
         pass
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(sql_text)
+def test_split_statements_equals_the_reference_splitter(text):
+    assert split_statements(text) == reference_split(text)
+
+
+def assert_tokenize_agrees_with_scan(text: str) -> None:
+    """``tokenize`` gives the words of ``scan``'s tokens, or raises its error."""
+    assert parsed(text, tokenize) == parsed(text, scanned_words), text
+
+
+# The examples are the fuzz finds of a literal-masking tokenizer: a number
+# that a second fraction or a fractional exponent cuts short.
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(sql_text)
+@example(".5.5")
+@example("2e5.5")
+@example("291e-.5")
+def test_tokenize_agrees_with_scan_on_random_text(text):
+    assert_tokenize_agrees_with_scan(text)
+
+
+def test_the_fixture_workload_splits_and_tokenizes_as_the_references_do():
+    text = WORKLOAD_PATH.read_text(encoding="utf-8")
+    statements = split_statements(text)
+    assert statements == reference_split(text)
+    for statement in statements:
+        assert_tokenize_agrees_with_scan(statement)

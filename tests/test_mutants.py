@@ -138,6 +138,15 @@ def check_reference_table(workload) -> None:
     assert set(workload._REFS) == {"b", ("u", "a"), ("t", "a")}
 
 
+def check_boundary_counts(catalog) -> None:
+    """README's stats file: a count of 0 rows and rows of 1 byte are valid."""
+    try:
+        rows = catalog.load_stats("t\t0\t1\n")
+    except catalog.StatsError as exc:
+        raise AssertionError(exc) from None
+    assert rows == {"t": 0}
+
+
 def check_ddl_names(report) -> None:
     """Names spelled like reserved words or holding odd characters are quoted."""
     candidate = IndexCandidate("order", ("select", "Odd-Name", "a"), 2)
@@ -157,6 +166,14 @@ def check_first_clash(report) -> None:
     rows = tuple((IndexCandidate("t", columns, 1), 0.0, 0) for columns in (("a", "b"), ("a_b",)))
     assert report.emit_ddl(IndexConfiguration(Strategy.ALL, rows)) == (
         "CREATE INDEX idx_t_a_b ON t (a, b);\nCREATE INDEX idx_t_a_b_12c393 ON t (a_b);\n")
+
+
+def check_second_clash(report) -> None:
+    """A digest name taken too gives way to a digest of the key and retry count 1."""
+    rows = tuple((IndexCandidate("t", columns, 1), 0.0, 0)
+                 for columns in (("a", "b"), ("a", "b_12c393"), ("a_b",)))
+    assert report.emit_ddl(IndexConfiguration(Strategy.ALL, rows)).splitlines()[2] == (
+        "CREATE INDEX idx_t_a_b_09d2a1 ON t (a_b);")
 
 
 def check_digest_modules_load_late(report) -> None:
@@ -250,6 +267,10 @@ MUTANTS = {
         "workload", "key = name, column", "key = column", check_reference_table),
     "reference-table-never-emptied": (
         "workload", "    _REFS.clear()\n", "", check_reference_table),
+    "zero-row-count-rejected": (
+        "catalog", "if counts[0] < 0:", "if counts[0] <= 0:", check_boundary_counts),
+    "one-byte-rows-rejected": (
+        "catalog", "counts[1] < 1:", "counts[1] <= 1:", check_boundary_counts),
     "sql-name-quotes-too-little": (
         "report",
         "if _PLAIN_IDENT.match(identifier) and identifier.lower() not in _RESERVED_WORDS:",
@@ -261,6 +282,8 @@ MUTANTS = {
         "report", "if len(name) <= MAX_INDEX_NAME_LENGTH:",
         "if len(name) < MAX_INDEX_NAME_LENGTH:", check_index_name_length),
     "first-clash-counts-a-retry": ("report", "retry = 0\n", "retry = 1\n", check_first_clash),
+    "retry-count-steps-by-two": (
+        "report", "retry += 1\n", "retry += 2\n", check_second_clash),
     "hashlib-imported-with-the-module": (
         "report", "\nimport re\n", "\nimport hashlib\nimport re\n",
         check_digest_modules_load_late),

@@ -213,7 +213,8 @@ def test_colliding_index_names_are_made_unique():
     ])
     names = [line.split()[2] for line in emit_ddl(config).splitlines()]
     assert names[:2] == ["idx_t_a_b", "idx_t_a_b_12c393"]
-    assert re.fullmatch(r"idx_t_a_b_[0-9a-f]{6}", names[2])
+    # The second try digests the key with the retry count 1: ["t", "a_b", 1].
+    assert names[2] == "idx_t_a_b_09d2a1"
     assert len(set(names)) == len(names)
 
 

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, extract_one, sql_text
+from conftest import FIXTURES, extract_one, parsed, scanned_words, sql_text
 from idxminer import workload
 from idxminer.workload import (
     MAX_NESTING,
@@ -612,14 +612,6 @@ def cold_memo(monkeypatch):
     return runs
 
 
-def parsed(text, parse=parse_statement):
-    """The statement's parse, or its error's message and position."""
-    try:
-        return parse(text)
-    except SqlParseError as exc:
-        return str(exc), exc.pos
-
-
 def fresh(text):
     """``parsed`` by a new parser, past the memo."""
     return parsed(text, lambda t: _Parser(tokenize(t), t).parse_statement())
@@ -765,20 +757,6 @@ def source_words(text, data=None):
         else:
             words.append(value)
     return words
-
-
-# The word of each token kind's value; any other kind's word is its value.
-WORD_OF = {
-    "ident": str.lower,
-    "number": lambda value: "0",
-    "string": lambda value: "''",
-    "qident": lambda value: '"' + value.replace('"', '""') + '"',
-}
-
-
-def scanned_words(text):
-    """What ``tokenize`` must return: the word of each of the scanner's tokens."""
-    return [WORD_OF.get(kind, str)(value) for kind, value, _ in scan(text)]
 
 
 def assert_front_end_agrees(text):
