@@ -193,6 +193,7 @@ def _run(args: argparse.Namespace) -> None:
 
     diagnostics: list[str] = []
     queries = workload.parse_workload(workload_text)
+    del workload_text  # the statements hold their own text
     contexts = workload.extract_workload(queries, schema, policy, diagnostics)
 
     db, items_by_id = advisor.build_database(contexts)

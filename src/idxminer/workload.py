@@ -38,12 +38,25 @@ precedence between them.
 The tokenizer returns each token's *word* and nothing else: an identifier
 lower-cased, a symbol or a quoted identifier as written, ``0`` for a number
 and ``''`` for a string. The word tells the parser the token's kind as well.
-One regex pass yields the raw tokens and a vocabulary maps each name and
-symbol to its word, so no object is built per token. A raw token may be a
-*run*: a number and up to 255 more that follow it after commas, each led by
-a digit, as in a long IN list; its words ``0 , 0 .. 0`` are written out by
-list arithmetic. Only an error message quotes a token's value and position,
-so a failing statement alone is scanned again in full (``scan``).
+A regex yields the raw tokens and a vocabulary maps each name and symbol to
+its word, so no object is built per token. It reads a statement in one of
+two ways:
+
+* by chunks: each string is emptied to ``''``, as its word is, and
+  ``str.split`` cuts the text at whitespace. A chunk table maps each chunk
+  to the words of its tokens, a chunk holding a number by its digits
+  zeroed, so a template's chunks are scanned once; a chunk the table lacks
+  is scanned alone.
+* whole, by the regex: a statement where a comma is followed by a digit,
+  since a raw token may be a *run*: a number and up to 255 more that
+  follow it after commas, each led by a digit, as in a long IN list; its
+  words ``0 , 0 .. 0`` are written out by list arithmetic. So is a
+  statement holding a double quote, whose quoted identifier keeps its text
+  and may span whitespace, or an unpaired single quote, which is an error.
+
+Both ways give the same words and the same errors. Only an error message
+quotes a token's value and position, so a failing statement alone is
+scanned again in full (``scan``).
 
 A list that opens with a bare literal and a comma is checked at once: when
 its words up to the first ``)`` alternate literal and comma, it records
@@ -59,12 +72,13 @@ its message quotes its own token. The parser takes each column reference
 from a reference table, ``_REFS``, so equal references in a workload are
 one ``ColumnRef``.
 
-Three tables hold the workload being read: the vocabulary of ``tokenize``,
-the shape memo of ``parse_statement`` and the reference table.
-``parse_workload`` empties the three together on entry, and
-``extract_workload`` empties the memo again before it returns, so no
-workload sees another's names or shapes and no block outlives extraction.
-ROADMAP item 4 folds the three into one per-run value.
+Four tables hold the workload being read: the vocabulary and the chunk
+table of ``tokenize``, the shape memo of ``parse_statement`` and the
+reference table. ``parse_workload`` empties the four together on entry, and
+``extract_workload`` empties the memo and the chunk table again before it
+returns, so no workload sees another's names or shapes and neither blocks
+nor chunks outlive extraction. ROADMAP item 4 folds the four into one
+per-run value.
 
 Every record here is a ``typing.NamedTuple``, so hashing and comparing a
 whole ``Block`` run in C. ``extract_workload`` uses that to walk each
@@ -95,6 +109,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -275,6 +290,25 @@ _VOCABULARY: dict[str, str] = {}
 
 _DIGITS = "0123456789"
 
+# Whitespace-free chunk of a statement, its strings emptied -> the words of
+# its tokens; a chunk holding a number is keyed with its digits zeroed (see
+# ``_chunk_words``). No literal's value is kept, so the table grows with the
+# workload's templates, not its length; ``parse_workload`` empties it with
+# the vocabulary, and ``extract_workload`` before it returns.
+_CHUNKS: dict[str, tuple[str, ...]] = {}
+
+# ``str.translate`` table: an ASCII digit reads 0, any other ASCII character
+# itself, and a character past the table stays as it is. A string table
+# translates about twice as fast as a dict.
+_ZEROED = "".join("0" if c in "0123456789" else c for c in map(chr, range(128)))
+
+# A digit in a name: the first one follows a letter or ``_``. A number's
+# exponent matches too, which only keeps its chunk out of the table.
+_NAME_DIGIT_RE = re.compile(r"[A-Za-z_][0-9]")
+
+# A comma then a digit: where a run may go on.
+_NUMBER_LIST_RE = re.compile(r",\s*+[0-9]")
+
 
 def scan(text: str) -> list[tuple[str, str, int]]:
     """Every token of ``text`` as (kind, value, position), ending in ``end``.
@@ -314,6 +348,13 @@ def tokenize(text: str) -> list[str]:
     written (inner ``""`` kept), ``0`` for any number and ``''`` for any
     string. Raises SqlParseError as ``scan`` does.
     """
+    emptied = _by_chunks(text)
+    if emptied is not None:
+        cached = _CHUNKS.get
+        words = list(chain.from_iterable(
+            [cached(chunk) or _chunk_words(chunk, text) for chunk in emptied.split()]))
+        words.append("")
+        return words
     known = _VOCABULARY.get
     runs: list[str] = []  # ``append`` gives None, so a run's word is _RUN
     # A raw token led by ``'`` is a whole string, unless it is a lone ``'``.
@@ -335,6 +376,49 @@ def tokenize(text: str) -> list[str]:
         spliced += words[start:]
         words = spliced
     words.append("")
+    return words
+
+
+def _by_chunks(text: str) -> Optional[str]:
+    """``text`` with each string emptied, where ``tokenize`` reads it by chunks.
+
+    None where a raw token may span whitespace even so: ``text`` holds a
+    double quote, a comma followed by a digit or an unpaired single quote.
+    With no double quote, the single quotes pair up in order, and each
+    string is one pair or abutting pairs (a ``''`` inside it ends one pair
+    and opens the next): emptying each pair keeps every word and takes all
+    whitespace out of the strings.
+    """
+    if '"' in text or _NUMBER_LIST_RE.search(text):
+        return None
+    parts = text.split("'")
+    return "''".join(parts[::2]) if len(parts) & 1 else None
+
+
+def _chunk_words(chunk: str, text: str) -> tuple[str, ...]:
+    """The words of a chunk ``_CHUNKS`` lacks, kept there for the next time.
+
+    A chunk of a text ``tokenize`` reads by chunks is read alone as the
+    whole text reads it: no raw token in it is a run, and its strings are
+    empty. A chunk with no number is kept as it is. One with a number is
+    kept under its key: a space, which no chunk holds, then the chunk with
+    each digit zeroed. Chunks with one key have the same words, since the
+    regexes read every digit alike and every number as ``0``, unless a name
+    in them holds a digit; such a chunk is not kept.
+    """
+    key = " " + chunk.translate(_ZEROED)
+    words = _CHUNKS.get(key)
+    if words is not None:
+        return words
+    known = _VOCABULARY.get
+    words = tuple([known(raw) or ("''" if raw[0] == "'"
+                                  else "0" if raw[0] in _DIGITS
+                                  else _new_word(raw, text))
+                   for raw in _RAW_TOKEN_RE.findall(chunk)])
+    if "0" not in words:
+        _CHUNKS[chunk] = words
+    elif _NAME_DIGIT_RE.search(chunk) is None:
+        _CHUNKS[key] = words
     return words
 
 
@@ -839,12 +923,13 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     outside the supported subset is kept with kind OTHER and a diagnostic in
     ``parse_error`` rather than dropped, so downstream frequency denominators
     stay stable. Name resolution happens later, at extraction. Empties the
-    memo of ``parse_statement``, the vocabulary of ``tokenize`` and the
-    reference table first, so each workload parses afresh and no earlier
-    workload's names are kept.
+    memo of ``parse_statement``, the vocabulary and the chunk table of
+    ``tokenize`` and the reference table first, so each workload parses
+    afresh and no earlier workload's names are kept.
     """
     _shape_parses.clear()
     _VOCABULARY.clear()
+    _CHUNKS.clear()
     _REFS.clear()
     queries: list[WorkloadQuery] = []
     for ordinal, text in enumerate(split_statements(workload_text)):
@@ -1006,7 +1091,8 @@ def extract_workload(
     go to ``diagnostics`` in statement order: an OTHER statement's
     ``parse_error``, or the extraction diagnostics of the others. Every
     block walked is kept for replay (see the module docstring), and the
-    memo of ``parse_statement`` is emptied before returning.
+    memo of ``parse_statement`` and the chunk table of ``tokenize`` are
+    emptied before returning.
     """
     columns: _Columns = {table: {c: AttributeItem(table, c) for c in cols}
                          for table, cols in schema.items()}
@@ -1030,4 +1116,5 @@ def extract_workload(
             diagnostics.extend(f"statement {query.ordinal}: {m}" for m in messages)
         contexts.append(TransactionContext(query.ordinal, items))
     _shape_parses.clear()
+    _CHUNKS.clear()
     return contexts

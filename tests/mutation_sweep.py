@@ -2,8 +2,8 @@
 
     python tests/mutation_sweep.py [--timeout SECONDS] [MODULE ...]
 
-MODULE defaults to ``miner advisor catalog report``; ``workload`` and ``cli``
-are left out of the default and have not been swept. Four kinds of mutant
+MODULE defaults to ``miner advisor catalog report cli``; ``workload`` is
+left out of the default and has not been swept. Four kinds of mutant
 are made from each module's syntax tree, one site at a time:
 
 - flip a comparison: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
@@ -180,7 +180,8 @@ def sweep(names: list[str], timeout: float) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="*", default=["miner", "advisor", "catalog", "report"])
+    parser.add_argument("modules", nargs="*",
+                        default=["miner", "advisor", "catalog", "report", "cli"])
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="seconds a mutant may run before it counts as killed")
     parser.add_argument("--child", nargs=2, metavar=("MODULE", "INDEX"),

@@ -7,11 +7,20 @@ random text drawn from the SQL alphabet plus some non-ASCII characters.
 
 from __future__ import annotations
 
+import re
+import runpy
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import WORKLOAD_PATH, parsed, scanned_words, sql_text
+from idxminer import workload
 from idxminer.workload import SqlParseError, parse_statement, scan, split_statements, tokenize
+
+GENERATORS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "idxbench" / "workloads.py"))["GENERATORS"]
 
 SPLIT_CASES = [
     ("", []),
@@ -201,15 +210,51 @@ def assert_tokenize_agrees_with_scan(text: str) -> None:
     assert parsed(text, tokenize) == parsed(text, scanned_words), text
 
 
-# The examples are the fuzz finds of a literal-masking tokenizer: a number
-# that a second fraction or a fractional exponent cuts short.
+# The first examples are the fuzz finds of a literal-masking tokenizer: a
+# number that a second fraction or a fractional exponent cuts short. The
+# others sit on both sides of the choice between reading by chunks and
+# reading the whole text: strings that hold whitespace or a doubled quote,
+# a quoted identifier that holds whitespace, unpaired quotes, a string after
+# a bad character, whitespace that only ``\s`` and ``str.isspace`` know,
+# and a number list.
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(sql_text)
 @example(".5.5")
 @example("2e5.5")
 @example("291e-.5")
+@example("SELECT 'a b' FROM t")
+@example('SELECT "a b" FROM t')
+@example("x 'it''s a' y")
+@example("\"a 'b\" c'")
+@example("'a")
+@example("@ 'a b'")
+@example("a\x1cb\xa0c\u3000d")
+@example("x'a, 1'y AND 'b\u3000''s'=z")
+@example("'a' 'b")
+@example("SELECT a FROM t WHERE t.a IN (1, 2 ,3e1,\t.5, 4) AND 'x y' = b")
 def test_tokenize_agrees_with_scan_on_random_text(text):
     assert_tokenize_agrees_with_scan(text)
+
+
+def test_str_split_and_the_regex_agree_on_whitespace():
+    r"""``tokenize`` splits a statement with ``str.split``, where the regexes
+    skip ``\s``: the two must take the same characters for whitespace."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+@pytest.mark.parametrize("name, size", [("templated", 1), ("diverse", 40),
+                                        ("long-statements", 2)])
+def test_tokenize_agrees_with_scan_on_the_benchmark_workloads(name, size):
+    statements = split_statements(GENERATORS[name](1, size).sql)
+    workload.parse_workload("")
+    for statement in statements:
+        assert_tokenize_agrees_with_scan(statement)
+    # Both ways of tokenizing run on each workload but the last, whose
+    # statements all hold number lists.
+    whole = [workload._by_chunks(s) is None for s in statements]
+    assert any(whole)
+    assert all(whole) == (name == "long-statements")
 
 
 def test_the_fixture_workload_splits_and_tokenizes_as_the_references_do():
