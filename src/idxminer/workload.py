@@ -46,7 +46,11 @@ two ways:
   ``str.split`` cuts the text at whitespace. A chunk table maps each chunk
   to the words of its tokens, a chunk holding a number by its digits
   zeroed, so a template's chunks are scanned once; a chunk the table lacks
-  is scanned alone.
+  is scanned alone. Before that, a statement table maps the whole
+  statement's *mask*, its emptied text as UTF-8 bytes with each ASCII digit
+  zeroed, to its words, so a repeat of a masked template is one lookup. A
+  statement is kept there only when no name outside its strings holds a
+  digit: then statements of one mask have the same words.
 * whole, by the regex: a statement where a comma is followed by a digit,
   since a raw token may be a *run*: a number and up to 255 more that
   follow it after commas, each led by a digit, as in a long IN list; its
@@ -72,13 +76,13 @@ its message quotes its own token. The parser takes each column reference
 from a reference table, ``_REFS``, so equal references in a workload are
 one ``ColumnRef``.
 
-Four tables hold the workload being read: the vocabulary and the chunk
-table of ``tokenize``, the shape memo of ``parse_statement`` and the
-reference table. ``parse_workload`` empties the four together on entry, and
-``extract_workload`` empties the memo and the chunk table again before it
-returns, so no workload sees another's names or shapes and neither blocks
-nor chunks outlive extraction. ROADMAP item 4 folds the four into one
-per-run value.
+Five tables hold the workload being read: the vocabulary, the statement
+table and the chunk table of ``tokenize``, the shape memo of
+``parse_statement`` and the reference table. ``parse_workload`` empties the
+five together on entry, and ``extract_workload`` empties the memo, the
+statement table and the chunk table again before it returns, so no workload
+sees another's names or shapes and neither blocks, statements nor chunks
+outlive extraction. ROADMAP item 4 folds the five into one per-run value.
 
 Every record here is a ``typing.NamedTuple``, so hashing and comparing a
 whole ``Block`` run in C. ``extract_workload`` uses that to walk each
@@ -302,8 +306,22 @@ _CHUNKS: dict[str, tuple[str, ...]] = {}
 # translates about twice as fast as a dict.
 _ZEROED = "".join("0" if c in "0123456789" else c for c in map(chr, range(128)))
 
+# Statement read by chunks -> its words, keyed by its *mask*: its emptied
+# text's UTF-8 bytes with each ASCII digit zeroed. A statement with a digit
+# in a name is not kept (see ``tokenize``). No literal's value is kept, so
+# the table grows with the workload's masked templates, not its length; it
+# is emptied wherever the chunk table is.
+_MASKED: dict[bytes, tuple[str, ...]] = {}
+
+# ``bytes.translate`` table of the mask: encoding and translating take about
+# a sixth of the time of ``str.translate``. In UTF-8 an ASCII digit's byte stands for that digit
+# alone, and ``surrogatepass`` encodes a lone surrogate, whose error
+# ``tokenize`` keeps, apart from every other character.
+_ZEROED_BYTES = bytes.maketrans(b"123456789", b"000000000")
+
 # A digit in a name: the first one follows a letter or ``_``. A number's
-# exponent matches too, which only keeps its chunk out of the table.
+# exponent matches too, which only keeps its chunk or statement out of its
+# table.
 _NAME_DIGIT_RE = re.compile(r"[A-Za-z_][0-9]")
 
 # A comma then a digit: where a run may go on.
@@ -347,14 +365,23 @@ def tokenize(text: str) -> list[str]:
     identifier lower-cased, a symbol as written, a quoted identifier as
     written (inner ``""`` kept), ``0`` for any number and ``''`` for any
     string. Raises SqlParseError as ``scan`` does.
+
+    A statement read by chunks is looked up whole by its mask first, and
+    kept there when no name outside its strings holds a digit. Two such
+    texts with one mask differ only in the digits at the same places; with
+    no digit in a name, every digit is part of a number, whose word is
+    ``0``, and no number list is read by chunks, so no run occurs: the two
+    have the same words.
     """
     emptied = _by_chunks(text)
     if emptied is not None:
-        cached = _CHUNKS.get
-        words = list(chain.from_iterable(
-            [cached(chunk) or _chunk_words(chunk, text) for chunk in emptied.split()]))
-        words.append("")
-        return words
+        key = emptied.encode("utf-8", "surrogatepass").translate(_ZEROED_BYTES)
+        words = _MASKED.get(key)
+        if words is None:
+            words = _words_by_chunks(emptied, text)
+            if _NAME_DIGIT_RE.search(emptied) is None:
+                _MASKED[key] = words
+        return list(words)
     known = _VOCABULARY.get
     runs: list[str] = []  # ``append`` gives None, so a run's word is _RUN
     # A raw token led by ``'`` is a whole string, unless it is a lone ``'``.
@@ -393,6 +420,13 @@ def _by_chunks(text: str) -> Optional[str]:
         return None
     parts = text.split("'")
     return "''".join(parts[::2]) if len(parts) & 1 else None
+
+
+def _words_by_chunks(emptied: str, text: str) -> tuple[str, ...]:
+    """The words of ``text``, read by the chunks of its emptied form ``emptied``."""
+    cached = _CHUNKS.get
+    return (*chain.from_iterable(
+        [cached(chunk) or _chunk_words(chunk, text) for chunk in emptied.split()]), "")
 
 
 def _chunk_words(chunk: str, text: str) -> tuple[str, ...]:
@@ -923,11 +957,12 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     outside the supported subset is kept with kind OTHER and a diagnostic in
     ``parse_error`` rather than dropped, so downstream frequency denominators
     stay stable. Name resolution happens later, at extraction. Empties the
-    memo of ``parse_statement``, the vocabulary and the chunk table of
-    ``tokenize`` and the reference table first, so each workload parses
-    afresh and no earlier workload's names are kept.
+    memo of ``parse_statement``, the vocabulary, the statement table and the
+    chunk table of ``tokenize`` and the reference table first, so each
+    workload parses afresh and no earlier workload's names are kept.
     """
     _shape_parses.clear()
+    _MASKED.clear()
     _VOCABULARY.clear()
     _CHUNKS.clear()
     _REFS.clear()
@@ -1091,8 +1126,8 @@ def extract_workload(
     go to ``diagnostics`` in statement order: an OTHER statement's
     ``parse_error``, or the extraction diagnostics of the others. Every
     block walked is kept for replay (see the module docstring), and the
-    memo of ``parse_statement`` and the chunk table of ``tokenize`` are
-    emptied before returning.
+    memo of ``parse_statement`` and the statement and chunk tables of
+    ``tokenize`` are emptied before returning.
     """
     columns: _Columns = {table: {c: AttributeItem(table, c) for c in cols}
                          for table, cols in schema.items()}
@@ -1116,5 +1151,6 @@ def extract_workload(
             diagnostics.extend(f"statement {query.ordinal}: {m}" for m in messages)
         contexts.append(TransactionContext(query.ordinal, items))
     _shape_parses.clear()
+    _MASKED.clear()
     _CHUNKS.clear()
     return contexts

@@ -147,6 +147,17 @@ def check_chunk_table(workload) -> None:
     assert workload._CHUNKS == {}
 
 
+def check_statement_table(workload) -> None:
+    """The statement table holds one workload's masks, with no literal's value
+    and no statement with a digit in a name, and extraction empties it."""
+    workload.tokenize("SELECT gone FROM u WHERE u.b = 1")
+    queries = workload.parse_workload("SELECT a FROM t WHERE t.b = 'x 5' AND t.a = 42;"
+                                      "SELECT a1 FROM t WHERE t.b = 5")
+    assert list(workload._MASKED) == [b"SELECT a FROM t WHERE t.b = '' AND t.a = 00"]
+    workload.extract_workload(queries, workload.parse_schema("TABLE t\n a\n b\n"))
+    assert workload._MASKED == {}
+
+
 def check_quoted_tokens(workload) -> None:
     """A string or quoted identifier holding whitespace is one word, and an
     unpaired quote is an error."""
@@ -304,6 +315,18 @@ MUTANTS = {
     "chunk-table-kept-after-extraction": (
         "workload", "    _CHUNKS.clear()\n    return contexts\n", "    return contexts\n",
         check_chunk_table),
+    "statement-table-kept-across-workloads": (
+        "workload", "    _MASKED.clear()\n    _VOCABULARY.clear()\n",
+        "    _VOCABULARY.clear()\n", check_statement_table),
+    "statement-table-kept-after-extraction": (
+        "workload", "    _MASKED.clear()\n    _CHUNKS.clear()\n    return contexts\n",
+        "    _CHUNKS.clear()\n    return contexts\n", check_statement_table),
+    "statement-kept-with-a-digit-in-a-name": (
+        "workload", "if _NAME_DIGIT_RE.search(emptied) is None:", "if True:",
+        check_statement_table),
+    "mask-built-from-the-text": (
+        "workload", 'key = emptied.encode("utf-8", "surrogatepass")',
+        'key = text.encode("utf-8", "surrogatepass")', check_statement_table),
     "double-quote-read-by-chunks": (
         "workload", "if '\"' in text or _NUMBER_LIST_RE", "if _NUMBER_LIST_RE", check_quoted_tokens),
     "unpaired-quote-read-by-chunks": (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -890,6 +891,64 @@ def test_the_chunk_table_holds_one_workload_until_extraction():
     assert set(workload._CHUNKS) == {"SELECT", "b", "FROM", "t", "WHERE", "t.b", "=", " 0"}
     extract_workload(queries, parse_schema("TABLE t\n b\n"))
     assert workload._CHUNKS == {}
+
+
+def test_literal_values_never_enter_the_statement_table():
+    # Numbers of three digits, so each statement's mask stays the same.
+    parse_workload("")
+    texts = [f"SELECT a FROM t WHERE t.a = {i} AND t.b = 'v {i}' AND (t.c < .{i}"
+             f" OR t.d > {i}.5) AND t.f='w{i}''s' AND t.g IN ('x{i}', 'y {i}')"
+             for i in range(100, 1000)]
+    tokenize(texts[0])
+    table = dict(workload._MASKED)
+    for text in texts[1:]:
+        tokenize(text)
+    assert workload._MASKED == table
+    assert list(table) == [b"SELECT a FROM t WHERE t.a = 000 AND t.b = '' AND (t.c < .000"
+                           b" OR t.d > 000.0) AND t.f='''' AND t.g IN ('', '')"]
+    assert tokenize(texts[1]) == list(table.popitem()[1])
+
+
+def test_a_statement_with_a_digit_in_a_name_keeps_no_entry():
+    parse_workload("")
+    for text in ("SELECT t1 FROM t WHERE t1.a = 5", "SELECT a FROM t WHERE b_2 = 'x'",
+                 "SELECT a FROM t WHERE b = 1e5"):
+        assert tokenize(text) == scanned_words(text)
+    assert workload._MASKED == {}
+
+
+def test_the_statement_table_holds_one_workload_until_extraction():
+    tokenize("SELECT only_in_a FROM t")
+    queries = parse_workload("SELECT b FROM t WHERE t.b = 1; SELECT b FROM t WHERE t.b = 2")
+    assert list(workload._MASKED) == [b"SELECT b FROM t WHERE t.b = 0"]
+    extract_workload(queries, parse_schema("TABLE t\n b\n"))
+    assert workload._MASKED == {}
+
+
+def test_a_template_is_read_by_chunks_once_per_workload(monkeypatch):
+    # One template's literals redrawn, each number keeping its digit count:
+    # every statement but the first is one lookup in the statement table, in
+    # both passes.
+    rng = random.Random(30)
+    words = ["AIR", "REG AIR", "MAIL SHIP 2", ""]
+    text = ";\n".join(
+        f"SELECT l_orderkey, SUM(l_price) FROM lineitem, orders WHERE"
+        f" l_orderkey = o_orderkey AND o_date >= DATE '199{rng.randrange(10)}-0"
+        f"{rng.randint(1, 9)}-1{rng.randrange(10)}' AND l_mode IN"
+        f" ('{rng.choice(words)}', '{rng.choice(words)}') AND l_discount BETWEEN"
+        f" 0.0{rng.randint(1, 9)} AND .{rng.randrange(10)} AND l_qty < {rng.randint(10, 99)}"
+        f" GROUP BY l_orderkey ORDER BY l_orderkey" for _ in range(1000))
+    calls = []
+    read = workload._words_by_chunks
+    monkeypatch.setattr(workload, "_words_by_chunks",
+                        lambda *args: calls.append(args[1]) or read(*args))
+    queries = parse_workload(text)
+    contexts = extract_workload(queries, parse_schema(
+        "TABLE lineitem\n l_orderkey\n l_price\n l_mode\n l_discount\n l_qty\n\n"
+        "TABLE orders\n o_orderkey\n o_date\n"))
+    assert [q.kind for q in queries] == [QueryKind.SELECT] * 1000
+    assert len({c.items for c in contexts}) == 1
+    assert calls == [queries[0].raw_text]
 
 
 def column_refs(block):
