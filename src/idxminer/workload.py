@@ -39,28 +39,23 @@ The tokenizer returns each token's *word* and nothing else: an identifier
 lower-cased, a symbol or a quoted identifier as written, ``0`` for a number
 and ``''`` for a string. The word tells the parser the token's kind as well.
 A regex yields the raw tokens and a vocabulary maps each name and symbol to
-its word, so no object is built per token. It reads a statement in one of
-two ways:
+its word, so no object is built per token. A raw token may be a *run*: a
+number and up to 255 more that follow it after commas, each led by a
+digit, as in a long IN list; its words ``0 , 0 .. 0`` are written out by
+list arithmetic.
 
-* by chunks: each string is emptied to ``''``, as its word is, and
-  ``str.split`` cuts the text at whitespace. A chunk table maps each chunk
-  to the words of its tokens, a chunk holding a number by its digits
-  zeroed, so a template's chunks are scanned once; a chunk the table lacks
-  is scanned alone. Before that, a statement table maps the whole
-  statement's *mask*, its emptied text as UTF-8 bytes with each ASCII digit
-  zeroed, to its words, so a repeat of a masked template is one lookup. A
-  statement is kept there only when no name outside its strings holds a
-  digit: then statements of one mask have the same words.
-* whole, by the regex: a statement where a comma is followed by a digit,
-  since a raw token may be a *run*: a number and up to 255 more that
-  follow it after commas, each led by a digit, as in a long IN list; its
-  words ``0 , 0 .. 0`` are written out by list arithmetic. So is a
-  statement holding a double quote, whose quoted identifier keeps its text
-  and may span whitespace, or an unpaired single quote, which is an error.
+A statement table maps a statement's *mask*, its text with each string
+emptied to ``''``, as its word is, and each ASCII digit zeroed, as UTF-8
+bytes, to its words, so a repeat of a masked template is one lookup. A
+statement is masked unless it holds a double quote, whose quoted
+identifier keeps its text, an unpaired single quote, which is an error, or
+a comma followed by a digit, where a run may go on. It is kept in the
+table only when no name outside its strings holds a digit: then
+statements of one mask have the same words. Any other statement, and a
+masked one the table lacks, is read by the regex.
 
-Both ways give the same words and the same errors. Only an error message
-quotes a token's value and position, so a failing statement alone is
-scanned again in full (``scan``).
+Only an error message quotes a token's value and position, so a failing
+statement alone is scanned again in full (``scan``).
 
 A list that opens with a bare literal and a comma is checked at once: when
 its words up to the first ``)`` alternate literal and comma, it records
@@ -76,13 +71,13 @@ its message quotes its own token. The parser takes each column reference
 from a reference table, ``_REFS``, so equal references in a workload are
 one ``ColumnRef``.
 
-Five tables hold the workload being read: the vocabulary, the statement
-table and the chunk table of ``tokenize``, the shape memo of
-``parse_statement`` and the reference table. ``parse_workload`` empties the
-five together on entry, and ``extract_workload`` empties the memo, the
-statement table and the chunk table again before it returns, so no workload
-sees another's names or shapes and neither blocks, statements nor chunks
-outlive extraction. ROADMAP item 4 folds the five into one per-run value.
+Four tables hold the workload being read: the vocabulary and the
+statement table of ``tokenize``, the shape memo of ``parse_statement`` and
+the reference table. ``parse_workload`` empties the four together on entry,
+and ``extract_workload`` empties the memo and the statement table again
+before it returns, so no workload sees another's names or shapes and
+neither blocks nor statements outlive extraction. ROADMAP item 4 folds the
+four into one per-run value.
 
 Every record here is a ``typing.NamedTuple``, so hashing and comparing a
 whole ``Block`` run in C. ``extract_workload`` uses that to walk each
@@ -113,7 +108,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -294,33 +288,23 @@ _VOCABULARY: dict[str, str] = {}
 
 _DIGITS = "0123456789"
 
-# Whitespace-free chunk of a statement, its strings emptied -> the words of
-# its tokens; a chunk holding a number is keyed with its digits zeroed (see
-# ``_chunk_words``). No literal's value is kept, so the table grows with the
-# workload's templates, not its length; ``parse_workload`` empties it with
-# the vocabulary, and ``extract_workload`` before it returns.
-_CHUNKS: dict[str, tuple[str, ...]] = {}
-
-# ``str.translate`` table: an ASCII digit reads 0, any other ASCII character
-# itself, and a character past the table stays as it is. A string table
-# translates about twice as fast as a dict.
-_ZEROED = "".join("0" if c in "0123456789" else c for c in map(chr, range(128)))
-
-# Statement read by chunks -> its words, keyed by its *mask*: its emptied
-# text's UTF-8 bytes with each ASCII digit zeroed. A statement with a digit
-# in a name is not kept (see ``tokenize``). No literal's value is kept, so
-# the table grows with the workload's masked templates, not its length; it
-# is emptied wherever the chunk table is.
+# Masked statement -> its words, keyed by its *mask*: its emptied text's
+# UTF-8 bytes with each ASCII digit zeroed. A statement with a digit in a
+# name is not kept (see ``tokenize``). No literal's value is kept, so the
+# table grows with the workload's masked templates, not its length;
+# ``parse_workload`` empties it with the vocabulary, and
+# ``extract_workload`` before it returns.
 _MASKED: dict[bytes, tuple[str, ...]] = {}
 
 # ``bytes.translate`` table of the mask: encoding and translating take about
-# a sixth of the time of ``str.translate``. In UTF-8 an ASCII digit's byte stands for that digit
-# alone, and ``surrogatepass`` encodes a lone surrogate, whose error
-# ``tokenize`` keeps, apart from every other character.
+# a sixth of the time of ``str.translate``. In UTF-8 an ASCII digit's byte
+# stands for that digit alone, and ``surrogatepass`` encodes a lone
+# surrogate, whose error ``tokenize`` keeps, apart from every other
+# character.
 _ZEROED_BYTES = bytes.maketrans(b"123456789", b"000000000")
 
 # A digit in a name: the first one follows a letter or ``_``. A number's
-# exponent matches too, which only keeps its chunk or statement out of its
+# exponent matches too, which only keeps its statement out of the statement
 # table.
 _NAME_DIGIT_RE = re.compile(r"[A-Za-z_][0-9]")
 
@@ -366,22 +350,29 @@ def tokenize(text: str) -> list[str]:
     written (inner ``""`` kept), ``0`` for any number and ``''`` for any
     string. Raises SqlParseError as ``scan`` does.
 
-    A statement read by chunks is looked up whole by its mask first, and
-    kept there when no name outside its strings holds a digit. Two such
-    texts with one mask differ only in the digits at the same places; with
-    no digit in a name, every digit is part of a number, whose word is
-    ``0``, and no number list is read by chunks, so no run occurs: the two
-    have the same words.
+    A statement that can be masked (``_maskable``) is looked up whole by its
+    mask first, and kept there when no name outside its strings holds a
+    digit. Two such texts with one mask differ only in their strings and in
+    the digits at the same places. Their strings have the same words, and
+    with no digit in a name, every digit is part of a number, whose word is
+    ``0``; a statement with a number list is never masked, so no run
+    occurs. The two have the same words.
     """
-    emptied = _by_chunks(text)
-    if emptied is not None:
-        key = emptied.encode("utf-8", "surrogatepass").translate(_ZEROED_BYTES)
-        words = _MASKED.get(key)
-        if words is None:
-            words = _words_by_chunks(emptied, text)
-            if _NAME_DIGIT_RE.search(emptied) is None:
-                _MASKED[key] = words
+    emptied = _maskable(text)
+    if emptied is None:
+        return _regex_words(text)
+    key = emptied.encode("utf-8", "surrogatepass").translate(_ZEROED_BYTES)
+    words = _MASKED.get(key)
+    if words is not None:
         return list(words)
+    read = _regex_words(text)
+    if _NAME_DIGIT_RE.search(emptied) is None:
+        _MASKED[key] = tuple(read)
+    return read
+
+
+def _regex_words(text: str) -> list[str]:
+    """The words of ``text``, read by ``_RAW_TOKEN_RE`` with number runs."""
     known = _VOCABULARY.get
     runs: list[str] = []  # ``append`` gives None, so a run's word is _RUN
     # A raw token led by ``'`` is a whole string, unless it is a lone ``'``.
@@ -406,54 +397,20 @@ def tokenize(text: str) -> list[str]:
     return words
 
 
-def _by_chunks(text: str) -> Optional[str]:
-    """``text`` with each string emptied, where ``tokenize`` reads it by chunks.
+def _maskable(text: str) -> Optional[str]:
+    """``text`` with each string emptied, where ``tokenize`` may mask it.
 
-    None where a raw token may span whitespace even so: ``text`` holds a
-    double quote, a comma followed by a digit or an unpaired single quote.
-    With no double quote, the single quotes pair up in order, and each
-    string is one pair or abutting pairs (a ``''`` inside it ends one pair
-    and opens the next): emptying each pair keeps every word and takes all
-    whitespace out of the strings.
+    None where ``text`` holds a double quote, whose quoted identifier keeps
+    its text, an unpaired single quote, which is an error, or a comma
+    followed by a digit, where a run may go on. With no double quote, the
+    single quotes pair up in order, and each string is one pair or abutting
+    pairs (a ``''`` inside it ends one pair and opens the next): emptying
+    each pair keeps every word.
     """
     if '"' in text or _NUMBER_LIST_RE.search(text):
         return None
     parts = text.split("'")
     return "''".join(parts[::2]) if len(parts) & 1 else None
-
-
-def _words_by_chunks(emptied: str, text: str) -> tuple[str, ...]:
-    """The words of ``text``, read by the chunks of its emptied form ``emptied``."""
-    cached = _CHUNKS.get
-    return (*chain.from_iterable(
-        [cached(chunk) or _chunk_words(chunk, text) for chunk in emptied.split()]), "")
-
-
-def _chunk_words(chunk: str, text: str) -> tuple[str, ...]:
-    """The words of a chunk ``_CHUNKS`` lacks, kept there for the next time.
-
-    A chunk of a text ``tokenize`` reads by chunks is read alone as the
-    whole text reads it: no raw token in it is a run, and its strings are
-    empty. A chunk with no number is kept as it is. One with a number is
-    kept under its key: a space, which no chunk holds, then the chunk with
-    each digit zeroed. Chunks with one key have the same words, since the
-    regexes read every digit alike and every number as ``0``, unless a name
-    in them holds a digit; such a chunk is not kept.
-    """
-    key = " " + chunk.translate(_ZEROED)
-    words = _CHUNKS.get(key)
-    if words is not None:
-        return words
-    known = _VOCABULARY.get
-    words = tuple([known(raw) or ("''" if raw[0] == "'"
-                                  else "0" if raw[0] in _DIGITS
-                                  else _new_word(raw, text))
-                   for raw in _RAW_TOKEN_RE.findall(chunk)])
-    if "0" not in words:
-        _CHUNKS[chunk] = words
-    elif _NAME_DIGIT_RE.search(chunk) is None:
-        _CHUNKS[key] = words
-    return words
 
 
 def _new_word(raw: str, text: str) -> str:
@@ -957,14 +914,13 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     outside the supported subset is kept with kind OTHER and a diagnostic in
     ``parse_error`` rather than dropped, so downstream frequency denominators
     stay stable. Name resolution happens later, at extraction. Empties the
-    memo of ``parse_statement``, the vocabulary, the statement table and the
-    chunk table of ``tokenize`` and the reference table first, so each
+    memo of ``parse_statement``, the vocabulary and the statement table of
+    ``tokenize`` and the reference table first, so each
     workload parses afresh and no earlier workload's names are kept.
     """
     _shape_parses.clear()
     _MASKED.clear()
     _VOCABULARY.clear()
-    _CHUNKS.clear()
     _REFS.clear()
     queries: list[WorkloadQuery] = []
     for ordinal, text in enumerate(split_statements(workload_text)):
@@ -1126,8 +1082,8 @@ def extract_workload(
     go to ``diagnostics`` in statement order: an OTHER statement's
     ``parse_error``, or the extraction diagnostics of the others. Every
     block walked is kept for replay (see the module docstring), and the
-    memo of ``parse_statement`` and the statement and chunk tables of
-    ``tokenize`` are emptied before returning.
+    memo of ``parse_statement`` and the statement table of ``tokenize``
+    are emptied before returning.
     """
     columns: _Columns = {table: {c: AttributeItem(table, c) for c in cols}
                          for table, cols in schema.items()}
@@ -1152,5 +1108,4 @@ def extract_workload(
         contexts.append(TransactionContext(query.ordinal, items))
     _shape_parses.clear()
     _MASKED.clear()
-    _CHUNKS.clear()
     return contexts

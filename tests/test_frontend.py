@@ -213,8 +213,8 @@ def assert_tokenize_agrees_with_scan(text: str) -> None:
 
 # The first examples are the fuzz finds of a literal-masking tokenizer: a
 # number that a second fraction or a fractional exponent cuts short. The
-# others sit on both sides of the choice between reading by chunks and
-# reading the whole text: strings that hold whitespace or a doubled quote,
+# others sit on both sides of the choice between a masked and an unmasked
+# statement: strings that hold whitespace or a doubled quote,
 # a quoted identifier that holds whitespace, unpaired quotes, a string after
 # a bad character, whitespace that only ``\s`` and ``str.isspace`` know,
 # and a number list.
@@ -249,8 +249,9 @@ def redrawn(text: str, digits: list[str]) -> str:
 # an example may put a longer number in the place of a digit. The examples
 # are the fuzz finds of a literal-masking tokenizer, names with digits,
 # numbers that a dot or an exponent ends, strings holding digits and
-# whitespace, whitespace that only ``\s`` and ``str.isspace`` know, and a
-# lone surrogate, which UTF-8 cannot encode strictly.
+# whitespace, whitespace that only ``\s`` and ``str.isspace`` know, a lone
+# surrogate, which UTF-8 cannot encode strictly, and a quoted identifier,
+# which keeps its digits.
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(sql_text, st.lists(st.sampled_from("0123456789")))
 @example(".5.5", ["7", "3"])
@@ -262,6 +263,7 @@ def redrawn(text: str, digits: list[str]) -> str:
 @example("b = 'v 1' AND c = 'it''s 2'", ["8", "9"])
 @example("a\xa0= 1", ["4"])
 @example("select \ud800 from t", [])
+@example('SELECT "1" FROM t', ["2"])
 def test_tokenize_agrees_with_scan_after_a_text_with_other_digits(text, digits):
     workload.parse_workload("")
     parsed(text, tokenize)
@@ -269,8 +271,9 @@ def test_tokenize_agrees_with_scan_after_a_text_with_other_digits(text, digits):
 
 
 def test_str_split_and_the_regex_agree_on_whitespace():
-    r"""``tokenize`` splits a statement with ``str.split``, where the regexes
-    skip ``\s``: the two must take the same characters for whitespace."""
+    r"""``split_statements`` strips a statement with ``str.strip``, where the
+    regexes skip ``\s``: the two must take the same characters for
+    whitespace."""
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
@@ -282,11 +285,11 @@ def test_tokenize_agrees_with_scan_on_the_benchmark_workloads(name, size):
     workload.parse_workload("")
     for statement in statements:
         assert_tokenize_agrees_with_scan(statement)
-    # Both ways of tokenizing run on each workload but the last, whose
-    # statements all hold number lists.
-    whole = [workload._by_chunks(s) is None for s in statements]
-    assert any(whole)
-    assert all(whole) == (name == "long-statements")
+    # Masked and unmasked statements both occur in each workload but the
+    # last, whose statements all hold number lists.
+    unmasked = [workload._maskable(s) is None for s in statements]
+    assert any(unmasked)
+    assert all(unmasked) == (name == "long-statements")
 
 
 @pytest.mark.parametrize("name, size", [("templated", 2), ("diverse", 40),

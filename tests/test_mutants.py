@@ -138,15 +138,6 @@ def check_reference_table(workload) -> None:
     assert set(workload._REFS) == {"b", ("u", "a"), ("t", "a")}
 
 
-def check_chunk_table(workload) -> None:
-    """The chunk table holds one workload's chunks, and extraction empties it."""
-    workload.tokenize("SELECT gone FROM u")
-    queries = workload.parse_workload("SELECT a FROM t")
-    assert set(workload._CHUNKS) == {"SELECT", "a", "FROM", "t"}
-    workload.extract_workload(queries, workload.parse_schema("TABLE t\n a\n"))
-    assert workload._CHUNKS == {}
-
-
 def check_statement_table(workload) -> None:
     """The statement table holds one workload's masks, with no literal's value
     and no statement with a digit in a name, and extraction empties it."""
@@ -158,26 +149,19 @@ def check_statement_table(workload) -> None:
     assert workload._MASKED == {}
 
 
-def check_quoted_tokens(workload) -> None:
-    """A string or quoted identifier holding whitespace is one word, and an
-    unpaired quote is an error."""
-    for quoted, word in (("'a b'", "''"), ("'it''s a'", "''"), ('"a b"', '"a b"')):
-        assert workload.tokenize(f"SELECT {quoted} FROM t") == [
-            "select", word, "from", "t", ""]
+def check_quoted_tokens_after_a_mask(workload) -> None:
+    """A quoted identifier keeps its text, and an unpaired quote is an error,
+    after a statement of the same mask."""
+    workload.parse_workload("")
+    workload.tokenize('SELECT "1" FROM t')
+    assert workload.tokenize('SELECT "2" FROM t') == ["select", '"2"', "from", "t", ""]
+    workload.tokenize("SELECT a FROM t")
     try:
-        workload.tokenize("SELECT 'a FROM t")
+        workload.tokenize("SELECT a FROM t'x")
     except workload.SqlParseError as exc:
         assert exc.args[0] == "unterminated string literal"
     else:
         raise AssertionError("an unpaired quote was read")
-
-
-def check_zeroed_keys(workload) -> None:
-    """A chunk is read by its zeroed digits only where no name in it holds one."""
-    workload.parse_workload("")
-    for n in (0, 5):
-        assert workload.tokenize(f"SELECT t{n} FROM t WHERE t{n}.a={n}") == [
-            "select", f"t{n}", "from", "t", "where", f"t{n}", ".", "a", "=", "0", ""]
 
 
 def check_boundary_counts(catalog) -> None:
@@ -309,36 +293,25 @@ MUTANTS = {
         "workload", "key = name, column", "key = column", check_reference_table),
     "reference-table-never-emptied": (
         "workload", "    _REFS.clear()\n", "", check_reference_table),
-    "chunk-table-kept-across-workloads": (
-        "workload", "    _VOCABULARY.clear()\n    _CHUNKS.clear()\n",
-        "    _VOCABULARY.clear()\n", check_chunk_table),
-    "chunk-table-kept-after-extraction": (
-        "workload", "    _CHUNKS.clear()\n    return contexts\n", "    return contexts\n",
-        check_chunk_table),
     "statement-table-kept-across-workloads": (
         "workload", "    _MASKED.clear()\n    _VOCABULARY.clear()\n",
         "    _VOCABULARY.clear()\n", check_statement_table),
     "statement-table-kept-after-extraction": (
-        "workload", "    _MASKED.clear()\n    _CHUNKS.clear()\n    return contexts\n",
-        "    _CHUNKS.clear()\n    return contexts\n", check_statement_table),
+        "workload", "    _MASKED.clear()\n    return contexts\n", "    return contexts\n",
+        check_statement_table),
     "statement-kept-with-a-digit-in-a-name": (
         "workload", "if _NAME_DIGIT_RE.search(emptied) is None:", "if True:",
         check_statement_table),
     "mask-built-from-the-text": (
         "workload", 'key = emptied.encode("utf-8", "surrogatepass")',
         'key = text.encode("utf-8", "surrogatepass")', check_statement_table),
-    "double-quote-read-by-chunks": (
-        "workload", "if '\"' in text or _NUMBER_LIST_RE", "if _NUMBER_LIST_RE", check_quoted_tokens),
-    "unpaired-quote-read-by-chunks": (
-        "workload", "if len(parts) & 1 else None", "", check_quoted_tokens),
-    "zeroed-key-kept-for-a-name-with-a-digit": (
-        "workload", "    elif _NAME_DIGIT_RE.search(chunk) is None:\n", "    else:\n",
-        check_zeroed_keys),
-    "zeroed-key-among-the-chunks": (
-        "workload", 'key = " " + chunk.translate(_ZEROED)', "key = chunk.translate(_ZEROED)",
-        check_zeroed_keys),
-    "strings-kept-when-read-by-chunks": (
-        "workload", "return \"''\".join(parts[::2])", "return text", check_quoted_tokens),
+    "double-quote-masked": (
+        "workload", "if '\"' in text or _NUMBER_LIST_RE", "if _NUMBER_LIST_RE",
+        check_quoted_tokens_after_a_mask),
+    "unpaired-quote-masked": (
+        "workload", "if len(parts) & 1 else None", "", check_quoted_tokens_after_a_mask),
+    "strings-kept-in-the-mask": (
+        "workload", "return \"''\".join(parts[::2])", "return text", check_statement_table),
     "zero-row-count-rejected": (
         "catalog", "if counts[0] < 0:", "if counts[0] <= 0:", check_boundary_counts),
     "one-byte-rows-rejected": (

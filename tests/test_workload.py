@@ -858,41 +858,6 @@ def test_the_vocabulary_holds_one_workloads_names():
     assert "b" in workload._VOCABULARY
 
 
-def test_literal_values_never_enter_the_chunk_table():
-    # Numbers of three digits, so each chunk's key stays the same.
-    texts = [f"SELECT a FROM t WHERE t.a = {i} AND t.b = 'v {i}' AND (t.c < .{i}"
-             f" OR t.d > {i}e{i % 9}) AND t.e={i} AND t.f='w{i}''s'"
-             f" AND t.g IN ('x{i}', 'y {i}') AND t.h = {i}.5" for i in range(100, 1000)]
-    tokenize(texts[0])
-    chunks = dict(workload._CHUNKS)
-    for text in texts[1:]:
-        tokenize(text)
-    assert workload._CHUNKS == chunks
-    # A string is kept emptied, and a chunk with a number by its digits zeroed.
-    assert {"a", "(t.c", "''", "t.f=''''", "('',", "'')", " 000", " .000", " 000.0",
-            " t.e=000"} <= set(chunks)
-    assert chunks["t.f=''''"] == ("t", ".", "f", "=", "''")
-    assert chunks[" t.e=000"] == ("t", ".", "e", "=", "0")
-    assert not any(set(chunk) & set("123456789") for chunk in chunks)
-
-
-def test_a_chunk_is_kept_by_its_zeroed_digits_only_when_no_name_holds_one():
-    tokenize("SELECT t1 FROM t WHERE t1.a=5 AND b=5")
-    assert tokenize("SELECT t2 FROM t WHERE t2.a=6 AND b=7") == [
-        "select", "t2", "from", "t", "where", "t2", ".", "a", "=", "0",
-        "and", "b", "=", "0", ""]
-    assert {" b=0", "t1", "t2"} <= set(workload._CHUNKS)
-    assert " t0.a=0" not in workload._CHUNKS
-
-
-def test_the_chunk_table_holds_one_workload_until_extraction():
-    tokenize("SELECT only_in_a FROM t")
-    queries = parse_workload("SELECT b FROM t WHERE t.b = 1")
-    assert set(workload._CHUNKS) == {"SELECT", "b", "FROM", "t", "WHERE", "t.b", "=", " 0"}
-    extract_workload(queries, parse_schema("TABLE t\n b\n"))
-    assert workload._CHUNKS == {}
-
-
 def test_literal_values_never_enter_the_statement_table():
     # Numbers of three digits, so each statement's mask stays the same.
     parse_workload("")
@@ -925,7 +890,7 @@ def test_the_statement_table_holds_one_workload_until_extraction():
     assert workload._MASKED == {}
 
 
-def test_a_template_is_read_by_chunks_once_per_workload(monkeypatch):
+def test_a_template_is_read_by_the_regex_once_per_workload(monkeypatch):
     # One template's literals redrawn, each number keeping its digit count:
     # every statement but the first is one lookup in the statement table, in
     # both passes.
@@ -939,9 +904,9 @@ def test_a_template_is_read_by_chunks_once_per_workload(monkeypatch):
         f" 0.0{rng.randint(1, 9)} AND .{rng.randrange(10)} AND l_qty < {rng.randint(10, 99)}"
         f" GROUP BY l_orderkey ORDER BY l_orderkey" for _ in range(1000))
     calls = []
-    read = workload._words_by_chunks
-    monkeypatch.setattr(workload, "_words_by_chunks",
-                        lambda *args: calls.append(args[1]) or read(*args))
+    read = workload._regex_words
+    monkeypatch.setattr(workload, "_regex_words",
+                        lambda text: calls.append(text) or read(text))
     queries = parse_workload(text)
     contexts = extract_workload(queries, parse_schema(
         "TABLE lineitem\n l_orderkey\n l_price\n l_mode\n l_discount\n l_qty\n\n"
