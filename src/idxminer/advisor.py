@@ -69,9 +69,10 @@ def build_database(
 
 
 def mine_tables(db: TransactionDatabase, items_by_id: Mapping[int, AttributeItem],
-                threshold: int) -> list[ClosedItemset]:
+                threshold: int, maximal_only: bool = False) -> list[ClosedItemset]:
     """Closed sets of each table's projection of ``db``, equal projections
-    merged by summing their counts, at the whole workload's ``threshold``."""
+    merged by summing their counts, at the whole workload's ``threshold``;
+    with ``maximal_only``, only those no frequent column of the table extends."""
     ids_of: dict[str, set[int]] = {}
     for i, attr in items_by_id.items():
         ids_of.setdefault(attr.table, set()).add(i)
@@ -82,37 +83,31 @@ def mine_tables(db: TransactionDatabase, items_by_id: Mapping[int, AttributeItem
     closed: list[ClosedItemset] = []
     for weights in projections.values():
         projected = TransactionDatabase.from_transactions(weights, weights.values())
-        closed += miner.mine_closed(projected, threshold)
+        closed += miner.mine_closed(projected, threshold, maximal_only)
     return closed
 
 
 def derive_candidates(
     closed: Iterable[ClosedItemset],
+    db: TransactionDatabase,
     items_by_id: Mapping[int, AttributeItem],
-    maximal_only: bool = True,
 ) -> list[IndexCandidate]:
     """One index candidate per closed itemset of ``mine_tables``.
 
-    ``closed`` must be what ``mine_tables`` returns: distinct sets, each
-    inside one table T, T-closed (no other T-column lies in every row holding
-    the set) and flagged ``maximal`` when no frequent T-column extends it.
+    ``closed`` must be what ``mine_tables`` returns from ``db``: distinct sets,
+    each inside one table T and T-closed (no other T-column lies in every row
+    holding the set).
 
     Columns go by descending single-column support, then by name; a column's
-    support is the highest among the sets holding it, which its own closure
-    attains. With ``maximal_only`` only the maximal sets are kept: a set that
-    a frequent column extends lies inside another set on its table, whose
-    leading prefix serves it.
+    support is the number of statements of ``db`` holding it.
     """
-    closed = list(closed)
     single: dict[int, int] = {}
-    for itemset in closed:
-        for i in itemset.items:
-            single[i] = max(single.get(i, 0), itemset.support)
+    for row, count in zip(db.transactions, db.counts):
+        for i in row:
+            single[i] = single.get(i, 0) + count
 
     candidates = []
     for itemset in closed:
-        if maximal_only and not itemset.maximal:
-            continue
         ordered = sorted(itemset.items, key=lambda i: (-single[i], items_by_id[i].column))
         candidates.append(IndexCandidate(items_by_id[ordered[0]].table,
                                          tuple(items_by_id[i].column for i in ordered),

@@ -203,7 +203,8 @@ def _run(args: argparse.Namespace) -> None:
     if queries:
         minsup_used = (minsup if isinstance(minsup, int)
                        else -(-minsup[0] * len(queries) // minsup[1]))
-    closed = advisor.mine_tables(db, items_by_id, minsup_used)
+    closed = advisor.mine_tables(db, items_by_id, minsup_used,
+                                 not (args.mine_only or args.no_maximal_only))
     if args.mine_only:
         _write(sys.stdout, "".join(
             f"{found.support}\t{','.join(str(items_by_id[i]) for i in found.items)}\n"
@@ -211,8 +212,7 @@ def _run(args: argparse.Namespace) -> None:
         _print_diagnostics(diagnostics, args.verbose)
         return
 
-    candidates = advisor.derive_candidates(closed, items_by_id,
-                                           maximal_only=not args.no_maximal_only)
+    candidates = advisor.derive_candidates(closed, db, items_by_id)
     configuration = advisor.select(candidates, strategy, row_counts, args.threshold_rows,
                                    workload_size=len(queries), diagnostics=diagnostics)
     recommendation = report.Recommendation(

@@ -23,11 +23,12 @@ extensions that follow e. This loses nothing: a child's rows are a subset of
 its parent's, so an item infrequent with the parent is infrequent with every
 descendant, and the items before e are below the child's core.
 
-Each set is flagged by the test of LCMmax (same paper): a frequent closed set
-P is maximal exactly when no frequent item outside P keeps the threshold
-together with P. A node with a frequent extension is not maximal; otherwise
-the items above its core outside its tail were infrequent with an ancestor,
-so only the frequent items below the core are scanned, against its rows.
+``maximal_only`` keeps only the maximal sets, by LCMmax's test (same paper):
+a frequent closed set P is maximal exactly when no frequent item outside P
+keeps the threshold together with P. A node with a frequent extension is not
+maximal; otherwise the items above its core outside its tail were infrequent
+with an ancestor, so only the frequent items below the core are scanned,
+against its rows. Other nodes are dropped undecoded; their children stay.
 
 Rows carry counts (LCM ver.2's database reduction), and support sums them.
 Row t owns ``counts[t]`` consecutive bits of a row mask, so support stays a
@@ -44,11 +45,10 @@ from typing import Iterable, NamedTuple
 
 
 class ClosedItemset(NamedTuple):
-    """A closed itemset, its absolute support count, and whether it is maximal."""
+    """A closed itemset and its absolute support count."""
 
     items: tuple[int, ...]
     support: int
-    maximal: bool
 
 
 class TransactionDatabase(NamedTuple):
@@ -70,8 +70,9 @@ def canonical_order(itemsets: Iterable[ClosedItemset]) -> list[ClosedItemset]:
     return sorted(itemsets, key=lambda c: (-c.support, c.items))
 
 
-def mine_closed(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
-    """All closed itemsets with support >= threshold, in canonical order."""
+def mine_closed(db: TransactionDatabase, threshold: int,
+                maximal_only: bool = False) -> list[ClosedItemset]:
+    """Closed (or only maximal) itemsets with support >= threshold, in canonical order."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     n = sum(db.counts)
@@ -125,13 +126,15 @@ def mine_closed(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
             child = extend(sub, cmask | 1 << e, e)
             if child is not None:
                 stack.append((child, sub, count, e, extensions[i:]))
-        below = 0 if tail else frequent_mask & ~cmask & (1 << core) - 1  # LCMmax
+        below = 0 if tail or not maximal_only else frequent_mask & ~cmask & (1 << core) - 1
         while below and (tids & item_tids[below.bit_length() - 1]).bit_count() < threshold:
             below ^= 1 << below.bit_length() - 1
+        if maximal_only and (tail or below):  # LCMmax
+            continue
         items = []
         while cmask:
             items.append((cmask & -cmask).bit_length() - 1)
             cmask &= cmask - 1
         if items:
-            closed.append(ClosedItemset(tuple(items), support, not tail and not below))
+            closed.append(ClosedItemset(tuple(items), support))
     return canonical_order(closed)

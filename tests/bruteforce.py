@@ -2,13 +2,14 @@
 
 ``mine_bruteforce`` is an intentionally naive oracle: it enumerates every
 non-empty subset of the item universe, counts supports by direct scan, and
-keeps the subsets no single-item extension of which preserves support; a
-kept set is maximal when no single-item extension meets the threshold.
-``mine_by_intersection`` serves wide, sparse databases, where subsets are
-too many to enumerate: the closed sets are the non-empty intersections of
-row subsets, and ``at_threshold`` flags as maximal those no other frequent
-one strictly contains. Both sum the counts of the rows a set lies in, as the
-miner does, and keep the sets whose support meets an absolute threshold.
+keeps the subsets no single-item extension of which preserves support; with
+``maximal_only`` it keeps those no single-item extension of which meets the
+threshold. ``mine_by_intersection`` serves wide, sparse databases, where
+subsets are too many to enumerate: the closed sets are the non-empty
+intersections of row subsets, and ``at_threshold`` keeps, with
+``maximal_only``, those no other frequent one strictly contains. Both sum the
+counts of the rows a set lies in, as the miner does, and keep the sets whose
+support meets an absolute threshold.
 Neither shares machinery with ``idxminer.miner.mine_closed``, so each can
 check it.
 
@@ -33,8 +34,10 @@ def weighted_support(db: TransactionDatabase, itemset: Iterable[int]) -> int:
     return sum(count for row, count in zip(db.transactions, db.counts) if wanted <= row)
 
 
-def mine_bruteforce(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
-    """Exhaustive oracle: enumerate every subset, keep closed frequent ones.
+def mine_bruteforce(db: TransactionDatabase, threshold: int,
+                    maximal_only: bool = False) -> list[ClosedItemset]:
+    """Exhaustive oracle: enumerate every subset, keep closed frequent ones, or
+    with ``maximal_only`` the frequent ones no frequent set strictly contains.
 
     Refuses universes larger than BRUTE_FORCE_MAX_ITEMS items; enumeration
     is exponential on purpose.
@@ -57,40 +60,45 @@ def mine_bruteforce(db: TransactionDatabase, threshold: int) -> list[ClosedItems
     for itemset, support in supports.items():
         if support < threshold:
             continue
+        # Closed: no extension keeps the support. Maximal: none keeps the threshold.
+        floor = threshold if maximal_only else support
         if any(
-            supports[itemset | {extra}] == support
+            supports[itemset | {extra}] >= floor
             for extra in db.universe
             if extra not in itemset
         ):
             continue
-        maximal = not any(supports[itemset | {extra}] >= threshold
-                          for extra in db.universe if extra not in itemset)
-        results.append(ClosedItemset(tuple(sorted(itemset)), support, maximal))
+        results.append(ClosedItemset(tuple(sorted(itemset)), support))
     return canonical_order(results)
 
 
-def at_threshold(closed: Iterable[ClosedItemset], threshold: int) -> list[ClosedItemset]:
-    """The sets of ``closed`` whose support meets ``threshold``, each flagged
-    maximal when no other of them strictly contains it, in canonical order.
+def at_threshold(closed: Iterable[ClosedItemset], threshold: int,
+                 maximal_only: bool = False) -> list[ClosedItemset]:
+    """The sets of ``closed`` whose support meets ``threshold``, or with
+    ``maximal_only`` those of them no other strictly contains, in canonical
+    order.
 
     ``closed`` must hold every closed set of support at least ``threshold``,
     as a run at any lower threshold does. Closedness does not depend on the
     threshold; maximality does, so it is decided again here. Widest first, a
     set lies strictly inside some kept set exactly when it lies inside one
-    already flagged maximal, so only those are compared.
+    already found maximal, so only those are compared.
     """
-    tops: list[frozenset[int]] = []
-    flagged = []
-    for c in sorted((c for c in closed if c.support >= threshold), key=lambda c: -len(c.items)):
-        itemset = frozenset(c.items)
-        maximal = not any(itemset < top for top in tops)
-        if maximal:
-            tops.append(itemset)
-        flagged.append(c._replace(maximal=maximal))
-    return canonical_order(flagged)
+    kept = [c for c in closed if c.support >= threshold]
+    if maximal_only:
+        tops: list[frozenset[int]] = []
+        maximal = []
+        for c in sorted(kept, key=lambda c: -len(c.items)):
+            itemset = frozenset(c.items)
+            if not any(itemset < top for top in tops):
+                tops.append(itemset)
+                maximal.append(c)
+        kept = maximal
+    return canonical_order(kept)
 
 
-def mine_by_intersection(db: TransactionDatabase, threshold: int) -> list[ClosedItemset]:
+def mine_by_intersection(db: TransactionDatabase, threshold: int,
+                         maximal_only: bool = False) -> list[ClosedItemset]:
     """Reference for any universe size: intersect rows until nothing new appears.
 
     Every closed set of support >= 1 is the intersection of the rows that
@@ -111,9 +119,8 @@ def mine_by_intersection(db: TransactionDatabase, threshold: int) -> list[Closed
                 if itemset and itemset not in found:
                     found.add(itemset)
                     grown = True
-    # at_threshold decides each flag.
-    return at_threshold((ClosedItemset(tuple(sorted(itemset)), weighted_support(db, itemset),
-                                       maximal=False) for itemset in found), threshold)
+    return at_threshold((ClosedItemset(tuple(sorted(itemset)), weighted_support(db, itemset))
+                         for itemset in found), threshold, maximal_only)
 
 
 def candidates_bruteforce(

@@ -74,7 +74,8 @@ def scan_support(db: TransactionDatabase, itemset) -> int:
 
 
 def test_miner_oracle_equivalence():
-    """mine_closed equals the brute-force oracle on 500 random databases."""
+    """mine_closed equals the brute-force oracle on 500 random databases, in
+    both modes: every closed set, and only the maximal ones."""
     started = time.monotonic()
     rng = random.Random(SEED + 1)
     comparisons = 0
@@ -84,16 +85,18 @@ def test_miner_oracle_equivalence():
         # Spot-check that filtering the minsup-1 oracle matches a direct
         # oracle run at an arbitrary threshold.
         probe = rng.randint(1, n)
-        direct = mine_bruteforce(db, probe)
-        assert direct == at_threshold(oracle_all, probe)
+        for maximal_only in (False, True):
+            direct = mine_bruteforce(db, probe, maximal_only)
+            assert direct == at_threshold(oracle_all, probe, maximal_only)
         for threshold in range(1, n + 1):
-            expected = at_threshold(oracle_all, threshold)
-            assert mine_closed(db, threshold) == expected
-            comparisons += 1
+            for maximal_only in (False, True):
+                expected = at_threshold(oracle_all, threshold, maximal_only)
+                assert mine_closed(db, threshold, maximal_only) == expected
+                comparisons += 1
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"oracle equivalence exceeded budget: {elapsed:.1f}s"
     print(f"\n[PASS] miner oracle equivalence "
-          f"({len(random_databases())} databases, {comparisons} thresholds, "
+          f"({len(random_databases())} databases, {comparisons} comparisons, "
           f"{elapsed:.1f}s)")
 
 
@@ -106,11 +109,12 @@ def test_miner_oracle_equivalence_on_counted_rows():
             db.transactions, [rng.randint(1, 4) for _ in db.transactions])
         oracle_all = mine_bruteforce(counted, 1)
         for threshold in range(1, sum(counted.counts) + 1):
-            expected = at_threshold(oracle_all, threshold)
-            assert mine_closed(counted, threshold) == expected
-            comparisons += 1
+            for maximal_only in (False, True):
+                expected = at_threshold(oracle_all, threshold, maximal_only)
+                assert mine_closed(counted, threshold, maximal_only) == expected
+                comparisons += 1
     print(f"\n[PASS] miner oracle equivalence on counted rows "
-          f"({len(random_databases())} databases, {comparisons} thresholds)")
+          f"({len(random_databases())} databases, {comparisons} comparisons)")
 
 
 def test_miner_structural_properties():
@@ -121,13 +125,18 @@ def test_miner_structural_properties():
         previous = None
         for threshold in (1, max(1, n // 2), n):
             results = mine_closed(db, threshold)
+            unextended = []
             for closed in results:
                 base = set(closed.items)
                 assert scan_support(db, base) == closed.support
                 extended = [scan_support(db, base | {extra})
                             for extra in db.universe if extra not in base]
                 assert all(support < closed.support for support in extended)
-                assert closed.maximal == all(support < threshold for support in extended)
+                if all(support < threshold for support in extended):
+                    unextended.append(closed)
+            # Maximal-only keeps exactly the sets no extension of which meets
+            # the threshold.
+            assert mine_closed(db, threshold, maximal_only=True) == unextended
             for x in results:
                 for y in results:
                     if set(x.items) < set(y.items):

@@ -17,7 +17,7 @@ from idxminer.advisor import (
     score,
     select,
 )
-from idxminer.miner import ClosedItemset
+from idxminer.miner import ClosedItemset, TransactionDatabase
 from idxminer.workload import AttributeItem, TransactionContext
 
 # Item ids follow sorted AttributeItem order: s.d=0, s.k=1, t.a=2, t.b=3, t.x=4
@@ -72,7 +72,7 @@ def test_cross_table_itemset_splits_per_table():
     db, items_by_id = database((4, {"s.k", "t.a", "t.b"}))
     closed = mine_tables(db, items_by_id, 1)
     assert [c.support for c in closed] == [4, 4]
-    got = derive_candidates(closed, items_by_id)
+    got = derive_candidates(closed, db, items_by_id)
     assert [(c.table, c.columns, c.support) for c in got] == [
         ("s", ("k",), 4),
         ("t", ("a", "b"), 4),
@@ -80,19 +80,18 @@ def test_cross_table_itemset_splits_per_table():
 
 
 def test_singleton_passthrough():
-    closed = [ClosedItemset(items=(2,), support=3, maximal=True)]
-    got = derive_candidates(closed, ITEMS)
+    closed = [ClosedItemset(items=(2,), support=3)]
+    got = derive_candidates(closed, TransactionDatabase.from_transactions([{2}], [3]), ITEMS)
     assert [(c.table, c.columns, c.support) for c in got] == [("t", ("a",), 3)]
 
 
 def test_maximal_only_toggle():
-    closed = [
-        ClosedItemset(items=(2,), support=5, maximal=False),
-        ClosedItemset(items=(2, 3), support=3, maximal=True),
-    ]
-    kept = derive_candidates(closed, ITEMS, maximal_only=True)
+    # {t.a} (support 5) lies inside {t.a, t.b} (support 3).
+    db, items_by_id = database((2, {"t.a"}), (3, {"t.a", "t.b"}))
+    closed = mine_tables(db, items_by_id, 1, maximal_only=True)
+    kept = derive_candidates(closed, db, items_by_id)
     assert [(c.table, c.columns, c.support) for c in kept] == [("t", ("a", "b"), 3)]
-    both = derive_candidates(closed, ITEMS, maximal_only=False)
+    both = derive_candidates(mine_tables(db, items_by_id, 1), db, items_by_id)
     assert {(c.table, c.columns, c.support) for c in both} == {
         ("t", ("a",), 5),
         ("t", ("a", "b"), 3),
@@ -105,9 +104,9 @@ def test_equal_projections_merge_summing_counts():
     db, items_by_id = database((6, {"s.k", "t.a"}), (3, {"t.a"}), (2, set()))
     assert db.counts == (6, 3, 2)
     closed = mine_tables(db, items_by_id, 1)
-    assert closed == [ClosedItemset(items=(0,), support=6, maximal=True),
-                      ClosedItemset(items=(1,), support=9, maximal=True)]
-    got = derive_candidates(closed, items_by_id)
+    assert closed == [ClosedItemset(items=(0,), support=6),
+                      ClosedItemset(items=(1,), support=9)]
+    got = derive_candidates(closed, db, items_by_id)
     assert [(c.table, c.columns, c.support) for c in got] == [
         ("t", ("a",), 9),
         ("s", ("k",), 6),
@@ -115,12 +114,10 @@ def test_equal_projections_merge_summing_counts():
 
 
 def test_column_order_follows_singleton_support_then_name():
-    # b is more frequent than a, so it leads the composite key.
-    closed = [
-        ClosedItemset(items=(3,), support=7, maximal=False),
-        ClosedItemset(items=(2, 3), support=4, maximal=True),
-    ]
-    got = derive_candidates(closed, ITEMS)
+    # b is in 7 rows and a in 4, so b leads the composite key; the
+    # support comes from the rows, not from another mined set.
+    db = TransactionDatabase.from_transactions([{2, 3}, {3}], [4, 3])
+    got = derive_candidates([ClosedItemset(items=(2, 3), support=4)], db, ITEMS)
     assert got[0].columns == ("b", "a")
 
 
@@ -146,7 +143,7 @@ def test_support_coherence_against_singletons():
                                      if i in row)
             for i, a in items_by_id.items()
         }
-        for cand in derive_candidates(closed, items_by_id, maximal_only=False):
+        for cand in derive_candidates(closed, db, items_by_id):
             cap = min(rows_with[cand.table, col] for col in cand.columns)
             assert cand.support <= cap
 
@@ -170,21 +167,21 @@ def test_maximal_only_matches_strict_superset_definition():
         ])
         if not db.universe:
             continue
-        closed = mine_tables(db, items_by_id, 1)
-        everything = derive_candidates(closed, items_by_id, maximal_only=False)
+        everything = derive_candidates(mine_tables(db, items_by_id, 1), db, items_by_id)
         expected = [
             cand for cand in everything
             if not any(other.table == cand.table
                        and set(cand.columns) < set(other.columns)
                        for other in everything)
         ]
-        assert derive_candidates(closed, items_by_id) == expected
+        maximal = mine_tables(db, items_by_id, 1, maximal_only=True)
+        assert derive_candidates(maximal, db, items_by_id) == expected
 
 
 def test_maximal_only_matches_strict_superset_definition_at_scale():
     """Three-table families, the first with over 2,000 closed sets on one table,
-    fed in shuffled order: the filter keeps exactly the sets no other set on
-    their table strictly contains."""
+    fed to derivation in shuffled order: maximal-only mining keeps exactly the
+    sets no other set on their table strictly contains."""
     rng = random.Random(1818)
     for n_columns, n_rows in ((12, 300), (6, 60), (8, 120)):
         tables = {"big": [f"c{j:02d}" for j in range(n_columns)],
@@ -200,7 +197,7 @@ def test_maximal_only_matches_strict_superset_definition_at_scale():
         ])
         closed = mine_tables(db, items_by_id, 1)
         rng.shuffle(closed)
-        everything = derive_candidates(closed, items_by_id, maximal_only=False)
+        everything = derive_candidates(closed, db, items_by_id)
         if n_columns == 12:
             assert sum(cand.table == "big" for cand in everything) >= 2000
         on_table: dict[str, list[set[str]]] = {}
@@ -208,30 +205,36 @@ def test_maximal_only_matches_strict_superset_definition_at_scale():
             on_table.setdefault(cand.table, []).append(set(cand.columns))
         expected = [cand for cand in everything
                     if not any(set(cand.columns) < other for other in on_table[cand.table])]
-        assert derive_candidates(closed, items_by_id) == expected
+        maximal = mine_tables(db, items_by_id, 1, maximal_only=True)
+        rng.shuffle(maximal)
+        assert derive_candidates(maximal, db, items_by_id) == expected
 
 
 def test_derivation_costs_less_than_mining_on_many_closed_sets():
-    """Maximality is read off each set's flag, so deriving candidates costs
-    less than mining the sets, however many there are. A filter that ANDs one
-    bit per closed set for each item costs more per set the more sets there
-    are: on this table (300 rows of 10 of 20 columns, threshold 2, about
-    30,000 closed sets) it took 1.0 to 1.5 times as long as mining, and the
-    flag 0.3 to 0.4 times. The guard pins a ratio, since CPU speed drifts too
-    much for an absolute bound: the least CPU time of three runs of each,
+    """A default run mines only the maximal sets, and derivation reads each
+    kept set once and each column's support off the database's rows, so
+    deriving candidates costs less than mining, however many closed sets the
+    miner walks. Derivation that reads every closed set, to filter the maximal
+    ones and to take each column's support as the highest among the sets
+    holding it, costs more the more sets there are: on this table (300 rows of
+    10 of 20 columns, threshold 2, about 30,000 closed sets and 4,900 maximal)
+    a filter that ANDs one bit per closed set for each item took 1.0 to 1.5
+    times as long as mining. The guard pins a ratio, since CPU speed drifts
+    too much for an absolute bound: the least CPU time of three runs of each,
     taken in turn."""
     rng = random.Random(27)
     columns = [AttributeItem("t", f"c{j:02d}") for j in range(20)]
     db, items_by_id = build_database([TransactionContext(q, frozenset(rng.sample(columns, 10)))
                                       for q in range(300)])
-    closed = miner.mine_closed(db, 2)
-    assert len(closed) > 25_000 and derive_candidates(closed, items_by_id)
+    assert len(miner.mine_closed(db, 2)) > 25_000
+    kept = miner.mine_closed(db, 2, maximal_only=True)
+    assert derive_candidates(kept, db, items_by_id)
     mining = deriving = float("inf")
     for _ in range(3):
         start = time.process_time()
-        miner.mine_closed(db, 2)
+        miner.mine_closed(db, 2, maximal_only=True)
         middle = time.process_time()
-        derive_candidates(closed, items_by_id)
+        derive_candidates(kept, db, items_by_id)
         mining = min(mining, middle - start)
         deriving = min(deriving, time.process_time() - middle)
     assert deriving < 0.6 * mining, f"derivation {deriving:.3f}s, mining {mining:.3f}s"
@@ -260,8 +263,7 @@ def test_raising_minsup_never_adds_candidates():
             closed = mine_tables(db, items_by_id, threshold)
             got = {
                 (c.table, c.columns, c.support)
-                for c in derive_candidates(closed, items_by_id,
-                                           maximal_only=False)
+                for c in derive_candidates(closed, db, items_by_id)
             }
             if previous is not None:
                 assert got <= previous

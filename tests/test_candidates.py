@@ -38,9 +38,9 @@ def program_candidates(rows, threshold: int, maximal_only: bool):
     db, items_by_id = build_database([
         TransactionContext(q, frozenset(AttributeItem(*pair) for pair in row))
         for q, row in enumerate(rows)])
-    closed = mine_tables(db, items_by_id, threshold)
+    closed = mine_tables(db, items_by_id, threshold, maximal_only)
     return [(c.table, c.columns, c.support)
-            for c in derive_candidates(closed, items_by_id, maximal_only)]
+            for c in derive_candidates(closed, db, items_by_id)]
 
 
 def test_candidates_match_the_oracle_on_seeded_databases():
@@ -165,8 +165,8 @@ def test_joins_of_four_tables_mine_a_bounded_number_of_closed_sets(tmp_path, mon
     mined = []
     real = miner.mine_closed
 
-    def spy(db, threshold):
-        mined.append(len(result := real(db, threshold)))
+    def spy(db, threshold, maximal_only):
+        mined.append(len(result := real(db, threshold, maximal_only)))
         return result
 
     monkeypatch.setattr(miner, "mine_closed", spy)

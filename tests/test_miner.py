@@ -52,10 +52,12 @@ def counted_and_expanded(rng: random.Random) -> tuple[TransactionDatabase, Trans
 def test_three_row_example():
     got = mine_closed(THREE_ROWS, 2)
     assert got == [
-        ClosedItemset(items=(A,), support=3, maximal=False),
-        ClosedItemset(items=(A, B), support=2, maximal=True),
-        ClosedItemset(items=(A, C), support=2, maximal=True),
+        ClosedItemset(items=(A,), support=3),
+        ClosedItemset(items=(A, B), support=2),
+        ClosedItemset(items=(A, C), support=2),
     ]
+    # {A} lies inside {A, B}, which keeps the threshold.
+    assert mine_closed(THREE_ROWS, 2, maximal_only=True) == got[1:]
 
 
 def test_empty_transaction_list():
@@ -80,7 +82,7 @@ def test_empty_rows_keep_counting_in_fraction_resolution():
     n = sum(db.counts)
     assert mine_closed(db, math.ceil(Fraction(1, 2) * n)) == []
     assert mine_closed(db, math.ceil(Fraction(1, 4) * n)) == [
-        ClosedItemset(items=(A,), support=1, maximal=True)]
+        ClosedItemset(items=(A,), support=1)]
 
 
 def test_canonical_output_order():
@@ -172,8 +174,9 @@ def test_oracle_equivalence_smoke():
         db = random_database(rng)
         everything = mine_bruteforce(db, 1)
         for threshold in range(1, len(db.transactions) + 1):
-            expected = at_threshold(everything, threshold)
-            assert mine_closed(db, threshold) == expected
+            for maximal_only in (False, True):
+                expected = at_threshold(everything, threshold, maximal_only)
+                assert mine_closed(db, threshold, maximal_only) == expected
 
 
 def test_differential_on_wider_universes():
@@ -190,8 +193,9 @@ def test_differential_on_wider_universes():
                 )
             everything = mine_bruteforce(db, 1)
             for threshold in range(1, len(db.transactions) + 1):
-                expected = at_threshold(everything, threshold)
-                assert mine_closed(db, threshold) == expected
+                for maximal_only in (False, True):
+                    expected = at_threshold(everything, threshold, maximal_only)
+                    assert mine_closed(db, threshold, maximal_only) == expected
 
 
 def test_bruteforce_references_agree():
@@ -199,8 +203,9 @@ def test_bruteforce_references_agree():
     for _ in range(40):
         db = random_database(rng)
         for threshold in (1, 2, 3):
-            assert mine_by_intersection(db, threshold) == \
-                mine_bruteforce(db, threshold)
+            for maximal_only in (False, True):
+                assert mine_by_intersection(db, threshold, maximal_only) == \
+                    mine_bruteforce(db, threshold, maximal_only)
 
 
 def test_differential_on_wide_sparse_universes():
@@ -222,8 +227,9 @@ def test_differential_on_wide_sparse_universes():
             db = TransactionDatabase.from_transactions(rows)
         everything = mine_by_intersection(db, 1)
         for threshold in (1, 2, 3):
-            expected = at_threshold(everything, threshold)
-            assert mine_closed(db, threshold) == expected
+            for maximal_only in (False, True):
+                expected = at_threshold(everything, threshold, maximal_only)
+                assert mine_closed(db, threshold, maximal_only) == expected
 
 
 def test_counted_rows_mine_as_their_expansion():
@@ -233,7 +239,9 @@ def test_counted_rows_mine_as_their_expansion():
         assert sum(counted.counts) == len(expanded.transactions)
         # Every threshold from 1 to one above the total count.
         for threshold in range(1, sum(counted.counts) + 2):
-            assert mine_closed(counted, threshold) == mine_closed(expanded, threshold)
+            for maximal_only in (False, True):
+                assert mine_closed(counted, threshold, maximal_only) == \
+                    mine_closed(expanded, threshold, maximal_only)
 
 
 def test_bruteforce_references_sum_counts():
@@ -241,10 +249,11 @@ def test_bruteforce_references_sum_counts():
     for _ in range(40):
         counted, expanded = counted_and_expanded(rng)
         for threshold in (1, 2, 5):
-            expected = mine_bruteforce(expanded, threshold)
-            assert mine_bruteforce(counted, threshold) == expected
-            assert mine_by_intersection(counted, threshold) == expected
-            assert mine_closed(counted, threshold) == expected
+            for maximal_only in (False, True):
+                expected = mine_bruteforce(expanded, threshold, maximal_only)
+                assert mine_bruteforce(counted, threshold, maximal_only) == expected
+                assert mine_by_intersection(counted, threshold, maximal_only) == expected
+                assert mine_closed(counted, threshold, maximal_only) == expected
 
 
 def test_staircase_chain_of_closed_sets():
@@ -252,9 +261,9 @@ def test_staircase_chain_of_closed_sets():
     n = 1100
     db = TransactionDatabase.from_transactions(set(range(i + 1)) for i in range(n))
     assert mine_closed(db, 1) == [
-        ClosedItemset(items=tuple(range(k + 1)), support=n - k, maximal=k == n - 1)
-        for k in range(n)
+        ClosedItemset(items=tuple(range(k + 1)), support=n - k) for k in range(n)
     ]
+    assert mine_closed(db, 1, maximal_only=True) == [ClosedItemset(tuple(range(n)), 1)]
 
 
 # -- structural properties ------------------------------------------------------

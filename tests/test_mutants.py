@@ -39,8 +39,8 @@ def compiled(name: str, source: str) -> types.ModuleType:
 
 
 def check_mine_closed(miner) -> None:
-    """``mine_closed``, maximal flags included, against the brute-force oracle on
-    counted rows."""
+    """``mine_closed``, every closed set and only the maximal ones, against the
+    brute-force oracle on counted rows."""
     rng = random.Random(13)
     for _ in range(200):
         width = rng.randint(1, 8)
@@ -48,7 +48,9 @@ def check_mine_closed(miner) -> None:
                 for _ in range(rng.randint(1, 12))]
         db = TransactionDatabase.from_transactions(rows, [rng.randint(1, 3) for _ in rows])
         threshold = rng.randint(1, 6)
-        assert miner.mine_closed(db, threshold) == mine_bruteforce(db, threshold)
+        for maximal_only in (False, True):
+            assert miner.mine_closed(db, threshold, maximal_only) == \
+                mine_bruteforce(db, threshold, maximal_only)
 
 
 def check_candidates(advisor) -> None:
@@ -64,10 +66,10 @@ def check_candidates(advisor) -> None:
         db, items_by_id = advisor.build_database([
             TransactionContext(q, frozenset(AttributeItem(*pair) for pair in row))
             for q, row in enumerate(rows)])
-        closed = advisor.mine_tables(db, items_by_id, threshold)
         for maximal_only in (True, False):
+            closed = advisor.mine_tables(db, items_by_id, threshold, maximal_only)
             got = [(c.table, c.columns, c.support)
-                   for c in advisor.derive_candidates(closed, items_by_id, maximal_only)]
+                   for c in advisor.derive_candidates(closed, db, items_by_id)]
             assert got == candidates_bruteforce(rows, threshold, maximal_only)
 
 
@@ -246,14 +248,13 @@ MUTANTS = {
         "(tids & item_tids[below.bit_length() - 1]).bit_count() <= threshold:",
         check_mine_closed),
     "maximal-test-reads-only-the-tail": (
-        "miner", "below = 0 if tail else frequent_mask & ~cmask & (1 << core) - 1",
-        "below = 0", check_mine_closed),
+        "miner", "frequent_mask & ~cmask & (1 << core) - 1", "0", check_mine_closed),
     "rows-mined-as-if-each-count-were-1": (
         "advisor", "projections[table][row & ids_of[table]] += count",
         "projections[table][row & ids_of[table]] += 1", check_candidates),
-    "single-column-support-the-minimum": (
-        "advisor", "single[i] = max(single.get(i, 0), itemset.support)",
-        "single[i] = min(single.get(i, itemset.support), itemset.support)", check_candidates),
+    "single-column-support-counts-distinct-rows": (
+        "advisor", "single[i] = single.get(i, 0) + count",
+        "single[i] = single.get(i, 0) + 1", check_candidates),
     "default-threshold-one-row-higher": (
         "advisor", "DEFAULT_THRESHOLD_ROWS = 100_000", "DEFAULT_THRESHOLD_ROWS = 100_001",
         check_default_threshold_rows),
