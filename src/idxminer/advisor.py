@@ -106,9 +106,12 @@ def derive_candidates(
         for i in row:
             single[i] = single.get(i, 0) + count
 
+    # Each column's place in that order, found once for every set.
+    order = sorted(single, key=lambda i: (-single[i], items_by_id[i].column))
+    rank = dict(zip(order, range(len(order))))
     candidates = []
     for itemset in closed:
-        ordered = sorted(itemset.items, key=lambda i: (-single[i], items_by_id[i].column))
+        ordered = sorted(itemset.items, key=rank.__getitem__)
         candidates.append(IndexCandidate(items_by_id[ordered[0]].table,
                                          tuple(items_by_id[i].column for i in ordered),
                                          itemset.support))

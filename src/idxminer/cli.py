@@ -187,22 +187,27 @@ def _run(args: argparse.Namespace) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    workload_text = _read_text(args.workload, "workload")
+    # The workload is read first, and its text's one reference goes to
+    # parse_workload, which drops it once split. The queries and the contexts
+    # are dropped once read, so the run holds each statement once.
+    texts = [_read_text(args.workload, "workload")]
     schema = workload.parse_schema(_read_text(args.schema, "schema"))
     row_counts = catalog.load_stats(_read_text(args.stats, "stats")) if args.stats else {}
 
     diagnostics: list[str] = []
-    queries = workload.parse_workload(workload_text)
-    del workload_text  # the statements hold their own text
+    queries = workload.parse_workload(texts.pop())
     contexts = workload.extract_workload(queries, schema, policy, diagnostics)
-
+    workload_size = len(queries)
+    workload_summary = Counter(query.kind for query in queries)
+    del queries
     db, items_by_id = advisor.build_database(contexts)
+    del contexts
     # The one threshold of the run, a count over every statement (a fraction's
     # ceiling, in integers); an empty workload has none and mines nothing.
     minsup_used = 0
-    if queries:
+    if workload_size:
         minsup_used = (minsup if isinstance(minsup, int)
-                       else -(-minsup[0] * len(queries) // minsup[1]))
+                       else -(-minsup[0] * workload_size // minsup[1]))
     closed = advisor.mine_tables(db, items_by_id, minsup_used,
                                  not (args.mine_only or args.no_maximal_only))
     if args.mine_only:
@@ -214,11 +219,11 @@ def _run(args: argparse.Namespace) -> None:
 
     candidates = advisor.derive_candidates(closed, db, items_by_id)
     configuration = advisor.select(candidates, strategy, row_counts, args.threshold_rows,
-                                   workload_size=len(queries), diagnostics=diagnostics)
+                                   workload_size=workload_size, diagnostics=diagnostics)
     recommendation = report.Recommendation(
         configuration=configuration,
         minsup_used=minsup_used,
-        workload_summary=Counter(query.kind for query in queries),
+        workload_summary=workload_summary,
         diagnostics=tuple(diagnostics),
     )
 

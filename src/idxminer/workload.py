@@ -219,18 +219,22 @@ def split_statements(text: str) -> list[str]:
 
     Comments are replaced by a single space so token boundaries survive;
     semicolons inside string literals or quoted identifiers do not split.
-    Empty statements (including comment-only ones) are dropped.
+    Empty statements (including comment-only ones) are dropped. The matches
+    are read one at a time, so beside the text only the stripped statements
+    are kept, each once.
     """
     statements: list[str] = []
     parts: list[str] = []
-    for body, end in _SPLIT_RE.findall(text):
+    for body, end in map(re.Match.groups, _SPLIT_RE.finditer(text)):
         parts.append(body)
         if end == ";" or not end:
-            statements.append("".join(parts))
+            statement = "".join(parts).strip()
+            if statement:
+                statements.append(statement)
             parts = []
         else:  # a comment reads as one space
             parts.append(" ")
-    return [s for s in map(str.strip, statements) if s]
+    return statements
 
 
 # ---------------------------------------------------------------------------
@@ -917,13 +921,18 @@ def parse_workload(workload_text: str) -> list[WorkloadQuery]:
     memo of ``parse_statement``, the vocabulary and the statement table of
     ``tokenize`` and the reference table first, so each
     workload parses afresh and no earlier workload's names are kept.
+
+    The text is dropped once split: a caller that passes its only reference
+    holds the workload once, as the statements, while they are parsed.
     """
     _shape_parses.clear()
     _MASKED.clear()
     _VOCABULARY.clear()
     _REFS.clear()
+    statements = split_statements(workload_text)
+    del workload_text
     queries: list[WorkloadQuery] = []
-    for ordinal, text in enumerate(split_statements(workload_text)):
+    for ordinal, text in enumerate(statements):
         lead = _IDENT_RE.match(text)
         first = lead.group(0).lower() if lead else ""
         if first not in _STATEMENTS:

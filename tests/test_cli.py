@@ -50,6 +50,21 @@ def test_missing_workload_path_exits_2(fixture_args, capsys):
     assert run(args) == 2
 
 
+def test_the_first_failing_file_in_reading_order_is_reported(fixture_args, tmp_path, capsys):
+    """README: the files are read in the order workload, schema, stats."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a stanza\n", encoding="utf-8")
+    args = fixture_args()
+    args[args.index("--stats") + 1] = str(bad)
+    args[args.index("--schema") + 1] = str(bad)
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: line 1: column outside a TABLE stanza\n"
+    missing = tmp_path / "missing.sql"
+    args[args.index("--workload") + 1] = str(missing)
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read workload file {str(missing)!r}")
+
+
 def test_large_tables_without_stats_exits_1(tmp_path, capsys):
     assert run([
         "--workload", str(WORKLOAD_PATH),

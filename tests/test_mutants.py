@@ -23,6 +23,7 @@ import pytest
 
 from bruteforce import candidates_bruteforce, mine_bruteforce
 from conftest import SCHEMA_PATH, STATS_PATH, WORKLOAD_PATH
+from test_memory import check_parse_memory, check_run_memory, check_split_memory
 
 from idxminer.advisor import IndexCandidate, IndexConfiguration, Strategy
 from idxminer.miner import TransactionDatabase
@@ -313,6 +314,10 @@ MUTANTS = {
         "workload", "if len(parts) & 1 else None", "", check_quoted_tokens_after_a_mask),
     "strings-kept-in-the-mask": (
         "workload", "return \"''\".join(parts[::2])", "return text", check_statement_table),
+    "statements-split-from-a-list-of-matches": (
+        "workload", "map(re.Match.groups, _SPLIT_RE.finditer(text))", "_SPLIT_RE.findall(text)",
+        check_split_memory),
+    "text-kept-while-parsing": ("workload", "    del workload_text\n", "", check_parse_memory),
     "zero-row-count-rejected": (
         "catalog", "if counts[0] < 0:", "if counts[0] <= 0:", check_boundary_counts),
     "one-byte-rows-rejected": (
@@ -341,6 +346,8 @@ MUTANTS = {
         "except (ConfigError, advisor.MissingStatsError, workload.SchemaError) as exc:",
         check_exit_codes),
     "collector-left-off": ("cli", "gc.enable()", "pass", check_collector_restored),
+    "queries-kept-through-the-run": ("cli", "    del queries\n", "", check_run_memory),
+    "contexts-kept-through-mining": ("cli", "    del contexts\n", "", check_run_memory),
 }
 
 
